@@ -40,7 +40,6 @@ from .ecm import (
     simulate_log_paths,
 )
 from .errors import (
-    ConvergenceError,
     DataFormatError,
     EstimationError,
     ForecastError,
@@ -55,7 +54,6 @@ from .lasso import (
     kkt_violation,
     lambda_path,
     select_by_bic,
-    soft_threshold,
 )
 
 __version__ = "0.1.0"
@@ -64,7 +62,6 @@ __all__ = [
     "AlignedPanel",
     "BacktestConfig",
     "BacktestReport",
-    "ConvergenceError",
     "CountrySeries",
     "DataFormatError",
     "DEFAULT_CASE_THRESHOLD",
@@ -96,7 +93,6 @@ __all__ = [
     "select_by_bic",
     "simulate_bands",
     "simulate_log_paths",
-    "soft_threshold",
     "to_tau",
     "truncate_series",
     "__version__",

@@ -202,7 +202,6 @@ def parse_long(csv_text: str) -> list[CountrySeries]:
         raise DataFormatError(f"malformed header: missing column(s) {missing}")
 
     rows: dict[str, dict[date, int]] = {}
-    order: list[str] = []
     for row_no, rec in enumerate(reader, start=2):
         country = (rec["country"] or "").strip()
         if not country:
@@ -219,13 +218,10 @@ def parse_long(csv_text: str) -> list[CountrySeries]:
             raise DataFormatError(
                 f"duplicate row for ({country!r}, {d.isoformat()})"
             )
-        if country not in order:
-            order.append(country)
         bucket[d] = c
 
     out = []
-    for country in order:
-        by_date = rows[country]
+    for country, by_date in rows.items():
         dates = tuple(sorted(by_date))
         counts = tuple(by_date[d] for d in dates)
         out.append(CountrySeries(name=country, dates=dates, counts=counts))
@@ -284,11 +280,7 @@ def to_tau(series: CountrySeries, threshold: int) -> tuple[np.ndarray, date]:
     """
     if threshold < 1:
         raise ValueError("threshold must be >= 1")
-    start_idx = None
-    for i, c in enumerate(series.counts):
-        if c >= threshold:
-            start_idx = i
-            break
+    start_idx = threshold_crossing(series.counts, threshold)
     if start_idx is None:
         raise NotLatecomerError(series.name, threshold, max(series.counts))
     tail = series.counts[start_idx:]
@@ -406,13 +398,6 @@ def build_panel(
         peer_start_dates={name: pstart for name, _, pstart in kept},
         drop_log=drop_log,
     )
-
-
-def drop_log_lines(panel: AlignedPanel) -> list[str]:
-    """Drop log as JSON lines, one dropped peer per line."""
-    import json
-
-    return [json.dumps(entry, sort_keys=True) for entry in panel.drop_log]
 
 
 def default_threshold(metric: str) -> int:

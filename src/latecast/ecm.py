@@ -251,7 +251,7 @@ def fit_ecm(panel: AlignedPanel, lasso: LassoFit) -> EcmFit:
 
     if not -1.0 <= 1.0 + gamma <= 1.0:
         warnings.warn(
-            f"error-correction loading gamma={gamma:.4f} puts the recursion "
+            f"error-correction loading gamma={gamma:.3g} puts the recursion "
             f"coefficient 1+gamma outside [-1, 1]; forecasts may diverge",
             RuntimeWarning, stacklevel=2,
         )

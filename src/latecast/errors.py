@@ -1,7 +1,7 @@
 """Exception hierarchy shared across the package.
 
 Data problems (bad files, series that never reach the alignment
-threshold) and estimation problems (solver failures, degenerate fits)
+threshold) and estimation problems (degenerate fits, failed forecasts)
 are kept on separate branches so callers can map them to different
 exit codes.
 """
@@ -41,21 +41,6 @@ class NotLatecomerError(DataFormatError):
 
 class EstimationError(LatecastError):
     """Model fitting or forecasting failed."""
-
-
-class ConvergenceError(EstimationError):
-    """Coordinate descent hit the iteration cap before converging."""
-
-    def __init__(self, message: str, last_beta=None, gap: float | None = None):
-        super().__init__(message)
-        self.last_beta = last_beta
-        self.gap = gap
-
-    def details(self) -> dict:
-        d = super().details()
-        if self.gap is not None:
-            d["gap"] = self.gap
-        return d
 
 
 class ForecastError(EstimationError):

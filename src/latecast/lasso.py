@@ -6,16 +6,20 @@ minimizing
     (1/K) * sum_t w_t * (y_t - x_t' beta)^2  +  lam * sum_j |beta_j|
 
 where K is the number of window rows (not the total weight mass).  The
-solver is cyclic coordinate descent with covariance updates over a
-geometric penalty path with warm starts; the reported fit is the path
-entry with minimal BIC.  Under this loss scaling the coordinate update
-soft-thresholds at lam/2:
+solution is piecewise linear in lam (Osborne, Presnell & Turlach 2000;
+Efron, Hastie, Johnstone & Tibshirani 2004), so the solver follows the
+LARS-lasso homotopy: starting from the all-zero solution at the top of
+a geometric penalty grid, it steps from knot to knot, where one column
+joins or leaves the active set, and reads the exact solution at every
+grid point on the way.  On an active set S with signs s the optimality
+conditions are the linear system
 
-    beta_j <- S((c_j - (G beta)_j + G_jj beta_j) / K, lam/2) / (G_jj / K)
+    (G_SS / K) beta_S = c_S / K - (lam/2) * s_S
 
-with G = X'WX and c = X'Wy.  With standardization on (the default) the
-problem is solved in scaled coordinates where G_jj/K = 1 and mapped
-back, so the penalty treats peers symmetrically regardless of units.
+with G = X'WX and c = X'Wy.  The reported fit is the grid entry with
+minimal BIC.  With standardization on (the default) the problem is
+solved in scaled coordinates where G_jj/K = 1 and mapped back, so the
+penalty treats peers symmetrically regardless of units.
 """
 
 from __future__ import annotations
@@ -26,29 +30,24 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConvergenceError, EstimationError
+from .errors import EstimationError
+
+# A column whose weighted residual after projection on the active
+# columns keeps less than this share of its squared norm lies in their
+# span (an exact or scaled twin of an active peer); entering it would
+# make the active system singular.
+_SPAN_TOL = 1e-14
 
 
 @dataclass
 class LassoConfig:
-    """Solver controls.
-
-    ``tol`` bounds the largest absolute coefficient update in one sweep
-    (in solving coordinates); ``check_objective`` turns on a per-sweep
-    assertion that the objective never increases, for debugging.
-    """
+    """Penalty grid and coordinate scaling."""
 
     n_lambdas: int = 100
     lambda_min_ratio: float = 1e-4
-    tol: float = 1e-8
-    max_iter: int = 10000
     standardize: bool = True
-    intercept: bool = False
-    check_objective: bool = False
 
     def __post_init__(self):
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
         if self.n_lambdas < 2:
             raise ValueError("n_lambdas must be >= 2")
         if self.lambda_min_ratio <= 0 or self.lambda_min_ratio >= 1:
@@ -65,7 +64,6 @@ class LassoFit:
     bic: float
     residuals: np.ndarray
     path: list[tuple[float, np.ndarray, float]] = field(repr=False, default_factory=list)
-    intercept_: float = 0.0
 
     def to_json(self, peer_names: list[str] | None = None) -> dict:
         names = (
@@ -78,24 +76,13 @@ class LassoFit:
             "support": names,
             "lambda": float(self.lambda_),
             "bic": float(self.bic),
-            "intercept": float(self.intercept_),
         }
-
-
-def soft_threshold(z: float, gamma: float) -> float:
-    """sign(z) * max(|z| - gamma, 0)."""
-    if z > gamma:
-        return z - gamma
-    if z < -gamma:
-        return z + gamma
-    return 0.0
 
 
 class _Prepared:
     """Validated problem in solving coordinates, with Gram caches."""
 
-    __slots__ = ("Xs", "ys", "scales", "active", "x_means", "y_mean",
-                 "G", "c", "yWy", "K", "p")
+    __slots__ = ("Xs", "w", "scales", "active", "G", "c", "K", "p")
 
     def __init__(self, y, X, weights, config: LassoConfig):
         y = np.asarray(y, dtype=float)
@@ -111,29 +98,16 @@ class _Prepared:
         if np.any(w <= 0):
             raise ValueError("weights must be strictly positive")
 
-        if config.intercept:
-            wsum = w.sum()
-            self.x_means = (w @ X) / wsum
-            self.y_mean = float(w @ y) / wsum
-            Xc = X - self.x_means
-            yc = y - self.y_mean
-        else:
-            self.x_means = np.zeros(p)
-            self.y_mean = 0.0
-            Xc = X
-            yc = y
-
-        col_mass = np.einsum("t,tj,tj->j", w, Xc, Xc)
+        col_mass = np.einsum("t,tj,tj->j", w, X, X)
         self.active = col_mass > 0.0
         if config.standardize:
             self.scales = np.where(self.active, np.sqrt(col_mass / K), 1.0)
         else:
             self.scales = np.ones(p)
-        self.Xs = Xc / self.scales
-        self.ys = yc
+        self.Xs = X / self.scales
+        self.w = w
         self.G = self.Xs.T @ (w[:, None] * self.Xs)
-        self.c = self.Xs.T @ (w * yc)
-        self.yWy = float(w @ (yc * yc))
+        self.c = self.Xs.T @ (w * y)
         self.K = K
         self.p = p
 
@@ -145,111 +119,81 @@ class _Prepared:
     def to_original(self, beta_s: np.ndarray) -> np.ndarray:
         return beta_s / self.scales
 
-    def objective(self, beta_s: np.ndarray, lam: float) -> float:
-        quad = beta_s @ self.G @ beta_s - 2.0 * (self.c @ beta_s) + self.yWy
-        return quad / self.K + lam * np.abs(beta_s).sum()
-
     def gradient(self, beta_s: np.ndarray) -> np.ndarray:
         return (2.0 / self.K) * (self.G @ beta_s - self.c)
 
 
-def _try_exact_jump(prep: _Prepared, lam: float, beta: np.ndarray,
-                    Gbeta: np.ndarray) -> bool:
-    """Jump to the exact minimizer on the current support, if admissible.
+def _homotopy(prep: _Prepared, lams) -> tuple[np.ndarray, int]:
+    """Exact solutions at the decreasing penalties ``lams``, and the knot count.
 
-    On a fixed support with fixed signs the optimality conditions are a
-    linear system; solving it sidesteps the slow crawl coordinate
-    descent suffers on near-collinear columns.  The jump is taken only
-    when the solution keeps the assumed signs and does not push the
-    objective uphill beyond rounding; ties are accepted because on flat
-    valleys the iterate can differ from the minimizer by far more than
-    the objective can resolve.  If the true support is larger, later
-    sweeps pull the missing column in and a later jump solves the
-    enlarged system.  Convergence is still declared by the sweep
-    criterion.
+    Works in half-penalty units mu = lam/2 on the scaled system
+    A = G/K, b = c/K, where the correlation rho = b - A beta satisfies
+    rho_S = mu * s_S on the active set and |rho_j| <= mu off it.  Along
+    a segment beta_S grows by delta * v with A_SS v = s_S as mu falls by
+    delta, so every correlation moves linearly and the next knot is the
+    smallest step at which an inactive |rho_j| reaches mu or an active
+    coefficient reaches zero.  Grid points passed before that knot are
+    solved exactly on the current support, in ascending column order.
+
+    Two rules keep the path finite on degenerate designs: a column in
+    the span of the active set never enters (its correlation is tied to
+    theirs), and a column that just left may not re-enter with its old
+    sign on the very next step, where that event would have zero length.
     """
-    S = np.flatnonzero(beta)
-    if S.size == 0:
-        return False
-    signs = np.sign(beta[S])
-    sol = None
-    for _ in range(S.size):
-        A = prep.G[np.ix_(S, S)] / prep.K
-        rhs = prep.c[S] / prep.K - (lam / 2.0) * signs
-        sol, *_ = np.linalg.lstsq(A, rhs, rcond=None)
-        if lam == 0.0:
-            break
-        keep = np.sign(sol) == signs
-        if keep.all():
-            break
-        if not keep.any():
-            return False
-        S, signs = S[keep], signs[keep]
-    else:
-        return False
-    cand = np.zeros_like(beta)
-    cand[S] = sol
-    cur = prep.objective(beta, lam)
-    if prep.objective(cand, lam) > cur + 1e-12 * max(1.0, abs(cur)):
-        return False
-    beta[:] = cand
-    Gbeta[:] = prep.G @ beta
-    return True
+    A = prep.G / prep.K
+    b = prep.c / prep.K
+    Xw = prep.Xs * np.sqrt(prep.w)[:, None]
+    norm2 = np.einsum("tj,tj->j", Xw, Xw)
+    mus = np.asarray(lams, dtype=float) / 2.0
+    betas = np.zeros((len(mus), prep.p))
+    beta = np.zeros(prep.p)
+    sign = np.zeros(prep.p)  # +-1 on the active set, 0 elsewhere
+    mu = float(np.max(np.abs(b[prep.active]), initial=0.0))
+    i = knots = 0
+    blocked, blocked_sign = -1, 0.0
+    while True:
+        S = np.flatnonzero(sign)
+        free = prep.active & (sign == 0.0)
+        A_SS = A[np.ix_(S, S)]
+        if S.size:
+            v = np.linalg.lstsq(A_SS, sign[S], rcond=None)[0]
+            Q, _ = np.linalg.qr(Xw[:, S])
+            R = Xw - Q @ (Q.T @ Xw)
+            free &= np.einsum("tj,tj->j", R, R) > _SPAN_TOL * norm2
+        else:
+            v = np.zeros(0)
+        rho = b - A[:, S] @ beta[S]
+        a = A[:, S] @ v
+        with np.errstate(divide="ignore", invalid="ignore"):
+            up = np.where(1.0 - a > 0.0, np.maximum(mu - rho, 0.0) / (1.0 - a), np.inf)
+            down = np.where(1.0 + a > 0.0, np.maximum(mu + rho, 0.0) / (1.0 + a), np.inf)
+            to_zero = -beta[S] / v
+        if blocked >= 0:
+            (up if blocked_sign > 0 else down)[blocked] = np.inf
+        join = np.where(free, np.minimum(up, down), np.inf)
+        drop = np.full(prep.p, np.inf)
+        drop[S] = np.where(to_zero > 0.0, to_zero, np.inf)
+        j_in, j_out = int(np.argmin(join)), int(np.argmin(drop))
+        step = min(join[j_in], drop[j_out])
 
+        while i < len(mus) and mu - mus[i] <= step:
+            if S.size:
+                rhs = b[S] - mus[i] * sign[S]
+                betas[i, S] = np.linalg.lstsq(A_SS, rhs, rcond=None)[0]
+            i += 1
+        if i == len(mus):
+            return betas, knots
 
-def _cd_solve(prep: _Prepared, lam: float, beta0_s: np.ndarray,
-              config: LassoConfig) -> tuple[np.ndarray, int]:
-    """Cyclic coordinate descent from a warm start, in solving coordinates."""
-    beta = beta0_s.copy()
-    Gbeta = prep.G @ beta
-    diag = np.diag(prep.G)
-    idx = np.flatnonzero(prep.active)
-    half_lam = lam / 2.0
-    prev_obj = prep.objective(beta, lam) if config.check_objective else None
-    stall_ref = None
-
-    for it in range(1, config.max_iter + 1):
-        if (it - 1) % 5 == 0:
-            _try_exact_jump(prep, lam, beta, Gbeta)
-        max_delta = 0.0
-        for j in idx:
-            gjj = diag[j] / prep.K
-            rho = (prep.c[j] - Gbeta[j] + diag[j] * beta[j]) / prep.K
-            new = soft_threshold(rho, half_lam) / gjj
-            d = new - beta[j]
-            if d != 0.0:
-                Gbeta += prep.G[:, j] * d
-                beta[j] = new
-                if abs(d) > max_delta:
-                    max_delta = abs(d)
-        if config.check_objective:
-            obj = prep.objective(beta, lam)
-            assert obj <= prev_obj + 1e-12 * max(1.0, abs(prev_obj)), (
-                f"objective rose {prev_obj} -> {obj} at sweep {it}"
-            )
-            prev_obj = obj
-        if max_delta < config.tol:
-            return beta, it
-        if it % 5 == 0:
-            # Near-duplicate columns form a flat valley where the sweep
-            # criterion is unreachable: mass shuffles between the twins
-            # at a constant rate while the objective is done moving.
-            # When five sweeps bring no real decay of the update size
-            # and the iterate already certifies optimality at half the
-            # advertised KKT tolerance, the crawl is pure bookkeeping
-            # and the iterate is the answer.
-            if stall_ref is not None and max_delta > 0.5 * stall_ref:
-                if _kkt_gap(prep, beta, lam) <= 5e-7:
-                    return beta, it
-            stall_ref = max_delta
-
-    gap = _kkt_gap(prep, beta, lam)
-    raise ConvergenceError(
-        f"coordinate descent did not converge in {config.max_iter} sweeps "
-        f"(last max update {max_delta:.3e}, KKT gap {gap:.3e})",
-        last_beta=prep.to_original(beta),
-        gap=gap,
-    )
+        beta[S] += step * v
+        mu -= step
+        knots += 1
+        if drop[j_out] <= join[j_in]:
+            blocked, blocked_sign = j_out, sign[j_out]
+            beta[j_out] = 0.0
+            sign[j_out] = 0.0
+        else:
+            blocked = -1
+            sign[j_in] = 1.0 if up[j_in] <= down[j_in] else -1.0
 
 
 def _kkt_gap(prep: _Prepared, beta_s: np.ndarray, lam: float) -> float:
@@ -265,52 +209,30 @@ def _kkt_gap(prep: _Prepared, beta_s: np.ndarray, lam: float) -> float:
     return worst
 
 
-def fit_lasso(y, X, weights, lam: float, config: LassoConfig | None = None,
-              beta0=None) -> tuple[np.ndarray, int]:
+def fit_lasso(y, X, weights, lam: float,
+              config: LassoConfig | None = None) -> tuple[np.ndarray, int]:
     """Solve the weighted problem at one penalty value.
 
     Parameters
     ----------
     lam : float
         Penalty. Must be non-negative; 0 gives weighted least squares.
-    beta0 : array, optional
-        Warm start in original coordinates.
 
     Returns
     -------
-    (beta, iterations)
-        Coefficients in original coordinates and the sweep count.
-        Convergence normally means the largest coefficient update of a
-        sweep fell below ``config.tol``; on designs with near-duplicate
-        columns, where that criterion is unreachable, the solver instead
-        returns the iterate once progress has stalled and its KKT
-        residual is below half the documented 1e-6 tolerance.
-
-    Raises
-    ------
-    ConvergenceError
-        If ``config.max_iter`` sweeps do not reach either criterion; the
-        error carries the last iterate and a KKT residual as gap proxy.
+    (beta, knots)
+        Coefficients in original coordinates and the number of knots
+        the homotopy passed on its way down to ``lam``.
     """
     if lam < 0:
         raise ValueError("lam must be non-negative")
     config = config or LassoConfig()
     prep = _Prepared(y, X, weights, config)
-    beta0_s = (prep.to_solving(beta0) if beta0 is not None
-               else np.zeros(prep.p))
-    beta_s, iters = _cd_solve(prep, lam, beta0_s, config)
-    return prep.to_original(beta_s), iters
+    betas, knots = _homotopy(prep, [lam])
+    return prep.to_original(betas[0]), knots
 
 
-def lambda_path(y, X, weights, config: LassoConfig | None = None) -> np.ndarray:
-    """Geometric penalty grid from the all-zero point downward.
-
-    The first entry is the smallest penalty whose solution is the zero
-    vector, ``max_j (2/K) |[X'Wy]_j|`` in solving coordinates; the grid
-    decays geometrically to ``lambda_min_ratio`` times that.
-    """
-    config = config or LassoConfig()
-    prep = _Prepared(y, X, weights, config)
+def _grid(prep: _Prepared, config: LassoConfig) -> np.ndarray:
     if not prep.active.any():
         raise EstimationError(
             "design matrix has no usable column (all columns are "
@@ -325,26 +247,33 @@ def lambda_path(y, X, weights, config: LassoConfig | None = None) -> np.ndarray:
                         config.n_lambdas)
 
 
-def bic(y, X, weights, beta, intercept: float | None = None) -> float:
+def lambda_path(y, X, weights, config: LassoConfig | None = None) -> np.ndarray:
+    """Geometric penalty grid from the all-zero point downward.
+
+    The first entry is the smallest penalty whose solution is the zero
+    vector, ``max_j (2/K) |[X'Wy]_j|`` in solving coordinates; the grid
+    decays geometrically to ``lambda_min_ratio`` times that.
+    """
+    config = config or LassoConfig()
+    return _grid(_Prepared(y, X, weights, config), config)
+
+
+def bic(y, X, weights, beta) -> float:
     """K * ln(RSS_w / K) + df * ln(K).
 
     ``RSS_w`` is the weighted residual sum of squares, ``df`` the number
-    of nonzero coefficients (plus one when an intercept was fitted), and
-    ``K`` the row count.  The weights enter only through RSS_w: the
-    emphasis scheme duplicates information rather than adding it, so the
-    sample size stays K.
+    of nonzero coefficients, and ``K`` the row count.  The weights enter
+    only through RSS_w: the emphasis scheme duplicates information
+    rather than adding it, so the sample size stays K.
     """
     y = np.asarray(y, dtype=float)
     X = np.asarray(X, dtype=float)
     w = np.asarray(weights, dtype=float)
     beta = np.asarray(beta, dtype=float)
     K = len(y)
-    fitted = X @ beta
-    if intercept is not None:
-        fitted = fitted + intercept
-    resid = y - fitted
+    resid = y - X @ beta
     rss = float(w @ (resid * resid))
-    df = int(np.count_nonzero(beta)) + (1 if intercept is not None else 0)
+    df = int(np.count_nonzero(beta))
     if rss <= 0.0:
         warnings.warn("perfect fit: weighted RSS is zero, BIC is -inf",
                       RuntimeWarning, stacklevel=2)
@@ -368,34 +297,26 @@ def _argmin_bic(bics) -> int:
 def select_by_bic(y, X, weights, config: LassoConfig | None = None) -> LassoFit:
     """Fit the full penalty path and keep the BIC-minimal entry."""
     config = config or LassoConfig()
-    lams = lambda_path(y, X, weights, config)
     prep = _Prepared(y, X, weights, config)
+    lams = _grid(prep, config)
     y = np.asarray(y, dtype=float)
     X = np.asarray(X, dtype=float)
 
+    betas, _ = _homotopy(prep, lams)
     path: list[tuple[float, np.ndarray, float]] = []
-    beta_s = np.zeros(prep.p)
-    for lam in lams:
-        beta_s, _ = _cd_solve(prep, float(lam), beta_s, config)
+    for lam, beta_s in zip(lams, betas):
         beta = prep.to_original(beta_s)
-        icept = (prep.y_mean - float(prep.x_means @ beta)
-                 if config.intercept else None)
-        b = bic(y, X, weights, beta, intercept=icept)
-        path.append((float(lam), beta, b))
+        path.append((float(lam), beta, bic(y, X, weights, beta)))
 
     k = _argmin_bic([b for _, _, b in path])
     lam, beta, best_bic = path[k]
-    icept = (prep.y_mean - float(prep.x_means @ beta)
-             if config.intercept else 0.0)
-    fitted = X @ beta + icept
     return LassoFit(
         beta=beta,
         support=tuple(int(j) for j in np.flatnonzero(beta)),
         lambda_=lam,
         bic=best_bic,
-        residuals=y - fitted,
+        residuals=y - X @ beta,
         path=path,
-        intercept_=icept,
     )
 
 

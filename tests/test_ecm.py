@@ -1,6 +1,7 @@
 """Second step: error-correction fit, recursion, bias correction, bands."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -158,6 +159,15 @@ def test_unstable_gamma_warns():
     with pytest.warns(RuntimeWarning, match="outside"):
         fit = fit_ecm(panel, lasso_with_beta([1.0, 0.0]))
     assert fit.gamma > 0.0
+
+    # a tiny positive loading must not print as gamma=0
+    panel, _ = gen_ecm_panel(rng, n=12, p=2, beta=(1.0,), pi=(0.0,),
+                             gamma=1e-5, sigma=0.0, z0_offset=1.0)
+    with pytest.warns(RuntimeWarning, match="outside") as rec:
+        fit_ecm(panel, lasso_with_beta([1.0, 0.0]))
+    msg = next(str(r.message) for r in rec if "outside" in str(r.message))
+    printed = re.search(r"gamma=(\S+)", msg).group(1)
+    assert float(printed) > 0.0
 
 
 def test_zero_dof_sets_sigma2_zero():
