@@ -27,7 +27,7 @@ def main():
     target = next(s for s in series if s.name == "Brazil")
     peers = [s for s in series if s.name != "Brazil"]
 
-    cfg = BacktestConfig(window=21, horizon=14, metric="cases",
+    cfg = BacktestConfig(window=21, horizon=14,
                          origin_start=date(2020, 4, 4),
                          origin_end=date(2020, 4, 14))
     report = run_backtest(target, peers, cfg)

@@ -47,7 +47,6 @@ from .errors import (
     NotLatecomerError,
 )
 from .lasso import (
-    LassoConfig,
     LassoFit,
     bic,
     fit_lasso,
@@ -70,7 +69,6 @@ __all__ = [
     "EstimationError",
     "ForecastError",
     "ForecastPath",
-    "LassoConfig",
     "LassoFit",
     "LatecastError",
     "NotLatecomerError",

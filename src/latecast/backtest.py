@@ -32,9 +32,6 @@ class BacktestConfig:
     threshold: int = 100
     window: int = DEFAULT_WINDOW
     horizon: int = DEFAULT_HORIZON
-    n_sims: int = 10000
-    seed: int = 0
-    metric: str = "cases"
     origin_start: date | None = None
     origin_end: date | None = None
     calendar_check: bool = True
@@ -141,8 +138,7 @@ def run_backtest(target: CountrySeries, peers: list[CountrySeries],
     An origin is feasible once the target has window + 1 aligned
     observations.  Origins whose fit raises are skipped and recorded;
     the report is partial rather than aborted.  Scoring uses the point
-    forecasts only, so the simulation settings in the config do not
-    affect the aggregates.
+    forecasts only; no shock paths are simulated.
     """
     config = config or BacktestConfig()
     origins = _feasible_origins(target, config)

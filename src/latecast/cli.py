@@ -7,19 +7,22 @@ them, ``report`` produces the combined cases-and-deaths table with a
 closing confidence-interval row.
 
 Conventions: result tables go to stdout or ``--output``; everything
-else (peer drop log, selected peers, errors) goes to stderr as JSON
-lines.  Exit codes: 0 success, 2 data problem, 3 estimation problem,
-4 bad arguments.  Outputs are deterministic: the same inputs, flags,
-and seed produce byte-identical files.
+else (peer drop log, selected peers, warnings, errors) goes to stderr
+as JSON lines.  Exit codes: 0 success, 2 data problem, 3 estimation
+problem, 4 bad arguments.  Outputs are deterministic: the same inputs,
+flags, and seed produce byte-identical files.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
+import logging
 import sys
+import warnings
 from dataclasses import dataclass, field
 from datetime import date, timedelta
 from pathlib import Path
@@ -103,10 +106,36 @@ def _info(payload: dict) -> None:
 
 def _fail(exc: Exception) -> None:
     if isinstance(exc, LatecastError):
-        payload = exc.details()
+        _info(exc.details())
     else:
-        payload = {"error": type(exc).__name__, "message": str(exc)}
-    print(json.dumps(payload, sort_keys=True), file=sys.stderr)
+        _info({"error": type(exc).__name__, "message": str(exc)})
+
+
+def _show_warning(message, category, filename, lineno, file=None, line=None):
+    _info({"warning": category.__name__, "message": str(message)})
+
+
+class _WarningLogHandler(logging.Handler):
+    def emit(self, record):
+        _info({"warning": record.name, "message": record.getMessage()})
+
+
+@contextlib.contextmanager
+def _warnings_as_json_lines():
+    """Route ``warnings.warn`` and package log warnings through ``_info``.
+
+    ``warnings`` messages carry their category name, log records the
+    logger name; the previous warning hooks are restored on exit.
+    """
+    handler = _WarningLogHandler(logging.WARNING)
+    logger = logging.getLogger("latecast")
+    logger.addHandler(handler)
+    try:
+        with warnings.catch_warnings():
+            warnings.showwarning = _show_warning
+            yield
+    finally:
+        logger.removeHandler(handler)
 
 
 def _resolve_data_path(path_str: str, metric: str) -> Path:
@@ -294,9 +323,6 @@ def cmd_backtest(config: RunConfig) -> int:
         threshold=config.threshold_for(config.metric),
         window=config.k,
         horizon=config.h,
-        n_sims=config.n_sims,
-        seed=config.seed or 0,
-        metric=config.metric,
         origin_start=config.origin_start,
         origin_end=config.origin_end,
         calendar_check=config.calendar_check,
@@ -517,7 +543,8 @@ def main(argv=None) -> int:
         _fail(exc)
         return EXIT_USAGE
     try:
-        return COMMANDS[config.command](config)
+        with _warnings_as_json_lines():
+            return COMMANDS[config.command](config)
     except DataFormatError as exc:
         _fail(exc)
         return EXIT_DATA

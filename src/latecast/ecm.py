@@ -25,7 +25,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .align import AlignedPanel
 from .errors import EstimationError, ForecastError
@@ -105,28 +104,28 @@ class ForecastPath:
 def weighted_least_squares(y, X, weights) -> tuple[np.ndarray, list[int]]:
     """WLS coefficients with collinear columns dropped.
 
-    Solves min_b sum_t w_t (y_t - x_t' b)^2 via pivoted QR on the
-    sqrt(w)-scaled system.  Columns beyond the numerical rank get a zero
-    coefficient; their indices are returned so callers can warn.
+    Solves min_b sum_t w_t (y_t - x_t' b)^2 on the sqrt(w)-scaled
+    system.  An unpivoted QR of the scaled design flags column j as
+    collinear when |R_jj|, its norm orthogonal to the columns before
+    it, is at most max(n, q) * eps times its own norm; so of two twin
+    columns the later one goes, and with fewer rows than columns every
+    column from index n on goes.  Least squares on the kept columns
+    gives their coefficients; dropped columns get zero, and their
+    indices are returned so callers can warn.
     """
     y = np.asarray(y, dtype=float)
     X = np.asarray(X, dtype=float)
-    w = np.asarray(weights, dtype=float)
-    sw = np.sqrt(w)
+    sw = np.sqrt(np.asarray(weights, dtype=float))
     Xs = X * sw[:, None]
-    ys = y * sw
     n, q = Xs.shape
-    Q, R, piv = scipy.linalg.qr(Xs, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(R))
-    if diag.size == 0 or diag[0] == 0.0:
-        return np.zeros(q), list(range(q))
-    rank = int(np.sum(diag > diag[0] * max(n, q) * np.finfo(float).eps))
+    R = np.linalg.qr(Xs, mode="r")
+    resid_norm = np.zeros(q)
+    resid_norm[: min(n, q)] = np.abs(np.diag(R))
+    keep = resid_norm > max(n, q) * np.finfo(float).eps * np.linalg.norm(Xs, axis=0)
     coef = np.zeros(q)
-    keep = piv[:rank]
-    rhs = Q[:, :rank].T @ ys
-    coef[keep] = scipy.linalg.solve_triangular(R[:rank, :rank], rhs)
-    dropped = sorted(int(j) for j in piv[rank:])
-    return coef, dropped
+    if keep.any():
+        coef[keep] = np.linalg.lstsq(Xs[:, keep], y * sw, rcond=None)[0]
+    return coef, [int(j) for j in np.flatnonzero(~keep)]
 
 
 def _weighted_corr(y, x, w) -> float:
@@ -293,22 +292,19 @@ def _peer_rows_through(fit: EcmFit, panel: AlignedPanel, last_row: int) -> np.nd
     return X
 
 
-def forecast_log(fit: EcmFit, panel: AlignedPanel, H: int,
-                 use_fitted_seed: bool = False) -> np.ndarray:
+def forecast_log(fit: EcmFit, panel: AlignedPanel, H: int) -> np.ndarray:
     """Recursive log-scale forecasts for horizons 1..H.
 
-    The recursion starts from the last observed log level (or, with
-    ``use_fitted_seed``, from the last in-sample fitted value) and plugs
-    in the peers' observed future values.
+    The recursion starts from the last observed log level and plugs in
+    the peers' observed future values.
     """
     if H < 1:
         raise ValueError("H must be >= 1")
     T = panel.tau_len
     X = _peer_rows_through(fit, panel, T + H - 1)
-    seed_val = float(fit.fitted_log[-1]) if use_fitted_seed else float(panel.y[T - 1])
 
     out = np.empty(H)
-    prev = seed_val
+    prev = float(panel.y[T - 1])
     for h in range(1, H + 1):
         dx = X[T + h - 1] - X[T + h - 2]
         long_run = X[T + h - 2] @ fit.beta

@@ -17,9 +17,9 @@ conditions are the linear system
     (G_SS / K) beta_S = c_S / K - (lam/2) * s_S
 
 with G = X'WX and c = X'Wy.  The reported fit is the grid entry with
-minimal BIC.  With standardization on (the default) the problem is
-solved in scaled coordinates where G_jj/K = 1 and mapped back, so the
-penalty treats peers symmetrically regardless of units.
+minimal BIC.  The problem is solved in scaled coordinates where
+G_jj/K = 1 and mapped back, so the penalty treats peers symmetrically
+regardless of units.
 """
 
 from __future__ import annotations
@@ -38,20 +38,10 @@ from .errors import EstimationError
 # make the active system singular.
 _SPAN_TOL = 1e-14
 
-
-@dataclass
-class LassoConfig:
-    """Penalty grid and coordinate scaling."""
-
-    n_lambdas: int = 100
-    lambda_min_ratio: float = 1e-4
-    standardize: bool = True
-
-    def __post_init__(self):
-        if self.n_lambdas < 2:
-            raise ValueError("n_lambdas must be >= 2")
-        if self.lambda_min_ratio <= 0 or self.lambda_min_ratio >= 1:
-            raise ValueError("lambda_min_ratio must be in (0, 1)")
+# The penalty grid: this many points, geometric from the all-zero point
+# down to this share of it.
+_N_LAMBDAS = 100
+_LAMBDA_MIN_RATIO = 1e-4
 
 
 @dataclass
@@ -84,7 +74,7 @@ class _Prepared:
 
     __slots__ = ("Xs", "w", "scales", "active", "G", "c", "K", "p")
 
-    def __init__(self, y, X, weights, config: LassoConfig):
+    def __init__(self, y, X, weights):
         y = np.asarray(y, dtype=float)
         X = np.asarray(X, dtype=float)
         w = np.asarray(weights, dtype=float)
@@ -100,10 +90,7 @@ class _Prepared:
 
         col_mass = np.einsum("t,tj,tj->j", w, X, X)
         self.active = col_mass > 0.0
-        if config.standardize:
-            self.scales = np.where(self.active, np.sqrt(col_mass / K), 1.0)
-        else:
-            self.scales = np.ones(p)
+        self.scales = np.where(self.active, np.sqrt(col_mass / K), 1.0)
         self.Xs = X / self.scales
         self.w = w
         self.G = self.Xs.T @ (w[:, None] * self.Xs)
@@ -209,8 +196,7 @@ def _kkt_gap(prep: _Prepared, beta_s: np.ndarray, lam: float) -> float:
     return worst
 
 
-def fit_lasso(y, X, weights, lam: float,
-              config: LassoConfig | None = None) -> tuple[np.ndarray, int]:
+def fit_lasso(y, X, weights, lam: float) -> tuple[np.ndarray, int]:
     """Solve the weighted problem at one penalty value.
 
     Parameters
@@ -226,13 +212,12 @@ def fit_lasso(y, X, weights, lam: float,
     """
     if lam < 0:
         raise ValueError("lam must be non-negative")
-    config = config or LassoConfig()
-    prep = _Prepared(y, X, weights, config)
+    prep = _Prepared(y, X, weights)
     betas, knots = _homotopy(prep, [lam])
     return prep.to_original(betas[0]), knots
 
 
-def _grid(prep: _Prepared, config: LassoConfig) -> np.ndarray:
+def _grid(prep: _Prepared) -> np.ndarray:
     if not prep.active.any():
         raise EstimationError(
             "design matrix has no usable column (all columns are "
@@ -243,19 +228,17 @@ def _grid(prep: _Prepared, config: LassoConfig) -> np.ndarray:
         # response orthogonal to every column: any penalty gives the
         # zero solution, so the grid anchor is arbitrary
         lam_max = 1.0
-    return np.geomspace(lam_max, lam_max * config.lambda_min_ratio,
-                        config.n_lambdas)
+    return np.geomspace(lam_max, lam_max * _LAMBDA_MIN_RATIO, _N_LAMBDAS)
 
 
-def lambda_path(y, X, weights, config: LassoConfig | None = None) -> np.ndarray:
+def lambda_path(y, X, weights) -> np.ndarray:
     """Geometric penalty grid from the all-zero point downward.
 
     The first entry is the smallest penalty whose solution is the zero
     vector, ``max_j (2/K) |[X'Wy]_j|`` in solving coordinates; the grid
-    decays geometrically to ``lambda_min_ratio`` times that.
+    has 100 points and decays geometrically to 1e-4 times that.
     """
-    config = config or LassoConfig()
-    return _grid(_Prepared(y, X, weights, config), config)
+    return _grid(_Prepared(y, X, weights))
 
 
 def bic(y, X, weights, beta) -> float:
@@ -294,11 +277,10 @@ def _argmin_bic(bics) -> int:
     return best
 
 
-def select_by_bic(y, X, weights, config: LassoConfig | None = None) -> LassoFit:
+def select_by_bic(y, X, weights) -> LassoFit:
     """Fit the full penalty path and keep the BIC-minimal entry."""
-    config = config or LassoConfig()
-    prep = _Prepared(y, X, weights, config)
-    lams = _grid(prep, config)
+    prep = _Prepared(y, X, weights)
+    lams = _grid(prep)
     y = np.asarray(y, dtype=float)
     X = np.asarray(X, dtype=float)
 
@@ -320,14 +302,12 @@ def select_by_bic(y, X, weights, config: LassoConfig | None = None) -> LassoFit:
     )
 
 
-def kkt_violation(y, X, weights, beta, lam: float,
-                  config: LassoConfig | None = None) -> float:
+def kkt_violation(y, X, weights, beta, lam: float) -> float:
     """Largest optimality violation of ``beta``, in solving coordinates.
 
     Zero (up to tolerance) iff ``beta`` solves the problem at ``lam``:
     on-support gradients must equal -lam * sign(beta_j), off-support
     gradients must not exceed lam in magnitude.
     """
-    config = config or LassoConfig()
-    prep = _Prepared(y, X, weights, config)
+    prep = _Prepared(y, X, weights)
     return _kkt_gap(prep, prep.to_solving(np.asarray(beta, float)), lam)

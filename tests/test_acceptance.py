@@ -17,7 +17,7 @@ from latecast.align import CountrySeries, parse_jhu_wide, parse_long
 from latecast.backtest import BacktestConfig, run_backtest
 from latecast.cli import main
 from latecast.ecm import EcmFit, fit_ecm, forecast_log, simulate_bands
-from latecast.lasso import LassoConfig, fit_lasso, kkt_violation, select_by_bic
+from latecast.lasso import fit_lasso, kkt_violation, select_by_bic
 
 
 @contextmanager
@@ -35,7 +35,6 @@ def test_01_lasso_matches_closed_forms():
     with verdict(1) as note:
         t0 = time.monotonic()
         rng = np.random.default_rng(11)
-        cfg = LassoConfig(standardize=False)
         worst_soft = 0.0
         worst_ols = 0.0
         for _ in range(25):
@@ -49,11 +48,11 @@ def test_01_lasso_matches_closed_forms():
             y = X @ beta_true + rng.normal(scale=0.3, size=K)
             c = X.T @ (w * y) / K
             for lam in (0.05, 0.4):
-                beta, _ = fit_lasso(y, X, w, lam, cfg)
+                beta, _ = fit_lasso(y, X, w, lam)
                 oracle = np.sign(c) * np.maximum(np.abs(c) - lam / 2.0, 0.0)
                 worst_soft = max(worst_soft,
                                  float(np.max(np.abs(beta - oracle))))
-            beta0, _ = fit_lasso(y, X, w, 0.0, cfg)
+            beta0, _ = fit_lasso(y, X, w, 0.0)
             sw = np.sqrt(w)[:, None]
             ols, *_ = np.linalg.lstsq(X * sw, y * np.sqrt(w), rcond=None)
             worst_ols = max(worst_ols, float(np.max(np.abs(beta0 - ols))))
@@ -290,7 +289,7 @@ def test_09_snapshot_backtest_is_in_sane_range():
         target = next(s for s in series if s.name == "Brazil")
         peers = [s for s in series if s.name != "Brazil"]
         cfg = BacktestConfig(
-            window=21, horizon=14, metric="cases",
+            window=21, horizon=14,
             origin_start=date(2020, 4, 4), origin_end=date(2020, 4, 14),
         )
         report = run_backtest(target, peers, cfg)

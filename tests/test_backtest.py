@@ -16,6 +16,7 @@ from latecast.backtest import (
     run_backtest,
     score,
 )
+from latecast.cli import main
 from latecast.errors import DataFormatError
 
 
@@ -109,15 +110,23 @@ def test_origin_with_no_realized_data_is_unscorable():
         run_backtest(target, peers, cfg)
 
 
-def test_backtest_is_deterministic_and_scoring_ignores_sims():
+def test_backtest_is_deterministic_and_scoring_ignores_sims(tmp_path):
     target, peers = load_fixture("synthetic_ecm_long")
     a = run_backtest(target, peers, BacktestConfig(window=21, horizon=5))
     b = run_backtest(target, peers, BacktestConfig(window=21, horizon=5))
     assert a.matrix == b.matrix
     assert a.mape_total == b.mape_total
-    c = run_backtest(target, peers,
-                     BacktestConfig(window=21, horizon=5, n_sims=13, seed=9))
-    assert c.matrix == a.matrix
+    # the command line takes simulation flags, but scoring never simulates
+    reports = []
+    for seed, n_sims in (("7", "2000"), ("9", "13")):
+        out = tmp_path / f"seed{seed}.json"
+        assert main(["backtest", "--data-path",
+                     str(FIXTURES / "synthetic_ecm_long.csv"),
+                     "--data-format", "long", "--target", "Target",
+                     "--seed", seed, "--n-sims", n_sims, "--h", "5",
+                     "--format", "json", "--output", str(out)]) == 0
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
 
 
 def test_backtest_is_leakage_free():

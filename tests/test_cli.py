@@ -253,3 +253,28 @@ def test_console_entrypoint_runs():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["n_countries"] == 24
+
+
+@pytest.mark.parametrize("extra, source", [
+    (["--target", "Japan"], "RuntimeWarning"),
+    (["--target", "Brazil", "--k", "60"], "latecast.align"),
+], ids=["unstable_gamma", "shrunk_window"])
+def test_warnings_keep_stderr_json_lines(extra, source):
+    proc = subprocess.run(
+        [sys.executable, "-m", "latecast", "forecast",
+         "--data-path", JHU_CASES, "--seed", "11", *extra],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0
+    payloads = [json.loads(line) for line in proc.stderr.splitlines()]
+    assert [p["warning"] for p in payloads if "warning" in p] == [source]
+
+
+def test_import_does_not_load_scipy():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, latecast; print('scipy' in sys.modules)"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout.strip() == "False"

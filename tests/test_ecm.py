@@ -54,13 +54,29 @@ def test_wls_zeroes_collinear_columns():
     X[:, 2] = 2.0 * X[:, 0]
     y = rng.normal(size=8)
     coef, dropped = weighted_least_squares(y, X, np.ones(8))
-    assert len(dropped) == 1
-    assert coef[dropped[0]] == 0.0
+    # of two twin columns the later one goes
+    assert dropped == [2]
+    assert coef[2] == 0.0
     # the kept columns still reproduce the least-squares fit
     fitted = X @ coef
     resid = y - fitted
     assert abs(resid @ X[:, 0]) < 1e-8
     assert abs(resid @ X[:, 1]) < 1e-8
+
+    # fewer rows than columns: the columns past the row count go, and
+    # the rest fit exactly
+    X = rng.normal(size=(3, 5))
+    y = rng.normal(size=3)
+    w = rng.uniform(0.5, 4.0, 3)
+    coef, dropped = weighted_least_squares(y, X, w)
+    assert dropped == [3, 4]
+    assert np.all(coef[3:] == 0.0)
+    np.testing.assert_allclose(X @ coef, y, atol=1e-10)
+
+    # an all-zero design keeps nothing
+    coef, dropped = weighted_least_squares(y, np.zeros((3, 2)), w)
+    assert dropped == [0, 1]
+    assert np.all(coef == 0.0)
 
 
 def test_two_regressor_hand_system():
@@ -249,17 +265,6 @@ def test_forecast_linear_in_seed():
         np.testing.assert_allclose(
             slopes, (1.0 + gamma) ** np.arange(1, 7), atol=1e-10
         )
-
-
-def test_fitted_seed_flag():
-    rng = np.random.default_rng(41011)
-    panel, _ = gen_ecm_panel(rng, n=30, p=2, beta=(1.0,), pi=(0.4,),
-                             sigma=0.05)
-    fit = fit_ecm(panel, lasso_with_beta([1.0, 0.0]))
-    a = forecast_log(fit, panel, 3)
-    b = forecast_log(fit, panel, 3, use_fitted_seed=True)
-    expect_gap = (1.0 + fit.gamma) * (fit.fitted_log[-1] - panel.y[-1])
-    assert b[0] - a[0] == pytest.approx(expect_gap, abs=1e-12)
 
 
 def test_forecast_needs_peer_rows():

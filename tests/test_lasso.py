@@ -14,7 +14,6 @@ from hypothesis import given, settings, strategies as st
 
 from latecast.errors import EstimationError
 from latecast.lasso import (
-    LassoConfig,
     bic,
     fit_lasso,
     kkt_violation,
@@ -87,16 +86,6 @@ def test_kkt_conditions_hold():
         lam = float(rng.choice(lams))
         beta, _ = fit_lasso(y, X, w, lam)
         assert kkt_violation(y, X, w, lam=lam, beta=beta) <= 1e-6
-
-
-def test_kkt_holds_without_standardization():
-    rng = np.random.default_rng(31004)
-    cfg = LassoConfig(standardize=False)
-    for _ in range(20):
-        y, X, w = random_problem(rng, 20, 5)
-        lam = 0.3 * float(np.max(np.abs(X.T @ (w * y))) * 2 / len(y))
-        beta, _ = fit_lasso(y, X, w, lam, config=cfg)
-        assert kkt_violation(y, X, w, lam=lam, beta=beta, config=cfg) <= 1e-6
 
 
 def test_path_head_is_all_zero():
@@ -218,10 +207,3 @@ def test_every_path_entry_satisfies_kkt(K, p, seed, scale):
     fit = select_by_bic(y, X, w)
     for lam, b, _ in fit.path:
         assert kkt_violation(y, X, w, b, lam) <= 1e-6
-
-
-def test_config_validation():
-    with pytest.raises(ValueError):
-        LassoConfig(n_lambdas=1)
-    with pytest.raises(ValueError):
-        LassoConfig(lambda_min_ratio=1.5)
