@@ -18,7 +18,13 @@ from datetime import date, timedelta
 
 import numpy as np
 
-from .align import CountrySeries, build_panel, to_tau, truncate_series
+from .align import (
+    DEFAULT_CASE_THRESHOLD,
+    CountrySeries,
+    build_panel,
+    to_tau,
+    truncate_series,
+)
 from .ecm import fit_ecm, forecast_levels, forecast_log
 from .errors import DataFormatError, LatecastError
 from .lasso import select_by_bic
@@ -29,12 +35,11 @@ DEFAULT_HORIZON = 14
 
 @dataclass
 class BacktestConfig:
-    threshold: int = 100
+    threshold: int = DEFAULT_CASE_THRESHOLD
     window: int = DEFAULT_WINDOW
     horizon: int = DEFAULT_HORIZON
     origin_start: date | None = None
     origin_end: date | None = None
-    calendar_check: bool = True
 
     def __post_init__(self):
         if self.horizon < 1:
@@ -174,8 +179,7 @@ def run_backtest(target: CountrySeries, peers: list[CountrySeries],
             origin + timedelta(days=h): float(levels[h - 1])
             for h in range(1, config.horizon + 1)
         }
-        if config.calendar_check:
-            flags.extend(_calendar_flags(panel, fit, origin))
+        flags.extend(_calendar_flags(panel, fit, origin))
         details.append({
             "origin": origin.isoformat(),
             "selected": list(fit.peer_names),

@@ -9,8 +9,9 @@ closing confidence-interval row.
 Conventions: result tables go to stdout or ``--output``; everything
 else (peer drop log, selected peers, warnings, errors) goes to stderr
 as JSON lines.  Exit codes: 0 success, 2 data problem, 3 estimation
-problem, 4 bad arguments.  Outputs are deterministic: the same inputs,
-flags, and seed produce byte-identical files.
+problem, 4 bad arguments; a usage error, too, is one line
+``{"error": "UsageError", "message": ...}``.  Outputs are deterministic:
+the same inputs, flags, and seed produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -23,11 +24,12 @@ import json
 import logging
 import sys
 import warnings
-from dataclasses import dataclass, field
 from datetime import date, timedelta
 from pathlib import Path
 
 from .align import (
+    DEFAULT_CASE_THRESHOLD,
+    DEFAULT_DEATH_THRESHOLD,
     CountrySeries,
     build_panel,
     default_threshold,
@@ -37,6 +39,8 @@ from .align import (
     threshold_crossing,
 )
 from .backtest import (
+    DEFAULT_HORIZON,
+    DEFAULT_WINDOW,
     BacktestConfig,
     dumps_report,
     report_to_csv,
@@ -57,47 +61,10 @@ EXIT_ESTIMATION = 3
 EXIT_USAGE = 4
 
 
-@dataclass
-class RunConfig:
-    """Validated arguments for one CLI invocation."""
-
-    command: str
-    data_path: str
-    data_format: str = "jhu-wide"
-    target: str | None = None
-    peers: list[str] = field(default_factory=lambda: ["auto"])
-    metric: str = "cases"
-    threshold: int | None = None
-    k: int = 21
-    h: int = 14
-    n_sims: int = 10000
-    seed: int | None = None
-    confidence: float = 0.95
-    output: str | None = None
-    format: str = "csv"
-    origin_start: date | None = None
-    origin_end: date | None = None
-    calendar_check: bool = True
-    deaths_path: str | None = None
-    deaths_threshold: int = 10
-    history: int = 10
-
-    def __post_init__(self):
-        if self.h < 1:
-            raise ValueError("--h must be >= 1")
-        if self.k < 2:
-            raise ValueError("--k must be >= 2")
-        if not 0.0 < self.confidence < 1.0:
-            raise ValueError("--confidence must be strictly between 0 and 1")
-        if self.n_sims < 1:
-            raise ValueError("--n-sims must be >= 1")
-        if self.threshold is not None and self.threshold < 1:
-            raise ValueError("--threshold must be >= 1")
-
-    def threshold_for(self, metric: str) -> int:
-        if self.threshold is not None:
-            return self.threshold
-        return default_threshold(metric)
+def _threshold(args: argparse.Namespace, metric: str) -> int:
+    if args.threshold is not None:
+        return args.threshold
+    return default_threshold(metric)
 
 
 def _info(payload: dict) -> None:
@@ -151,7 +118,10 @@ def _resolve_data_path(path_str: str, metric: str) -> Path:
 
 
 def _load_series(path: Path, data_format: str) -> list[CountrySeries]:
-    text = path.read_text(encoding="utf-8")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{path} is not UTF-8 text: {exc}") from None
     if data_format == "jhu-wide":
         return parse_jhu_wide(text)
     return parse_long(text)
@@ -178,14 +148,14 @@ def _split_target_peers(
     return target, peers
 
 
-def _fit_once(config: RunConfig, target: CountrySeries,
-              peers: list[CountrySeries]):
+def _fit_once(args: argparse.Namespace, target: CountrySeries,
+              peers: list[CountrySeries], threshold: int):
     """Panel, two estimation steps, and simulated bands for one origin."""
     panel = build_panel(
         target, peers,
-        threshold=config.threshold_for(config.metric),
-        max_horizon=config.h,
-        window=config.k,
+        threshold=threshold,
+        max_horizon=args.h,
+        window=args.k,
     )
     for entry in panel.drop_log:
         _info({"info": "peer_dropped", **entry})
@@ -200,9 +170,9 @@ def _fit_once(config: RunConfig, target: CountrySeries,
         "lambda": lasso_fit.lambda_,
     })
     path = simulate_bands(
-        fit, panel, config.h,
-        n_sims=config.n_sims, seed=config.seed or 0,
-        confidence=config.confidence,
+        fit, panel, args.h,
+        n_sims=args.n_sims, seed=args.seed,
+        confidence=args.confidence,
     )
     return panel, lasso_fit, fit, path
 
@@ -228,10 +198,10 @@ def _write_output(text: str, output: str | None) -> None:
         sys.stdout.write(text)
 
 
-def cmd_ingest_check(config: RunConfig) -> int:
-    path = _resolve_data_path(config.data_path, config.metric)
-    series = _load_series(path, config.data_format)
-    threshold = config.threshold_for(config.metric)
+def cmd_ingest_check(args: argparse.Namespace) -> int:
+    path = _resolve_data_path(args.data_path, args.metric)
+    series = _load_series(path, args.data_format)
+    threshold = _threshold(args, args.metric)
     countries = []
     for s in series:
         cross = threshold_crossing(s.counts, threshold)
@@ -245,32 +215,34 @@ def cmd_ingest_check(config: RunConfig) -> int:
         })
     summary = {
         "file": path.name,
-        "format": config.data_format,
-        "metric": config.metric,
+        "format": args.data_format,
+        "metric": args.metric,
         "threshold": threshold,
         "n_countries": len(series),
         "countries": countries,
         "warnings": ingestion_warnings(series),
     }
-    if config.target is not None:
-        if config.target not in {s.name for s in series}:
+    if args.target is not None:
+        if args.target not in {s.name for s in series}:
             raise DataFormatError(
-                f"target {config.target!r} not found among {len(series)} countries"
+                f"target {args.target!r} not found among {len(series)} countries"
             )
-        summary["target"] = config.target
+        summary["target"] = args.target
     _write_output(json.dumps(summary, sort_keys=True, indent=2) + "\n",
-                  config.output)
+                  args.output)
     return EXIT_OK
 
 
-def cmd_forecast(config: RunConfig) -> int:
-    path = _resolve_data_path(config.data_path, config.metric)
-    series = _load_series(path, config.data_format)
-    target, peers = _split_target_peers(series, config.target, config.peers)
-    panel, lasso_fit, fit, fpath = _fit_once(config, target, peers)
+def cmd_forecast(args: argparse.Namespace) -> int:
+    path = _resolve_data_path(args.data_path, args.metric)
+    series = _load_series(path, args.data_format)
+    target, peers = _split_target_peers(series, args.target, args.peers)
+    panel, lasso_fit, fit, fpath = _fit_once(
+        args, target, peers, _threshold(args, args.metric)
+    )
     rows = _forecast_rows(fpath, panel.end_date)
 
-    if config.format == "csv":
+    if args.format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["Date", "Total", "New", "GrowthRatePct",
@@ -284,11 +256,11 @@ def cmd_forecast(config: RunConfig) -> int:
                 round(r["lower"]),
                 round(r["upper"]),
             ])
-        _write_output(buf.getvalue(), config.output)
+        _write_output(buf.getvalue(), args.output)
     else:
         payload = {
             "target": target.name,
-            "metric": config.metric,
+            "metric": args.metric,
             "last_observed": panel.end_date.isoformat(),
             "dates": [r["date"] for r in rows],
             "selected_peers": list(fit.peer_names),
@@ -296,36 +268,35 @@ def cmd_forecast(config: RunConfig) -> int:
             **fpath.to_json(),
         }
         _write_output(json.dumps(payload, sort_keys=True, indent=2) + "\n",
-                      config.output)
+                      args.output)
 
-    if config.output:
+    if args.output:
         diagnostics = {
             "target": target.name,
-            "metric": config.metric,
+            "metric": args.metric,
             "tau_len": panel.tau_len,
             "window": panel.window,
             "first_step": lasso_fit.to_json(panel.peer_names),
             "second_step": fit.to_json(),
             "dropped_peers": panel.drop_log,
         }
-        Path(config.output + ".diagnostics.json").write_text(
+        Path(args.output + ".diagnostics.json").write_text(
             json.dumps(diagnostics, sort_keys=True, indent=2) + "\n",
             encoding="utf-8",
         )
     return EXIT_OK
 
 
-def cmd_backtest(config: RunConfig) -> int:
-    path = _resolve_data_path(config.data_path, config.metric)
-    series = _load_series(path, config.data_format)
-    target, peers = _split_target_peers(series, config.target, config.peers)
+def cmd_backtest(args: argparse.Namespace) -> int:
+    path = _resolve_data_path(args.data_path, args.metric)
+    series = _load_series(path, args.data_format)
+    target, peers = _split_target_peers(series, args.target, args.peers)
     bt_config = BacktestConfig(
-        threshold=config.threshold_for(config.metric),
-        window=config.k,
-        horizon=config.h,
-        origin_start=config.origin_start,
-        origin_end=config.origin_end,
-        calendar_check=config.calendar_check,
+        threshold=_threshold(args, args.metric),
+        window=args.k,
+        horizon=args.h,
+        origin_start=args.origin_start,
+        origin_end=args.origin_end,
     )
     report = run_backtest(target, peers, bt_config)
     for entry in report.skipped:
@@ -336,35 +307,21 @@ def cmd_backtest(config: RunConfig) -> int:
         "mape_total_pct": report.mape_total,
         "mape_worst_pct": report.mape_worst,
     })
-    if config.format == "csv":
-        _write_output(report_to_csv(report), config.output)
+    if args.format == "csv":
+        _write_output(report_to_csv(report), args.output)
     else:
-        _write_output(dumps_report(report), config.output)
+        _write_output(dumps_report(report), args.output)
     return EXIT_OK
 
 
-def _report_section(config: RunConfig, metric: str, path: Path,
+def _report_section(args: argparse.Namespace, metric: str, path: Path,
                     threshold: int) -> dict:
-    series = _load_series(path, config.data_format)
-    target, peers = _split_target_peers(series, config.target, config.peers)
-    section_config = RunConfig(
-        command="forecast",
-        data_path=str(path),
-        data_format=config.data_format,
-        target=config.target,
-        peers=config.peers,
-        metric=metric,
-        threshold=threshold,
-        k=config.k,
-        h=config.h,
-        n_sims=config.n_sims,
-        seed=config.seed,
-        confidence=config.confidence,
-    )
-    panel, _, fit, fpath = _fit_once(section_config, target, peers)
+    series = _load_series(path, args.data_format)
+    target, peers = _split_target_peers(series, args.target, args.peers)
+    panel, _, fit, fpath = _fit_once(args, target, peers, threshold)
     rows = _forecast_rows(fpath, panel.end_date)
     history = []
-    n_hist = min(config.history, len(target.counts))
+    n_hist = min(args.history, len(target.counts))
     for i in range(len(target.counts) - n_hist, len(target.counts)):
         prev = target.counts[i - 1] if i >= 1 else None
         history.append({
@@ -387,27 +344,27 @@ def _report_section(config: RunConfig, metric: str, path: Path,
         "ci_on": rows[i_last]["date"],
         "ci_below": fpath.lower[i_last] - fpath.level_hat[i_last],
         "ci_above": fpath.upper[i_last] - fpath.level_hat[i_last],
-        "confidence": config.confidence,
+        "confidence": args.confidence,
     }
 
 
-def cmd_report(config: RunConfig) -> int:
-    cases_path = _resolve_data_path(config.data_path, "cases")
-    if config.deaths_path is not None:
-        deaths_path = _resolve_data_path(config.deaths_path, "deaths")
-    elif Path(config.data_path).is_dir():
-        deaths_path = _resolve_data_path(config.data_path, "deaths")
+def cmd_report(args: argparse.Namespace) -> int:
+    cases_path = _resolve_data_path(args.data_path, "cases")
+    if args.deaths_path is not None:
+        deaths_path = _resolve_data_path(args.deaths_path, "deaths")
+    elif Path(args.data_path).is_dir():
+        deaths_path = _resolve_data_path(args.data_path, "deaths")
     else:
         raise DataFormatError(
             "the report command needs both metrics: pass --deaths-path or "
             "point --data-path at a directory with both files"
         )
-    cases = _report_section(config, "cases", cases_path,
-                            config.threshold_for("cases"))
-    deaths = _report_section(config, "deaths", deaths_path,
-                             config.deaths_threshold)
+    cases = _report_section(args, "cases", cases_path,
+                            _threshold(args, "cases"))
+    deaths = _report_section(args, "deaths", deaths_path,
+                             args.deaths_threshold)
 
-    if config.format == "csv":
+    if args.format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["Section", "Date", "Observed", "Total", "New",
@@ -435,20 +392,37 @@ def cmd_report(config: RunConfig) -> int:
                 f"{round(section['ci_above']):+d}",
                 "", "",
             ])
-        _write_output(buf.getvalue(), config.output)
+        _write_output(buf.getvalue(), args.output)
     else:
         payload = {"cases": cases, "deaths": deaths}
         _write_output(json.dumps(payload, sort_keys=True, indent=2) + "\n",
-                      config.output)
+                      args.output)
     return EXIT_OK
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse with usage errors mapped to exit code 4."""
+    """argparse with usage errors as one JSON line and exit code 4."""
 
     def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+        _info({"error": "UsageError", "message": f"{self.prog}: {message}"})
+        self.exit(EXIT_USAGE)
+
+
+def _checked(kind, ok, rule: str):
+    """argparse type: ``kind(text)``, a usage error unless ``ok`` holds."""
+
+    def parse(text: str):
+        value = kind(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text}")
+        return value
+
+    parse.__name__ = kind.__name__  # argparse names it in "invalid int value"
+    return parse
+
+
+def _at_least(low: int):
+    return _checked(int, lambda v: v >= low, f">= {low}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -467,21 +441,26 @@ def build_parser() -> argparse.ArgumentParser:
                       default="jhu-wide")
     data.add_argument("--metric", choices=("cases", "deaths"),
                       default="cases")
-    data.add_argument("--threshold", type=int, default=None,
-                      help="alignment threshold (default 100 cases, 10 deaths)")
+    data.add_argument("--threshold", type=_at_least(1), default=None,
+                      help=f"alignment threshold (default "
+                           f"{DEFAULT_CASE_THRESHOLD} cases, "
+                           f"{DEFAULT_DEATH_THRESHOLD} deaths)")
 
     model = _Parser(add_help=False)
     model.add_argument("--target", required=True)
     model.add_argument("--peers", nargs="+", default=["auto"],
                        help="peer country names, or 'auto' for every "
                             "other country (default)")
-    model.add_argument("--k", type=int, default=21,
-                       help="rolling estimation window length (default 21)")
-    model.add_argument("--h", type=int, default=14,
-                       help="forecast horizon in days (default 14)")
-    model.add_argument("--n-sims", type=int, default=10000)
-    model.add_argument("--seed", type=int, required=True)
-    model.add_argument("--confidence", type=float, default=0.95)
+    model.add_argument("--k", type=_at_least(2), default=DEFAULT_WINDOW,
+                       help="rolling estimation window length "
+                            "(default %(default)s)")
+    model.add_argument("--h", type=_at_least(1), default=DEFAULT_HORIZON,
+                       help="forecast horizon in days (default %(default)s)")
+    model.add_argument("--n-sims", type=_at_least(1), default=10000)
+    model.add_argument("--seed", type=_at_least(0), required=True)
+    model.add_argument("--confidence", default=0.95,
+                       type=_checked(float, lambda v: 0.0 < v < 1.0,
+                                     "strictly between 0 and 1"))
 
     out = _Parser(add_help=False)
     out.add_argument("--output", default=None,
@@ -503,18 +482,15 @@ def build_parser() -> argparse.ArgumentParser:
                         default=None)
     p_back.add_argument("--origin-end", type=date.fromisoformat,
                         default=None)
-    p_back.add_argument("--no-calendar-check", action="store_false",
-                        dest="calendar_check",
-                        help="skip flagging peer values that were "
-                             "calendar-future at the origin")
 
     p_report = sub.add_parser("report", parents=[data, model, out],
                               help="combined cases and deaths table")
     p_report.add_argument("--deaths-path", default=None,
                           help="deaths CSV when --data-path is a single "
                                "cases file")
-    p_report.add_argument("--deaths-threshold", type=int, default=10)
-    p_report.add_argument("--history", type=int, default=10,
+    p_report.add_argument("--deaths-threshold", type=_at_least(1),
+                          default=DEFAULT_DEATH_THRESHOLD)
+    p_report.add_argument("--history", type=_at_least(0), default=10,
                           help="observed rows to include before the "
                                "forecast block")
 
@@ -530,21 +506,13 @@ COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    fields = {f for f in RunConfig.__dataclass_fields__}
-    kwargs = {k: v for k, v in vars(args).items() if k in fields and v is not None}
-    try:
-        config = RunConfig(**kwargs)
-    except ValueError as exc:
-        _fail(exc)
-        return EXIT_USAGE
     try:
         with _warnings_as_json_lines():
-            return COMMANDS[config.command](config)
+            return COMMANDS[args.command](args)
     except DataFormatError as exc:
         _fail(exc)
         return EXIT_DATA

@@ -248,7 +248,8 @@ def fit_ecm(panel: AlignedPanel, lasso: LassoFit) -> EcmFit:
     else:
         sigma2 = float(w @ (resid * resid)) / dof
 
-    if not -1.0 <= 1.0 + gamma <= 1.0:
+    # 1+gamma within sqrt(eps) of +-1 is rounding noise, not instability
+    if abs(1.0 + gamma) > 1.0 + math.sqrt(np.finfo(float).eps):
         warnings.warn(
             f"error-correction loading gamma={gamma:.3g} puts the recursion "
             f"coefficient 1+gamma outside [-1, 1]; forecasts may diverge",
@@ -316,15 +317,8 @@ def forecast_log(fit: EcmFit, panel: AlignedPanel, H: int) -> np.ndarray:
 def forecast_levels(fit: EcmFit, y_hat) -> np.ndarray:
     """Bias-corrected level forecasts alpha * exp(y_hat)."""
     y_hat = np.asarray(y_hat, dtype=float)
-    with np.errstate(over="raise"):
-        try:
-            levels = fit.alpha * np.exp(y_hat)
-        except FloatingPointError:
-            worst = float(np.max(y_hat))
-            raise ForecastError(
-                f"level forecast overflows: log value {worst:.2f} exceeds "
-                f"the representable range"
-            ) from None
+    with np.errstate(over="ignore"):
+        levels = fit.alpha * np.exp(y_hat)
     if not np.all(np.isfinite(levels)):
         worst = float(np.max(y_hat))
         raise ForecastError(

@@ -1,6 +1,7 @@
 """Rolling-origin evaluation: scoring, leakage, skips, and rendering."""
 
 import json
+import warnings
 from datetime import date, timedelta
 
 import numpy as np
@@ -202,17 +203,14 @@ def test_calendar_flags_and_switch():
     # use calendar-future peer values
     peer = make_series("A", date(2020, 3, 8), growth)
     cfg = BacktestConfig(threshold=100, window=4, horizon=5)
-    report = run_backtest(target, [peer], cfg)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        report = run_backtest(target, [peer], cfg)
+    # the target tracks its peer exactly, so gamma is rounding noise (~1e-12)
+    assert not [w for w in caught if "outside" in str(w.message)]
     assert report.flags
     assert all(f["days_ahead"] >= 1 for f in report.flags)
     assert all(f["peer"] == "A" for f in report.flags)
-    quiet = run_backtest(
-        target, [peer],
-        BacktestConfig(threshold=100, window=4, horizon=5,
-                       calendar_check=False),
-    )
-    assert quiet.flags == []
-    assert quiet.matrix == report.matrix
 
 
 def test_origin_bounds_clamp():

@@ -121,11 +121,48 @@ def test_bad_confidence_is_usage_error(capsys):
     rc = main(FORECAST_ARGS + ["--confidence", "1.5"])
     assert rc == 4
     payloads = stderr_payloads(capsys)
-    assert payloads and payloads[-1]["error"] == "ValueError"
+    assert payloads and payloads[-1]["error"] == "UsageError"
 
 
 def test_unknown_subcommand_is_usage_error():
     assert main(["meltdown"]) == 4
+
+
+@pytest.mark.parametrize("argv", [
+    ["forecast", "--data-path", JHU_CASES, "--target", "Brazil"],
+    ["meltdown"],
+    ["forecast", "--data-path", JHU_CASES, "--target", "Brazil",
+     "--seed", "1", "--confidence", "1.5"],
+    ["forecast", "--data-path", JHU_CASES, "--target", "Brazil",
+     "--seed", "1", "--h", "0"],
+    ["forecast", "--data-path", JHU_CASES, "--target", "Brazil",
+     "--seed", "1", "--k", "1"],
+    ["forecast", "--data-path", JHU_CASES, "--target", "Brazil",
+     "--seed", "1", "--n-sims", "0"],
+    ["forecast", "--data-path", JHU_CASES, "--target", "Brazil",
+     "--seed", "-1"],
+    ["report", "--data-path", JHU_CASES, "--deaths-path", JHU_DEATHS,
+     "--target", "Brazil", "--seed", "1", "--deaths-threshold", "0"],
+    ["backtest", "--data-path", JHU_CASES, "--target", "Brazil",
+     "--seed", "1", "--origin-start", "2020-13-01"],
+    ["backtest", "--data-path", JHU_CASES, "--target", "Brazil",
+     "--seed", "1", "--no-calendar-check"],
+], ids=["missing_seed", "unknown_subcommand", "confidence_1.5", "h_0", "k_1",
+        "n_sims_0", "negative_seed", "deaths_threshold_0", "bad_origin_date",
+        "removed_calendar_flag"])
+def test_usage_errors_are_one_json_line(argv):
+    proc = subprocess.run(
+        [sys.executable, "-m", "latecast", *argv],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 4
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert lines
+    for line in lines:
+        payload = json.loads(line)
+        assert isinstance(payload, dict)
+        assert payload["error"] == "UsageError"
 
 
 def test_unknown_target_is_data_error(capsys):
@@ -141,6 +178,17 @@ def test_missing_file_is_data_error(tmp_path):
     rc = main(["forecast", "--data-path", str(tmp_path / "nope.csv"),
                "--target", "X", "--seed", "1"])
     assert rc == 2
+
+
+def test_non_utf8_file_is_data_error(tmp_path, capsys):
+    f = tmp_path / "latin1.csv"
+    f.write_bytes(b"\xff\xfecountry,date,cumulative\nS\xe3o Tom\xe9,2020-03-01,5\n")
+    rc = main(["forecast", "--data-path", str(f), "--data-format", "long",
+               "--target", "X", "--seed", "1"])
+    assert rc == 2
+    payloads = stderr_payloads(capsys)
+    assert payloads[-1]["error"] == "DataFormatError"
+    assert "UTF-8" in payloads[-1]["message"]
 
 
 def test_below_threshold_target_is_data_error(tmp_path, capsys):
