@@ -27,46 +27,39 @@ DEFAULT_DEATH_THRESHOLD = 10
 JHU_FIXED_COLUMNS = ("Province/State", "Country/Region", "Lat", "Long")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CountrySeries:
-    """Cumulative counts for one country on consecutive calendar days."""
+    """Cumulative counts for one country on consecutive days from ``start``.
+
+    ``counts`` is stored as a read-only int64 array; ``counts[i]`` is the
+    count on ``date_at(i)``.
+    """
 
     name: str
-    dates: tuple[date, ...]
-    counts: tuple[int, ...]
+    start: date
+    counts: np.ndarray
 
     def __post_init__(self):
-        if not self.dates:
+        counts = np.array(self.counts, dtype=np.int64)
+        if not counts.size:
             raise DataFormatError(f"empty series for {self.name!r}")
-        if len(self.dates) != len(self.counts):
+        negative = np.flatnonzero(counts < 0)
+        if negative.size:
+            i = negative[0]
             raise DataFormatError(
-                f"{self.name!r}: {len(self.dates)} dates vs {len(self.counts)} counts"
+                f"{self.name!r}: negative count {counts[i]} on "
+                f"{self.date_at(i).isoformat()}"
             )
-        for prev, cur in zip(self.dates, self.dates[1:]):
-            if (cur - prev).days != 1:
-                raise DataFormatError(
-                    f"{self.name!r}: dates must be consecutive days, "
-                    f"found gap {prev.isoformat()} -> {cur.isoformat()}"
-                )
-        for d, c in zip(self.dates, self.counts):
-            if c < 0:
-                raise DataFormatError(
-                    f"{self.name!r}: negative count {c} on {d.isoformat()}"
-                )
-
-    @property
-    def start(self) -> date:
-        return self.dates[0]
+        counts.flags.writeable = False
+        object.__setattr__(self, "counts", counts)
 
     @property
     def end(self) -> date:
-        return self.dates[-1]
+        return self.date_at(len(self.counts) - 1)
 
-    def count_on(self, day: date) -> int:
-        i = (day - self.start).days
-        if i < 0 or i >= len(self.counts):
-            raise KeyError(f"{self.name!r} has no observation on {day.isoformat()}")
-        return self.counts[i]
+    def date_at(self, i: int) -> date:
+        """Calendar date of ``counts[i]``."""
+        return self.start + timedelta(days=int(i))
 
 
 @dataclass
@@ -120,6 +113,15 @@ class AlignedPanel:
         return self.peer_start_dates[peer] + timedelta(days=tau - 1)
 
 
+def _require_consecutive(dates, where: str) -> None:
+    for prev, cur in zip(dates, dates[1:]):
+        if (cur - prev).days != 1:
+            raise DataFormatError(
+                f"{where}: dates must be consecutive days, "
+                f"found gap {prev.isoformat()} -> {cur.isoformat()}"
+            )
+
+
 def _parse_count(cell: str, row: int, col: str) -> int:
     cell = cell.strip()
     try:
@@ -161,9 +163,9 @@ def parse_jhu_wide(csv_text: str) -> list[CountrySeries]:
         )
     except ValueError as exc:
         raise DataFormatError(f"malformed date column header: {exc}") from None
+    _require_consecutive(dates, "date column header")
 
     totals: dict[str, np.ndarray] = {}
-    order: list[str] = []
     for row_no, row in enumerate(reader, start=2):
         if not row or all(not c.strip() for c in row):
             continue
@@ -181,14 +183,10 @@ def parse_jhu_wide(csv_text: str) -> list[CountrySeries]:
         )
         if country not in totals:
             totals[country] = values
-            order.append(country)
         else:
             totals[country] = totals[country] + values
 
-    out = [
-        CountrySeries(name=c, dates=dates, counts=tuple(int(v) for v in totals[c]))
-        for c in order
-    ]
+    out = [CountrySeries(c, dates[0], counts) for c, counts in totals.items()]
     _warn_on_revisions(out)
     return out
 
@@ -222,9 +220,9 @@ def parse_long(csv_text: str) -> list[CountrySeries]:
 
     out = []
     for country, by_date in rows.items():
-        dates = tuple(sorted(by_date))
-        counts = tuple(by_date[d] for d in dates)
-        out.append(CountrySeries(name=country, dates=dates, counts=counts))
+        dates = sorted(by_date)
+        _require_consecutive(dates, repr(country))
+        out.append(CountrySeries(country, dates[0], [by_date[d] for d in dates]))
     _warn_on_revisions(out)
     return out
 
@@ -233,17 +231,17 @@ def ingestion_warnings(series_list: list[CountrySeries]) -> list[dict]:
     """Non-fatal data oddities: downward revisions in cumulative counts."""
     warns = []
     for s in series_list:
-        for i in range(1, len(s.counts)):
-            if s.counts[i] < s.counts[i - 1]:
-                warns.append(
-                    {
-                        "country": s.name,
-                        "date": s.dates[i].isoformat(),
-                        "kind": "downward_revision",
-                        "from": s.counts[i - 1],
-                        "to": s.counts[i],
-                    }
-                )
+        c = s.counts
+        for i in np.flatnonzero(c[1:] < c[:-1]) + 1:
+            warns.append(
+                {
+                    "country": s.name,
+                    "date": s.date_at(i).isoformat(),
+                    "kind": "downward_revision",
+                    "from": int(c[i - 1]),
+                    "to": int(c[i]),
+                }
+            )
     return warns
 
 
@@ -262,8 +260,7 @@ def truncate_series(series: CountrySeries, last_date: date) -> CountrySeries:
         raise DataFormatError(
             f"{series.name!r} has no data on or before {last_date.isoformat()}"
         )
-    n = min(n, len(series.dates))
-    return CountrySeries(series.name, series.dates[:n], series.counts[:n])
+    return CountrySeries(series.name, series.start, series.counts[:n])
 
 
 def to_tau(series: CountrySeries, threshold: int) -> tuple[np.ndarray, date]:
@@ -282,16 +279,16 @@ def to_tau(series: CountrySeries, threshold: int) -> tuple[np.ndarray, date]:
         raise ValueError("threshold must be >= 1")
     start_idx = threshold_crossing(series.counts, threshold)
     if start_idx is None:
-        raise NotLatecomerError(series.name, threshold, max(series.counts))
+        raise NotLatecomerError(series.name, threshold, int(series.counts.max()))
     tail = series.counts[start_idx:]
-    for offset, c in enumerate(tail):
-        if c <= 0:
-            bad = series.dates[start_idx + offset]
-            raise DataFormatError(
-                f"{series.name!r}: zero count on {bad.isoformat()} after the "
-                f"threshold was reached (cumulative data cannot return to zero)"
-            )
-    return np.log(np.asarray(tail, dtype=float)), series.dates[start_idx]
+    zeros = np.flatnonzero(tail <= 0)
+    if zeros.size:
+        bad = series.date_at(start_idx + zeros[0])
+        raise DataFormatError(
+            f"{series.name!r}: zero count on {bad.isoformat()} after the "
+            f"threshold was reached (cumulative data cannot return to zero)"
+        )
+    return np.log(tail.astype(float)), series.date_at(start_idx)
 
 
 def inflation_weights(window_len: int) -> np.ndarray:
@@ -410,7 +407,5 @@ def default_threshold(metric: str) -> int:
 
 def threshold_crossing(counts, threshold: int) -> int | None:
     """Index of the first count at or above threshold, or None."""
-    for i, c in enumerate(counts):
-        if c >= threshold:
-            return i
-    return None
+    hits = np.flatnonzero(np.asarray(counts) >= threshold)
+    return int(hits[0]) if hits.size else None

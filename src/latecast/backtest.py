@@ -108,16 +108,21 @@ def _feasible_origins(target: CountrySeries, config: BacktestConfig) -> list[dat
     # a one-day lag for the error-correction step
     first = start_date + timedelta(days=config.window)
     last = target.end
-    if config.origin_start is not None:
-        first = max(first, config.origin_start)
-    if config.origin_end is not None:
-        last = min(last, config.origin_end)
-    out = []
-    d = first
-    while d <= last:
-        out.append(d)
-        d += timedelta(days=1)
-    return out
+    if first > last:
+        raise DataFormatError(
+            f"no feasible origin: target {target.name!r} needs at least "
+            f"{config.window + 1} aligned observations"
+        )
+    lo = max(first, config.origin_start or first)
+    hi = min(last, config.origin_end or last)
+    if lo > hi:
+        requested = (f"{config.origin_start or 'start of data'} to "
+                     f"{config.origin_end or 'end of data'}")
+        raise DataFormatError(
+            f"no feasible origin in the requested range {requested}: "
+            f"target {target.name!r} has feasible origins {first} to {last}"
+        )
+    return [lo + timedelta(days=i) for i in range((hi - lo).days + 1)]
 
 
 def _calendar_flags(panel, fit, origin: date) -> list[dict]:
@@ -147,11 +152,6 @@ def run_backtest(target: CountrySeries, peers: list[CountrySeries],
     """
     config = config or BacktestConfig()
     origins = _feasible_origins(target, config)
-    if not origins:
-        raise DataFormatError(
-            f"no feasible origin: target {target.name!r} needs at least "
-            f"{config.window + 1} aligned observations"
-        )
 
     matrix: dict[date, dict[date, float]] = {}
     skipped: list[dict] = []
@@ -197,8 +197,9 @@ def run_backtest(target: CountrySeries, peers: list[CountrySeries],
     observed: dict[date, int] = {}
     for column in matrix.values():
         for target_date in column:
-            if target.start <= target_date <= target.end:
-                observed[target_date] = target.count_on(target_date)
+            if target_date <= target.end:
+                i = (target_date - target.start).days
+                observed[target_date] = int(target.counts[i])
 
     mape_total, mape_worst, by_h = score(matrix, observed)
     by_horizon = np.full(config.horizon, np.nan)

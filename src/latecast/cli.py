@@ -210,8 +210,8 @@ def cmd_ingest_check(args: argparse.Namespace) -> int:
             "observations": len(s.counts),
             "first_date": s.start.isoformat(),
             "last_date": s.end.isoformat(),
-            "max_count": max(s.counts),
-            "crossed_on": s.dates[cross].isoformat() if cross is not None else None,
+            "max_count": int(s.counts.max()),
+            "crossed_on": s.date_at(cross).isoformat() if cross is not None else None,
         })
     summary = {
         "file": path.name,
@@ -321,15 +321,16 @@ def _report_section(args: argparse.Namespace, metric: str, path: Path,
     panel, _, fit, fpath = _fit_once(args, target, peers, threshold)
     rows = _forecast_rows(fpath, panel.end_date)
     history = []
-    n_hist = min(args.history, len(target.counts))
-    for i in range(len(target.counts) - n_hist, len(target.counts)):
-        prev = target.counts[i - 1] if i >= 1 else None
+    counts = target.counts.tolist()
+    n_hist = min(args.history, len(counts))
+    for i in range(len(counts) - n_hist, len(counts)):
+        prev = counts[i - 1] if i >= 1 else None
         history.append({
-            "date": target.dates[i].isoformat(),
-            "observed": target.counts[i],
-            "new": target.counts[i] - prev if prev is not None else None,
+            "date": target.date_at(i).isoformat(),
+            "observed": counts[i],
+            "new": counts[i] - prev if prev is not None else None,
             "growth_rate_pct": (
-                (target.counts[i] / prev - 1.0) * 100.0
+                (counts[i] / prev - 1.0) * 100.0
                 if prev else None
             ),
         })

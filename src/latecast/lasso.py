@@ -264,19 +264,6 @@ def bic(y, X, weights, beta) -> float:
     return K * math.log(rss / K) + df * math.log(K)
 
 
-def _argmin_bic(bics) -> int:
-    """Index of the smallest BIC; ties go to the earliest entry.
-
-    Paths run from large penalties to small, so the earliest tied entry
-    is the sparser model.
-    """
-    best = 0
-    for i in range(1, len(bics)):
-        if bics[i] < bics[best]:
-            best = i
-    return best
-
-
 def select_by_bic(y, X, weights) -> LassoFit:
     """Fit the full penalty path and keep the BIC-minimal entry."""
     prep = _Prepared(y, X, weights)
@@ -290,7 +277,9 @@ def select_by_bic(y, X, weights) -> LassoFit:
         beta = prep.to_original(beta_s)
         path.append((float(lam), beta, bic(y, X, weights, beta)))
 
-    k = _argmin_bic([b for _, _, b in path])
+    # argmin returns the first of tied entries: the path runs from large
+    # penalties to small, so that is the sparser model
+    k = int(np.argmin([b for _, _, b in path]))
     lam, beta, best_bic = path[k]
     return LassoFit(
         beta=beta,

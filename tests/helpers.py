@@ -18,8 +18,7 @@ FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def make_series(name: str, start: date, counts) -> CountrySeries:
-    dates = tuple(start + timedelta(days=i) for i in range(len(counts)))
-    return CountrySeries(name=name, dates=dates, counts=tuple(int(c) for c in counts))
+    return CountrySeries(name=name, start=start, counts=[int(c) for c in counts])
 
 
 def make_panel(y, X, weights=None, window=None, horizon=None,

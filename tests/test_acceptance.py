@@ -267,7 +267,7 @@ def test_08_backtest_ignores_post_origin_data():
         counts = list(target.counts)
         for i in range(cut, len(counts)):
             counts[i] = int(counts[i] * 1.9) + 1234
-        tampered = CountrySeries(target.name, target.dates, tuple(counts))
+        tampered = CountrySeries(target.name, target.start, counts)
         other = run_backtest(tampered, peers, cfg)
 
         checked = 0

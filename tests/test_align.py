@@ -9,7 +9,6 @@ import pytest
 
 from helpers import make_series
 from latecast.align import (
-    CountrySeries,
     build_panel,
     default_threshold,
     inflation_weights,
@@ -25,13 +24,12 @@ from latecast.errors import DataFormatError, NotLatecomerError
 JHU_HEADER = "Province/State,Country/Region,Lat,Long,1/22/20,1/23/20,1/24/20"
 
 
-def test_series_requires_consecutive_dates():
+@pytest.mark.parametrize("dates", ["1/22/20,1/24/20", "1/22/20,1/22/20"],
+                         ids=["gap", "repeat"])
+def test_parse_jhu_requires_consecutive_date_columns(dates):
+    text = f"Province/State,Country/Region,Lat,Long,{dates}\n,Uruguay,-32.5,-55.8,1,2"
     with pytest.raises(DataFormatError, match="consecutive"):
-        CountrySeries(
-            name="X",
-            dates=(date(2020, 3, 1), date(2020, 3, 3)),
-            counts=(1, 2),
-        )
+        parse_jhu_wide(text)
 
 
 def test_series_rejects_negative_counts():
@@ -48,14 +46,14 @@ def test_parse_jhu_sums_province_rows():
     series = parse_jhu_wide(text)
     assert len(series) == 1
     assert series[0].name == "Australia"
-    assert series[0].counts == (4, 6, 7)
-    assert series[0].dates[0] == date(2020, 1, 22)
+    np.testing.assert_array_equal(series[0].counts, [4, 6, 7])
+    assert series[0].start == date(2020, 1, 22)
 
 
 def test_parse_jhu_single_row_passthrough():
     text = "\n".join([JHU_HEADER, ",Uruguay,-32.5,-55.8,0,0,5"])
     series = parse_jhu_wide(text)
-    assert series[0].counts == (0, 0, 5)
+    np.testing.assert_array_equal(series[0].counts, [0, 0, 5])
 
 
 def test_parse_jhu_missing_country_column():
@@ -78,7 +76,7 @@ def test_parse_long_groups_and_sorts():
         rows.append(f"A,{d},{c}")
     series = parse_long("\n".join(rows))
     assert len(series) == 1
-    assert series[0].counts == (10, 20, 30)
+    np.testing.assert_array_equal(series[0].counts, [10, 20, 30])
 
 
 def test_parse_long_duplicate_key_errors():
@@ -245,7 +243,7 @@ def test_panel_invariant_to_peer_order():
 def test_truncate_series():
     s = make_series("A", date(2020, 3, 1), [1, 2, 3, 4])
     cut = truncate_series(s, date(2020, 3, 2))
-    assert cut.counts == (1, 2)
+    np.testing.assert_array_equal(cut.counts, [1, 2])
     assert cut.end == date(2020, 3, 2)
 
 

@@ -29,7 +29,7 @@ def load_fixture(stem):
 
 
 def head(series: CountrySeries, n: int) -> CountrySeries:
-    return CountrySeries(series.name, series.dates[:n], series.counts[:n])
+    return CountrySeries(series.name, series.start, series.counts[:n])
 
 
 D = date(2020, 4, 1)
@@ -141,7 +141,7 @@ def test_backtest_is_leakage_free():
     counts = list(target.counts)
     for i in range(cut, len(counts)):
         counts[i] = int(counts[i] * 1.9) + 1234
-    tampered = CountrySeries(target.name, target.dates, tuple(counts))
+    tampered = CountrySeries(target.name, target.start, counts)
 
     other = run_backtest(tampered, peers, cfg)
     for origin in base.origins:
@@ -226,11 +226,30 @@ def test_origin_bounds_clamp():
         assert part.matrix[o] == full.matrix[o]
 
 
+@pytest.mark.parametrize("bounds, requested", [
+    (["--origin-start", "2020-04-20"], "2020-04-20 to end of data"),
+    (["--origin-end", "2020-03-01"], "start of data to 2020-03-01"),
+    (["--origin-start", "2020-04-10", "--origin-end", "2020-04-05"],
+     "2020-04-10 to 2020-04-05"),
+], ids=["start_after_data", "end_before_first", "start_after_end"])
+def test_origin_range_without_feasible_origin_names_both_ranges(
+        capsys, bounds, requested):
+    # Brazil has 33 aligned observations, so the window is not the problem
+    code = main(["backtest", "--data-path",
+                 str(FIXTURES / "jhu_confirmed_snapshot_20200415.csv"),
+                 "--target", "Brazil", "--seed", "11", *bounds])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "DataFormatError"
+    assert f"requested range {requested}" in err["message"]
+    assert "feasible origins 2020-04-04 to 2020-04-15" in err["message"]
+
+
 def test_observed_comes_from_untruncated_target():
     target, peers = load_fixture("synthetic_ecm_long")
     report = run_backtest(target, peers, BacktestConfig(window=21, horizon=5))
     for d, v in report.observed.items():
-        assert v == target.count_on(d)
+        assert v == target.counts[(d - target.start).days]
 
 
 def test_csv_layout():

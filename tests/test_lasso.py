@@ -19,7 +19,6 @@ from latecast.lasso import (
     kkt_violation,
     lambda_path,
     select_by_bic,
-    _argmin_bic,
 )
 
 
@@ -152,8 +151,13 @@ def test_bic_perfect_fit_warns_minus_inf():
 
 
 def test_bic_ties_prefer_larger_penalty():
-    assert _argmin_bic([5.0, 5.0, 4.0, 4.0]) == 2
-    assert _argmin_bic([1.0, 1.0, 1.0]) == 0
+    # y is weighted-orthogonal to the only column: every path entry is
+    # the zero vector with the same BIC, and the first (largest) penalty wins
+    X = np.array([[1.0], [-1.0], [0.0]])
+    y = np.array([1.0, 1.0, 0.0])
+    fit = select_by_bic(y, X, np.ones(3))
+    assert len({b for _, _, b in fit.path}) == 1
+    assert fit.lambda_ == fit.path[0][0]
 
 
 def test_select_reports_support_and_path():
