@@ -330,34 +330,59 @@ def build_panel(
         raise ValueError("max_horizon must be >= 1")
     if window < 2:
         raise ValueError("window must be >= 2")
+    aligned = _align_peers(peers, threshold, target.name)
+    return _assemble_panel(target, aligned, threshold, max_horizon, window)
 
+
+def _align_peers(peers: list[CountrySeries], threshold: int,
+                 target_name: str) -> list[tuple]:
+    """Each peer on the epidemic-age scale, as ``(name, log counts, start)``.
+
+    The peer named like the target is not aligned, and a peer that never
+    reaches ``threshold`` has ``None`` log counts.  A peer whose data
+    cannot be aligned keeps its ``DataFormatError`` in place of the log
+    counts, raised by the first panel that would use it.
+    """
+    aligned = []
+    for peer in peers:
+        ptau = pstart = None
+        if peer.name != target_name:
+            try:
+                ptau, pstart = to_tau(peer, threshold)
+            except NotLatecomerError:
+                pass
+            except DataFormatError as exc:
+                ptau = exc
+        aligned.append((peer.name, ptau, pstart))
+    return aligned
+
+
+def _assemble_panel(target: CountrySeries, aligned: list[tuple],
+                    threshold: int, max_horizon: int,
+                    window: int) -> AlignedPanel:
+    """Align ``target`` and build its panel from peers already aligned by
+    ``_align_peers``, so a backtest aligns each peer once for all origins."""
     y, start_date = to_tau(target, threshold)
     tau_len = len(y)
     required = tau_len + max_horizon
 
     drop_log: list[dict] = []
     kept: list[tuple[str, np.ndarray, date]] = []
-    for peer in peers:
-        if peer.name == target.name:
-            drop_log.append(
-                {"peer": peer.name, "reason": "is_target", "len": 0, "required": required}
-            )
+    for name, ptau, pstart in aligned:
+        if name == target.name:
+            reason, n = "is_target", 0
+        elif isinstance(ptau, DataFormatError):
+            raise ptau.with_traceback(None)
+        elif ptau is None:
+            reason, n = "below_threshold", 0
+        elif len(ptau) < required:
+            reason, n = "too_short", len(ptau)
+        else:
+            kept.append((name, ptau[:required], pstart))
             continue
-        try:
-            ptau, pstart = to_tau(peer, threshold)
-        except NotLatecomerError:
-            drop_log.append(
-                {"peer": peer.name, "reason": "below_threshold", "len": 0,
-                 "required": required}
-            )
-            continue
-        if len(ptau) < required:
-            drop_log.append(
-                {"peer": peer.name, "reason": "too_short", "len": len(ptau),
-                 "required": required}
-            )
-            continue
-        kept.append((peer.name, ptau[:required], pstart))
+        drop_log.append(
+            {"peer": name, "reason": reason, "len": n, "required": required}
+        )
 
     for entry in drop_log:
         logger.info("dropped peer %(peer)s: %(reason)s", entry)

@@ -21,7 +21,8 @@ import numpy as np
 from .align import (
     DEFAULT_CASE_THRESHOLD,
     CountrySeries,
-    build_panel,
+    _align_peers,
+    _assemble_panel,
     to_tau,
     truncate_series,
 )
@@ -152,6 +153,8 @@ def run_backtest(target: CountrySeries, peers: list[CountrySeries],
     """
     config = config or BacktestConfig()
     origins = _feasible_origins(target, config)
+    # only the target is truncated per origin: the peers align once
+    aligned = _align_peers(peers, config.threshold, target.name)
 
     matrix: dict[date, dict[date, float]] = {}
     skipped: list[dict] = []
@@ -160,8 +163,8 @@ def run_backtest(target: CountrySeries, peers: list[CountrySeries],
     for origin in origins:
         try:
             truncated = truncate_series(target, origin)
-            panel = build_panel(
-                truncated, peers,
+            panel = _assemble_panel(
+                truncated, aligned,
                 threshold=config.threshold,
                 max_horizon=config.horizon,
                 window=config.window,

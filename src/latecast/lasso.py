@@ -46,13 +46,17 @@ _LAMBDA_MIN_RATIO = 1e-4
 
 @dataclass
 class LassoFit:
-    """Selected long-run fit: coefficients, support, and the search path."""
+    """Selected long-run fit: coefficients, support, and the search path.
+
+    ``knots`` counts the homotopy's active-set changes along the grid.
+    """
 
     beta: np.ndarray
     support: tuple[int, ...]
     lambda_: float
     bic: float
     residuals: np.ndarray
+    knots: int = 0
     path: list[tuple[float, np.ndarray, float]] = field(repr=False, default_factory=list)
 
     def to_json(self, peer_names: list[str] | None = None) -> dict:
@@ -66,6 +70,7 @@ class LassoFit:
             "support": names,
             "lambda": float(self.lambda_),
             "bic": float(self.bic),
+            "knots": self.knots,
         }
 
 
@@ -119,8 +124,9 @@ def _homotopy(prep: _Prepared, lams) -> tuple[np.ndarray, int]:
     a segment beta_S grows by delta * v with A_SS v = s_S as mu falls by
     delta, so every correlation moves linearly and the next knot is the
     smallest step at which an inactive |rho_j| reaches mu or an active
-    coefficient reaches zero.  Grid points passed before that knot are
-    solved exactly on the current support, in ascending column order.
+    coefficient reaches zero.  The grid points passed before that knot
+    share the current support, so one multi-right-hand-side solve of
+    A_SS gives them all, in ascending column order.
 
     Two rules keep the path finite on degenerate designs: a column in
     the span of the active set never enters (its correlation is tied to
@@ -163,11 +169,14 @@ def _homotopy(prep: _Prepared, lams) -> tuple[np.ndarray, int]:
         j_in, j_out = int(np.argmin(join)), int(np.argmin(drop))
         step = min(join[j_in], drop[j_out])
 
-        while i < len(mus) and mu - mus[i] <= step:
-            if S.size:
-                rhs = b[S] - mus[i] * sign[S]
-                betas[i, S] = np.linalg.lstsq(A_SS, rhs, rcond=None)[0]
-            i += 1
+        n = i
+        while n < len(mus) and mu - mus[n] <= step:
+            n += 1
+        if S.size and n > i:
+            # column k is the right-hand side at mus[i + k]
+            rhs = b[S][:, None] - sign[S][:, None] * mus[i:n]
+            betas[i:n, S] = np.linalg.lstsq(A_SS, rhs, rcond=None)[0].T
+        i = n
         if i == len(mus):
             return betas, knots
 
@@ -241,27 +250,34 @@ def lambda_path(y, X, weights) -> np.ndarray:
     return _grid(_Prepared(y, X, weights))
 
 
-def bic(y, X, weights, beta) -> float:
+def bic(y, X, weights, beta):
     """K * ln(RSS_w / K) + df * ln(K).
 
     ``RSS_w`` is the weighted residual sum of squares, ``df`` the number
     of nonzero coefficients, and ``K`` the row count.  The weights enter
     only through RSS_w: the emphasis scheme duplicates information
     rather than adding it, so the sample size stays K.
+
+    ``beta`` is one coefficient vector of shape ``(p,)``, giving a
+    float, or a stack of shape ``(n, p)``, giving an array of ``n``
+    values.  A zero RSS scores -inf, with one warning per call.
     """
     y = np.asarray(y, dtype=float)
     X = np.asarray(X, dtype=float)
     w = np.asarray(weights, dtype=float)
     beta = np.asarray(beta, dtype=float)
+    B = np.atleast_2d(beta)
     K = len(y)
-    resid = y - X @ beta
-    rss = float(w @ (resid * resid))
-    df = int(np.count_nonzero(beta))
-    if rss <= 0.0:
+    resid = y - B @ X.T
+    rss = (resid * resid) @ w
+    df = np.count_nonzero(B, axis=1)
+    perfect = rss <= 0.0
+    if perfect.any():
         warnings.warn("perfect fit: weighted RSS is zero, BIC is -inf",
                       RuntimeWarning, stacklevel=2)
-        return -math.inf
-    return K * math.log(rss / K) + df * math.log(K)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = np.where(perfect, -math.inf, K * np.log(rss / K) + df * math.log(K))
+    return float(out[0]) if beta.ndim == 1 else out
 
 
 def select_by_bic(y, X, weights) -> LassoFit:
@@ -271,15 +287,14 @@ def select_by_bic(y, X, weights) -> LassoFit:
     y = np.asarray(y, dtype=float)
     X = np.asarray(X, dtype=float)
 
-    betas, _ = _homotopy(prep, lams)
-    path: list[tuple[float, np.ndarray, float]] = []
-    for lam, beta_s in zip(lams, betas):
-        beta = prep.to_original(beta_s)
-        path.append((float(lam), beta, bic(y, X, weights, beta)))
+    betas_s, knots = _homotopy(prep, lams)
+    betas = prep.to_original(betas_s)
+    bics = bic(y, X, weights, betas)
+    path = [(float(lam), beta, float(b)) for lam, beta, b in zip(lams, betas, bics)]
 
     # argmin returns the first of tied entries: the path runs from large
     # penalties to small, so that is the sparser model
-    k = int(np.argmin([b for _, _, b in path]))
+    k = int(np.argmin(bics))
     lam, beta, best_bic = path[k]
     return LassoFit(
         beta=beta,
@@ -287,6 +302,7 @@ def select_by_bic(y, X, weights) -> LassoFit:
         lambda_=lam,
         bic=best_bic,
         residuals=y - X @ beta,
+        knots=knots,
         path=path,
     )
 

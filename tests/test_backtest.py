@@ -1,6 +1,7 @@
 """Rolling-origin evaluation: scoring, leakage, skips, and rendering."""
 
 import json
+import logging
 import warnings
 from datetime import date, timedelta
 
@@ -8,7 +9,8 @@ import numpy as np
 import pytest
 
 from helpers import FIXTURES, make_series
-from latecast.align import CountrySeries, parse_long
+from latecast import backtest
+from latecast.align import CountrySeries, build_panel, parse_long, truncate_series
 from latecast.backtest import (
     BacktestConfig,
     dumps_report,
@@ -187,6 +189,60 @@ def test_failed_origins_are_skipped_not_fatal():
     assert report.origins and report.skipped
     assert all("peer" in s["reason"] for s in report.skipped)
     assert report.origins == sorted(report.matrix)
+
+
+def test_each_origin_panel_equals_build_panel(monkeypatch, caplog):
+    # peers are aligned once per backtest; every origin's panel, drop
+    # log and info lines must still be what build_panel gives there
+    target, peers = load_fixture("synthetic_ecm_noiseless_long")
+    peers = [head(peers[0], 32)] + peers[1:] + [
+        make_series("Low", target.start, [5] * 40),
+        make_series(target.name, target.start, [500] * 40),
+    ]
+    seen = []
+    assemble = backtest._assemble_panel
+
+    def recording(truncated, *args, **kwargs):
+        panel = assemble(truncated, *args, **kwargs)
+        seen.append((truncated, panel))
+        return panel
+
+    monkeypatch.setattr(backtest, "_assemble_panel", recording)
+    cfg = BacktestConfig(window=21, horizon=7)
+    with caplog.at_level(logging.INFO, logger="latecast.align"):
+        run_backtest(target, peers, cfg)
+    backtest_lines = [r.getMessage() for r in caplog.records]
+    caplog.clear()
+    reasons = set()
+    with caplog.at_level(logging.INFO, logger="latecast.align"):
+        for truncated, panel in seen:
+            ref = build_panel(truncated, peers, threshold=cfg.threshold,
+                              max_horizon=cfg.horizon, window=cfg.window)
+            assert panel.drop_log == ref.drop_log
+            assert panel.peer_names == ref.peer_names
+            np.testing.assert_array_equal(panel.X, ref.X)
+            np.testing.assert_array_equal(panel.y, ref.y)
+            reasons |= {d["reason"] for d in panel.drop_log}
+    assert [r.getMessage() for r in caplog.records] == backtest_lines
+    assert len(seen) > 1
+    assert reasons == {"is_target", "below_threshold", "too_short"}
+
+
+def test_peer_with_zero_after_threshold_skips_every_origin():
+    target, peers = load_fixture("synthetic_ecm_noiseless_long")
+    counts = np.array(peers[0].counts)
+    counts[-1] = 0
+    broken = CountrySeries(peers[0].name, peers[0].start, counts)
+    cfg = BacktestConfig(window=21, horizon=7)
+    with pytest.raises(DataFormatError, match="every origin failed") as err:
+        run_backtest(target, [broken] + peers[1:], cfg)
+    first = backtest._feasible_origins(target, cfg)[0]
+    with pytest.raises(DataFormatError) as ref:
+        build_panel(truncate_series(target, first), [broken] + peers[1:],
+                    threshold=cfg.threshold, max_horizon=cfg.horizon,
+                    window=cfg.window)
+    assert "zero count" in str(ref.value)
+    assert f"skip reasons: {ref.value}; {ref.value}; {ref.value}" in str(err.value)
 
 
 def test_all_origins_failing_raises():

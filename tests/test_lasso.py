@@ -7,6 +7,7 @@ everything else.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -150,6 +151,49 @@ def test_bic_perfect_fit_warns_minus_inf():
     assert value == -math.inf
 
 
+def test_bic_of_a_stack_equals_per_row_calls():
+    rng = np.random.default_rng(31011)
+    y, X, w = random_problem(rng, 21, 6)
+    stack = np.array([b for _, b, _ in select_by_bic(y, X, w).path])
+    stacked = bic(y, X, w, stack)
+    assert stacked.shape == (len(stack),)
+    per_row = np.array([bic(y, X, w, b) for b in stack])
+    np.testing.assert_allclose(stacked, per_row, rtol=1e-12)
+
+
+def test_bic_of_a_stack_warns_perfect_fit_once():
+    y = np.array([1.0, 2.0, 3.0, 4.0])
+    X = y[:, None]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        values = bic(y, X, np.ones(4), np.array([[1.0], [0.5], [1.0]]))
+    assert [str(c.message) for c in caught] == [
+        "perfect fit: weighted RSS is zero, BIC is -inf"]
+    assert values[0] == values[2] == -math.inf
+    assert math.isfinite(values[1])
+
+
+@pytest.mark.parametrize("K,p", [(21, 6), (21, 30), (12, 3)])
+def test_lstsq_calls_bounded_by_knots(K, p, monkeypatch):
+    # one solve for the direction and at most one for the grid points of
+    # each segment: a per-grid-point solve would need about 100
+    rng = np.random.default_rng(31014 + p)
+    y, X, w = random_problem(rng, K, p)
+    calls = []
+    lstsq = np.linalg.lstsq
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return lstsq(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", counting)
+    fit = select_by_bic(y, X, w)
+    assert fit.knots >= 1
+    assert len(calls) <= 2 * (fit.knots + 1)
+    assert fit.knots == fit_lasso(y, X, w, fit.path[-1][0])[1]
+    assert fit.to_json()["knots"] == fit.knots
+
+
 def test_bic_ties_prefer_larger_penalty():
     # y is weighted-orthogonal to the only column: every path entry is
     # the zero vector with the same BIC, and the first (largest) penalty wins
@@ -211,3 +255,29 @@ def test_every_path_entry_satisfies_kkt(K, p, seed, scale):
     fit = select_by_bic(y, X, w)
     for lam, b, _ in fit.path:
         assert kkt_violation(y, X, w, b, lam) <= 1e-6
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(K=st.integers(6, 30), p=st.integers(2, 40),
+       seed=st.integers(0, 2**32 - 1),
+       scale=st.floats(-50.0, 50.0).filter(lambda s: abs(s) > 1e-2))
+def test_path_entries_equal_single_point_solves(K, p, seed, scale):
+    # the draws and designs of test_every_path_entry_satisfies_kkt, whose
+    # source stays as it is because hypothesis derives its derandomized
+    # examples from it.  select_by_bic solves each homotopy segment's grid
+    # points in one multi-right-hand-side call; fit_lasso solves one grid
+    # point with one right-hand side, so the two differ by rounding only
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(K, p)) + rng.normal(size=(1, p))
+    X[:, -1] = X[:, 0]
+    if p >= 3:
+        X[:, -2] = scale * X[:, 1]
+    beta = np.zeros(p)
+    nz = rng.choice(p, size=min(3, p), replace=False)
+    beta[nz] = rng.normal(scale=1.5, size=nz.size)
+    y = X @ beta + rng.normal(scale=0.2, size=K)
+    w = rng.uniform(0.5, 4.0, size=K)
+    fit = select_by_bic(y, X, w)
+    for lam, b, _ in fit.path:
+        ref, _ = fit_lasso(y, X, w, lam)
+        assert np.max(np.abs(b - ref)) <= 1e-12 * np.max(np.abs(ref), initial=0.0)

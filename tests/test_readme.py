@@ -5,9 +5,11 @@ run in-process from the repository root, so an edit to either the
 README or the program that makes them disagree fails here.
 """
 
+import gc
 import json
 import re
 import shlex
+import warnings
 from pathlib import Path
 
 import pytest
@@ -68,6 +70,11 @@ def test_backtest_summary_matches_readme(monkeypatch, capsys):
 def test_library_example_runs(monkeypatch, capsys):
     code = next(body for lang, body in BLOCKS if lang == "python")
     monkeypatch.chdir(ROOT)
-    exec(compile(code, "README.md", "exec"), {"__name__": "readme"})
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        exec(compile(code, "README.md", "exec"), {"__name__": "readme"})
+        gc.collect()
     out = capsys.readouterr().out
     assert out.startswith("selected peers:")
+    # an unclosed file shows up once the example's namespace is collected
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
