@@ -15,30 +15,11 @@ from .align import (
     DEFAULT_CASE_THRESHOLD,
     DEFAULT_DEATH_THRESHOLD,
     build_panel,
-    inflation_weights,
     parse_jhu_wide,
     parse_long,
-    to_tau,
-    truncate_series,
 )
-from .backtest import (
-    BacktestConfig,
-    BacktestReport,
-    report_to_csv,
-    report_to_json,
-    run_backtest,
-    score,
-)
-from .ecm import (
-    EcmFit,
-    ForecastPath,
-    fit_ecm,
-    forecast_levels,
-    forecast_log,
-    level_bias_correction,
-    simulate_bands,
-    simulate_log_paths,
-)
+from .backtest import BacktestConfig, BacktestReport, run_backtest
+from .ecm import EcmFit, ForecastPath, fit_ecm, simulate_bands
 from .errors import (
     DataFormatError,
     EstimationError,
@@ -46,14 +27,7 @@ from .errors import (
     LatecastError,
     NotLatecomerError,
 )
-from .lasso import (
-    LassoFit,
-    bic,
-    fit_lasso,
-    kkt_violation,
-    lambda_path,
-    select_by_bic,
-)
+from .lasso import LassoFit, select_by_bic
 
 __version__ = "0.1.0"
 
@@ -72,26 +46,12 @@ __all__ = [
     "LassoFit",
     "LatecastError",
     "NotLatecomerError",
-    "bic",
     "build_panel",
     "fit_ecm",
-    "fit_lasso",
-    "forecast_levels",
-    "forecast_log",
-    "inflation_weights",
-    "kkt_violation",
-    "lambda_path",
-    "level_bias_correction",
     "parse_jhu_wide",
     "parse_long",
-    "report_to_csv",
-    "report_to_json",
     "run_backtest",
-    "score",
     "select_by_bic",
     "simulate_bands",
-    "simulate_log_paths",
-    "to_tau",
-    "truncate_series",
     "__version__",
 ]

@@ -26,6 +26,10 @@ DEFAULT_DEATH_THRESHOLD = 10
 
 JHU_FIXED_COLUMNS = ("Province/State", "Country/Region", "Lat", "Long")
 
+# Counts are parsed through float, which is exact for integers below
+# this bound only.
+_MAX_EXACT_COUNT = 2**53
+
 
 @dataclass(frozen=True, eq=False)
 class CountrySeries:
@@ -80,7 +84,6 @@ class AlignedPanel:
     y: np.ndarray
     X: np.ndarray
     weights: np.ndarray
-    threshold: int
     window: int
     horizon: int
     start_date: date
@@ -133,6 +136,11 @@ def _parse_count(cell: str, row: int, col: str) -> int:
     if not v.is_integer():
         raise DataFormatError(
             f"non-integer count {cell!r} at row {row}, column {col!r}"
+        )
+    if abs(v) >= _MAX_EXACT_COUNT:
+        raise DataFormatError(
+            f"count {cell!r} at row {row}, column {col!r} is out of range "
+            f"(2**53 or more)"
         )
     return int(v)
 
@@ -201,6 +209,12 @@ def parse_long(csv_text: str) -> list[CountrySeries]:
 
     rows: dict[str, dict[date, int]] = {}
     for row_no, rec in enumerate(reader, start=2):
+        if None in rec:
+            n_header = len(reader.fieldnames)
+            raise DataFormatError(
+                f"row {row_no}: expected {n_header} cells, "
+                f"found {n_header + len(rec[None])}"
+            )
         country = (rec["country"] or "").strip()
         if not country:
             raise DataFormatError(f"row {row_no}: empty country")
@@ -412,7 +426,6 @@ def _assemble_panel(target: CountrySeries, aligned: list[tuple],
         y=y,
         X=X,
         weights=weights,
-        threshold=threshold,
         window=eff_window,
         horizon=max_horizon,
         start_date=start_date,
@@ -420,14 +433,6 @@ def _assemble_panel(target: CountrySeries, aligned: list[tuple],
         peer_start_dates={name: pstart for name, _, pstart in kept},
         drop_log=drop_log,
     )
-
-
-def default_threshold(metric: str) -> int:
-    if metric == "cases":
-        return DEFAULT_CASE_THRESHOLD
-    if metric == "deaths":
-        return DEFAULT_DEATH_THRESHOLD
-    raise ValueError(f"unknown metric {metric!r}")
 
 
 def threshold_crossing(counts, threshold: int) -> int | None:

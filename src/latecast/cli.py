@@ -32,7 +32,6 @@ from .align import (
     DEFAULT_DEATH_THRESHOLD,
     CountrySeries,
     build_panel,
-    default_threshold,
     ingestion_warnings,
     parse_jhu_wide,
     parse_long,
@@ -54,6 +53,10 @@ JHU_FILENAMES = {
     "cases": "time_series_covid19_confirmed_global.csv",
     "deaths": "time_series_covid19_deaths_global.csv",
 }
+DEFAULT_THRESHOLDS = {
+    "cases": DEFAULT_CASE_THRESHOLD,
+    "deaths": DEFAULT_DEATH_THRESHOLD,
+}
 
 EXIT_OK = 0
 EXIT_DATA = 2
@@ -64,7 +67,7 @@ EXIT_USAGE = 4
 def _threshold(args: argparse.Namespace, metric: str) -> int:
     if args.threshold is not None:
         return args.threshold
-    return default_threshold(metric)
+    return DEFAULT_THRESHOLDS[metric]
 
 
 def _info(payload: dict) -> None:

@@ -55,7 +55,6 @@ class LassoFit:
     support: tuple[int, ...]
     lambda_: float
     bic: float
-    residuals: np.ndarray
     knots: int = 0
     path: list[tuple[float, np.ndarray, float]] = field(repr=False, default_factory=list)
 
@@ -103,16 +102,8 @@ class _Prepared:
         self.K = K
         self.p = p
 
-    def to_solving(self, beta: np.ndarray) -> np.ndarray:
-        b = np.asarray(beta, dtype=float) * self.scales
-        b[~self.active] = 0.0
-        return b
-
     def to_original(self, beta_s: np.ndarray) -> np.ndarray:
         return beta_s / self.scales
-
-    def gradient(self, beta_s: np.ndarray) -> np.ndarray:
-        return (2.0 / self.K) * (self.G @ beta_s - self.c)
 
 
 def _homotopy(prep: _Prepared, lams) -> tuple[np.ndarray, int]:
@@ -192,40 +183,6 @@ def _homotopy(prep: _Prepared, lams) -> tuple[np.ndarray, int]:
             sign[j_in] = 1.0 if up[j_in] <= down[j_in] else -1.0
 
 
-def _kkt_gap(prep: _Prepared, beta_s: np.ndarray, lam: float) -> float:
-    grad = prep.gradient(beta_s)
-    worst = 0.0
-    for j in np.flatnonzero(prep.active):
-        if beta_s[j] != 0.0:
-            v = abs(grad[j] + lam * math.copysign(1.0, beta_s[j]))
-        else:
-            v = max(0.0, abs(grad[j]) - lam)
-        if v > worst:
-            worst = v
-    return worst
-
-
-def fit_lasso(y, X, weights, lam: float) -> tuple[np.ndarray, int]:
-    """Solve the weighted problem at one penalty value.
-
-    Parameters
-    ----------
-    lam : float
-        Penalty. Must be non-negative; 0 gives weighted least squares.
-
-    Returns
-    -------
-    (beta, knots)
-        Coefficients in original coordinates and the number of knots
-        the homotopy passed on its way down to ``lam``.
-    """
-    if lam < 0:
-        raise ValueError("lam must be non-negative")
-    prep = _Prepared(y, X, weights)
-    betas, knots = _homotopy(prep, [lam])
-    return prep.to_original(betas[0]), knots
-
-
 def _grid(prep: _Prepared) -> np.ndarray:
     if not prep.active.any():
         raise EstimationError(
@@ -240,33 +197,22 @@ def _grid(prep: _Prepared) -> np.ndarray:
     return np.geomspace(lam_max, lam_max * _LAMBDA_MIN_RATIO, _N_LAMBDAS)
 
 
-def lambda_path(y, X, weights) -> np.ndarray:
-    """Geometric penalty grid from the all-zero point downward.
-
-    The first entry is the smallest penalty whose solution is the zero
-    vector, ``max_j (2/K) |[X'Wy]_j|`` in solving coordinates; the grid
-    has 100 points and decays geometrically to 1e-4 times that.
-    """
-    return _grid(_Prepared(y, X, weights))
-
-
-def bic(y, X, weights, beta):
-    """K * ln(RSS_w / K) + df * ln(K).
+def bic(y, X, weights, betas) -> np.ndarray:
+    """K * ln(RSS_w / K) + df * ln(K) for each row of ``betas``.
 
     ``RSS_w`` is the weighted residual sum of squares, ``df`` the number
     of nonzero coefficients, and ``K`` the row count.  The weights enter
     only through RSS_w: the emphasis scheme duplicates information
     rather than adding it, so the sample size stays K.
 
-    ``beta`` is one coefficient vector of shape ``(p,)``, giving a
-    float, or a stack of shape ``(n, p)``, giving an array of ``n``
-    values.  A zero RSS scores -inf, with one warning per call.
+    ``betas`` is a stack of coefficient vectors of shape ``(n, p)``,
+    giving an array of ``n`` values.  A zero RSS scores -inf, with one
+    warning per call.
     """
     y = np.asarray(y, dtype=float)
     X = np.asarray(X, dtype=float)
     w = np.asarray(weights, dtype=float)
-    beta = np.asarray(beta, dtype=float)
-    B = np.atleast_2d(beta)
+    B = np.asarray(betas, dtype=float)
     K = len(y)
     resid = y - B @ X.T
     rss = (resid * resid) @ w
@@ -276,17 +222,13 @@ def bic(y, X, weights, beta):
         warnings.warn("perfect fit: weighted RSS is zero, BIC is -inf",
                       RuntimeWarning, stacklevel=2)
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.where(perfect, -math.inf, K * np.log(rss / K) + df * math.log(K))
-    return float(out[0]) if beta.ndim == 1 else out
+        return np.where(perfect, -math.inf, K * np.log(rss / K) + df * math.log(K))
 
 
 def select_by_bic(y, X, weights) -> LassoFit:
     """Fit the full penalty path and keep the BIC-minimal entry."""
     prep = _Prepared(y, X, weights)
     lams = _grid(prep)
-    y = np.asarray(y, dtype=float)
-    X = np.asarray(X, dtype=float)
-
     betas_s, knots = _homotopy(prep, lams)
     betas = prep.to_original(betas_s)
     bics = bic(y, X, weights, betas)
@@ -301,7 +243,6 @@ def select_by_bic(y, X, weights) -> LassoFit:
         support=tuple(int(j) for j in np.flatnonzero(beta)),
         lambda_=lam,
         bic=best_bic,
-        residuals=y - X @ beta,
         knots=knots,
         path=path,
     )
@@ -315,4 +256,9 @@ def kkt_violation(y, X, weights, beta, lam: float) -> float:
     gradients must not exceed lam in magnitude.
     """
     prep = _Prepared(y, X, weights)
-    return _kkt_gap(prep, prep.to_solving(np.asarray(beta, float)), lam)
+    b = np.asarray(beta, dtype=float) * prep.scales
+    b[~prep.active] = 0.0
+    grad = (2.0 / prep.K) * (prep.G @ b - prep.c)
+    gap = np.where(b != 0.0, np.abs(grad + lam * np.sign(b)),
+                   np.maximum(np.abs(grad) - lam, 0.0))
+    return float(np.max(gap[prep.active], initial=0.0))

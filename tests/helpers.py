@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from latecast.align import AlignedPanel, CountrySeries, inflation_weights
-from latecast.lasso import LassoFit
+from latecast.lasso import LassoFit, _homotopy, _Prepared
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -22,8 +22,7 @@ def make_series(name: str, start: date, counts) -> CountrySeries:
 
 
 def make_panel(y, X, weights=None, window=None, horizon=None,
-               start=date(2020, 3, 1), peer_lead_days=120,
-               threshold=100) -> AlignedPanel:
+               start=date(2020, 3, 1), peer_lead_days=120) -> AlignedPanel:
     """AlignedPanel straight from arrays.
 
     ``X`` may extend beyond ``len(y)``; the overhang is the forecast
@@ -48,7 +47,6 @@ def make_panel(y, X, weights=None, window=None, horizon=None,
         y=y,
         X=X,
         weights=np.asarray(weights, dtype=float),
-        threshold=threshold,
         window=window,
         horizon=horizon,
         start_date=start,
@@ -57,20 +55,22 @@ def make_panel(y, X, weights=None, window=None, horizon=None,
     )
 
 
-def lasso_with_beta(beta, y=None, X=None) -> LassoFit:
+def lasso_with_beta(beta) -> LassoFit:
     """A first-step fit carrying externally chosen coefficients."""
     beta = np.asarray(beta, dtype=float)
-    if y is not None and X is not None:
-        resid = np.asarray(y, float) - np.asarray(X, float)[:, : len(beta)] @ beta
-    else:
-        resid = np.zeros(0)
     return LassoFit(
         beta=beta,
         support=tuple(int(j) for j in np.flatnonzero(beta)),
         lambda_=0.0,
         bic=0.0,
-        residuals=resid,
     )
+
+
+def solve_at(y, X, w, lam):
+    """Lasso solution at one penalty, through the private homotopy."""
+    prep = _Prepared(y, X, w)
+    betas, knots = _homotopy(prep, [lam])
+    return prep.to_original(betas[0]), knots
 
 
 def gen_ecm_panel(rng, n=60, p=3, beta=(0.7, 0.3), pi=(0.4, 0.2),

@@ -12,12 +12,12 @@ from datetime import date
 
 import numpy as np
 
-from helpers import FIXTURES, gen_ecm_panel, lasso_with_beta, make_panel
+from helpers import FIXTURES, gen_ecm_panel, lasso_with_beta, make_panel, solve_at
 from latecast.align import CountrySeries, parse_jhu_wide, parse_long
 from latecast.backtest import BacktestConfig, run_backtest
 from latecast.cli import main
 from latecast.ecm import EcmFit, fit_ecm, forecast_log, simulate_bands
-from latecast.lasso import fit_lasso, kkt_violation, select_by_bic
+from latecast.lasso import kkt_violation, select_by_bic
 
 
 @contextmanager
@@ -48,11 +48,11 @@ def test_01_lasso_matches_closed_forms():
             y = X @ beta_true + rng.normal(scale=0.3, size=K)
             c = X.T @ (w * y) / K
             for lam in (0.05, 0.4):
-                beta, _ = fit_lasso(y, X, w, lam)
+                beta, _ = solve_at(y, X, w, lam)
                 oracle = np.sign(c) * np.maximum(np.abs(c) - lam / 2.0, 0.0)
                 worst_soft = max(worst_soft,
                                  float(np.max(np.abs(beta - oracle))))
-            beta0, _ = fit_lasso(y, X, w, 0.0)
+            beta0, _ = solve_at(y, X, w, 0.0)
             sw = np.sqrt(w)[:, None]
             ols, *_ = np.linalg.lstsq(X * sw, y * np.sqrt(w), rcond=None)
             worst_ols = max(worst_ols, float(np.max(np.abs(beta0 - ols))))
@@ -85,7 +85,7 @@ def test_02_kkt_on_random_problems():
             w = rng.uniform(0.5, 4.0, size=K)
             lam_max = 2.0 * float(np.max(np.abs(X.T @ (w * y)))) / K
             lam = lam_max * 10.0 ** rng.uniform(-3.0, -0.3)
-            beta, _ = fit_lasso(y, X, w, lam)
+            beta, _ = solve_at(y, X, w, lam)
             worst = max(worst, kkt_violation(y, X, w, beta, lam))
         dt = time.monotonic() - t0
         note["msg"] = (
@@ -147,8 +147,7 @@ def test_04_ecm_recovery_on_exact_generator():
         truth_beta = np.array([0.7, 0.3, 0.0])
         panel, truth = gen_ecm_panel(rng, n=200, sigma=0.01,
                                      step_range=(-0.35, 0.75), z0_offset=1.5)
-        first = lasso_with_beta(truth_beta, y=panel.y,
-                                X=panel.X[:len(panel.y)])
+        first = lasso_with_beta(truth_beta)
         fit = fit_ecm(panel, first)
         rel_pi = float(np.max(np.abs(fit.pi - truth["pi"])
                               / np.abs(truth["pi"])))
@@ -157,8 +156,7 @@ def test_04_ecm_recovery_on_exact_generator():
         panel0, truth0 = gen_ecm_panel(rng, n=200, sigma=0.0,
                                        step_range=(-0.35, 0.75),
                                        z0_offset=1.5)
-        first0 = lasso_with_beta(truth_beta, y=panel0.y,
-                                 X=panel0.X[:len(panel0.y)])
+        first0 = lasso_with_beta(truth_beta)
         fit0 = fit_ecm(panel0, first0)
         err_pi0 = float(np.max(np.abs(fit0.pi - truth0["pi"])))
         err_gamma0 = abs(fit0.gamma - truth0["gamma"])
@@ -211,8 +209,7 @@ def test_06_bias_correction_matches_lognormal_mean():
         s = 0.3
         rng = np.random.default_rng(42)
         panel, _ = gen_ecm_panel(rng, n=100_002, sigma=s, horizon=1)
-        first = lasso_with_beta(np.array([0.7, 0.3, 0.0]), y=panel.y,
-                                X=panel.X[:len(panel.y)])
+        first = lasso_with_beta(np.array([0.7, 0.3, 0.0]))
         fit = fit_ecm(panel, first)
         draws = np.exp(fit.residuals_u)
         target = np.exp(s * s / 2.0)

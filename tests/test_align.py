@@ -10,7 +10,6 @@ import pytest
 from helpers import make_series
 from latecast.align import (
     build_panel,
-    default_threshold,
     inflation_weights,
     ingestion_warnings,
     parse_jhu_wide,
@@ -68,6 +67,32 @@ def test_parse_jhu_bad_cell_reports_location():
         parse_jhu_wide(text)
     msg = str(exc.value)
     assert "1/23/20" in msg and "row" in msg
+
+
+@pytest.mark.parametrize("cells", [["1e20"], ["5000000000000000000"] * 2],
+                         ids=["1e20", "two_rows_5e18"])
+def test_parse_jhu_rejects_counts_past_exact_floats(cells):
+    # two 5e18 province rows used to wrap around int64 in the sum
+    rows = [f"P{i},Uruguay,-32.5,-55.8,1,{c},3" for i, c in enumerate(cells)]
+    with pytest.raises(DataFormatError,
+                       match=r"row 2, column '1/23/20' is out of range"):
+        parse_jhu_wide("\n".join([JHU_HEADER, *rows]))
+
+
+def test_parse_long_rejects_counts_past_exact_floats():
+    head = "country,date,cumulative\nA,2020-03-01,1\n"
+    series = parse_long(head + "A,2020-03-02,9007199254740991")
+    assert series[0].counts[-1] == 2**53 - 1
+    with pytest.raises(DataFormatError,
+                       match=r"row 3, column 'cumulative' is out of range"):
+        parse_long(head + "A,2020-03-02,1e20")
+
+
+def test_parse_long_rejects_extra_cells():
+    text = "country,date,cumulative\nA,2020-01-01,5\nA,2020-01-02,5,7"
+    with pytest.raises(DataFormatError,
+                       match=r"^row 3: expected 3 cells, found 4$"):
+        parse_long(text)
 
 
 def test_parse_long_groups_and_sorts():
@@ -255,7 +280,3 @@ def test_ingestion_warnings_flag_downward_revisions():
     assert warns[0]["country"] == "B"
     assert warns[0]["date"] == "2020-03-03"
 
-
-def test_default_threshold_per_metric():
-    assert default_threshold("cases") == 100
-    assert default_threshold("deaths") == 10

@@ -45,6 +45,20 @@ def test_ingest_check_summarizes_countries(tmp_path):
     assert brazil["last_date"] == "2020-04-15"
 
 
+@pytest.mark.parametrize("extra,threshold", [
+    ([], 100),
+    (["--metric", "deaths"], 10),
+    (["--threshold", "5"], 5),
+], ids=["cases", "deaths", "explicit"])
+def test_ingest_check_threshold_per_metric(tmp_path, extra, threshold):
+    data = JHU_DEATHS if "deaths" in extra else JHU_CASES
+    out = tmp_path / "check.json"
+    rc = main(["ingest-check", "--data-path", data, *extra,
+               "--output", str(out)])
+    assert rc == 0
+    assert json.loads(out.read_text())["threshold"] == threshold
+
+
 def test_ingest_check_validates_target():
     rc = main(["ingest-check", "--data-path", JHU_CASES,
                "--target", "Atlantis"])
@@ -189,6 +203,26 @@ def test_non_utf8_file_is_data_error(tmp_path, capsys):
     payloads = stderr_payloads(capsys)
     assert payloads[-1]["error"] == "DataFormatError"
     assert "UTF-8" in payloads[-1]["message"]
+
+
+@pytest.mark.parametrize("layout,text", [
+    ("jhu-wide", "Province/State,Country/Region,Lat,Long,1/22/20,1/23/20\n"
+                 "A,X,0,0,1,1e20\nB,X,0,0,1,2\n"),
+    ("long", "country,date,cumulative\nX,2020-01-22,1e20\n"),
+], ids=["wide", "long"])
+def test_oversized_count_is_one_json_line(tmp_path, layout, text):
+    f = tmp_path / "big.csv"
+    f.write_text(text)
+    proc = subprocess.run(
+        [sys.executable, "-m", "latecast", "ingest-check",
+         "--data-path", str(f), "--data-format", layout],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 2
+    [line] = proc.stderr.splitlines()
+    payload = json.loads(line)
+    assert payload["error"] == "DataFormatError"
+    assert "out of range" in payload["message"]
 
 
 def test_below_threshold_target_is_data_error(tmp_path, capsys):

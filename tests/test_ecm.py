@@ -87,7 +87,7 @@ def test_two_regressor_hand_system():
     beta = np.array([0.96])
     panel = make_panel(y, x[:, None], window=5,
                        weights=np.array([1.0, 1.0, 1.0, 2.0, 3.0, 4.0]))
-    fit = fit_ecm(panel, lasso_with_beta(beta, y, x[:, None]))
+    fit = fit_ecm(panel, lasso_with_beta(beta))
 
     rows = np.arange(1, 6)
     dy = y[rows] - y[rows - 1]
@@ -191,7 +191,7 @@ def test_zero_dof_sets_sigma2_zero():
     x = np.array([5.2, 5.3, 5.5])
     panel = make_panel(y, x[:, None], window=3)
     with pytest.warns(RuntimeWarning, match="degrees of freedom"):
-        fit = fit_ecm(panel, lasso_with_beta([1.0], y, x[:, None]))
+        fit = fit_ecm(panel, lasso_with_beta([1.0]))
     assert fit.sigma2 == 0.0
 
 
@@ -200,7 +200,7 @@ def test_too_few_rows_raises():
     x = np.array([5.2, 5.3])
     panel = make_panel(y, x[:, None], window=1)
     with pytest.raises(EstimationError, match="at least 2 rows"):
-        fit_ecm(panel, lasso_with_beta([1.0], y, x[:, None]))
+        fit_ecm(panel, lasso_with_beta([1.0]))
 
 
 def test_forecast_matches_hand_unrolled_recursion():

@@ -1,9 +1,11 @@
 """Penalized first step: solver, penalty path, and BIC selection.
 
-The solver tests leans on three oracles: the closed-form coordinate
+The solver tests lean on three oracles: the closed-form coordinate
 solution on weighted-orthogonal designs, a direct normal-equation solve
 at zero penalty, and the KKT conditions of the weighted objective for
-everything else.
+everything else.  Solves at a single penalty go through the private
+homotopy (``helpers.solve_at``); the penalty grid is read from
+``select_by_bic(...).path``.
 """
 
 import math
@@ -13,14 +15,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers import solve_at
 from latecast.errors import EstimationError
-from latecast.lasso import (
-    bic,
-    fit_lasso,
-    kkt_violation,
-    lambda_path,
-    select_by_bic,
-)
+from latecast.lasso import _homotopy, _Prepared, bic, kkt_violation, select_by_bic
 
 
 def orthonormal_design(rng, n, p, w):
@@ -56,7 +53,7 @@ def test_orthonormal_oracle():
         y = rng.normal(size=n) * 2.0
         c = X.T @ (w * y)
         for lam in (0.0, 0.05, 0.4):
-            beta, _ = fit_lasso(y, X, w, lam)
+            beta, _ = solve_at(y, X, w, lam)
             oracle = np.sign(c) * np.maximum(np.abs(c) / n - lam / 2.0, 0.0)
             np.testing.assert_allclose(beta, oracle, atol=1e-8)
 
@@ -66,14 +63,9 @@ def test_zero_penalty_matches_normal_equations():
     X = rng.normal(size=(12, 3))
     y = rng.normal(size=12)
     w = rng.uniform(0.5, 3.0, 12)
-    beta, _ = fit_lasso(y, X, w, 0.0)
+    beta, _ = solve_at(y, X, w, 0.0)
     direct = np.linalg.solve(X.T @ (w[:, None] * X), X.T @ (w * y))
     np.testing.assert_allclose(beta, direct, atol=1e-6)
-
-
-def test_negative_penalty_rejected():
-    with pytest.raises(ValueError):
-        fit_lasso(np.ones(4), np.eye(4), np.ones(4), -0.1)
 
 
 def test_kkt_conditions_hold():
@@ -82,20 +74,20 @@ def test_kkt_conditions_hold():
         n = int(rng.integers(6, 41))
         p = int(rng.integers(1, 21))
         y, X, w = random_problem(rng, n, p, collinear=trial % 3 == 0)
-        lams = lambda_path(y, X, w)
+        lams = [lam for lam, _, _ in select_by_bic(y, X, w).path]
         lam = float(rng.choice(lams))
-        beta, _ = fit_lasso(y, X, w, lam)
+        beta, _ = solve_at(y, X, w, lam)
         assert kkt_violation(y, X, w, lam=lam, beta=beta) <= 1e-6
 
 
 def test_path_head_is_all_zero():
     rng = np.random.default_rng(31005)
     y, X, w = random_problem(rng, 18, 6)
-    lams = lambda_path(y, X, w)
-    assert len(lams) == 100
-    beta, _ = fit_lasso(y, X, w, float(lams[0]))
+    path = select_by_bic(y, X, w).path
+    assert len(path) == 100
+    beta, _ = solve_at(y, X, w, path[0][0])
     assert np.count_nonzero(beta) == 0
-    beta, _ = fit_lasso(y, X, w, float(lams[-1]))
+    beta, _ = solve_at(y, X, w, path[-1][0])
     assert np.count_nonzero(beta) > 0
 
 
@@ -105,16 +97,16 @@ def test_path_anchor_formula():
     n = len(y)
     scaled = X / np.sqrt(np.einsum("t,tj,tj->j", w, X, X) / n)
     lam_max = float(np.max(2.0 * np.abs(scaled.T @ (w * y)) / n))
-    lams = lambda_path(y, X, w)
-    assert lams[0] == pytest.approx(lam_max, rel=1e-12)
-    assert lams[-1] == pytest.approx(lam_max * 1e-4, rel=1e-9)
+    path = select_by_bic(y, X, w).path
+    assert path[0][0] == pytest.approx(lam_max, rel=1e-12)
+    assert path[-1][0] == pytest.approx(lam_max * 1e-4, rel=1e-9)
 
 
 def test_path_rejects_all_degenerate_design():
     y = np.ones(6)
     X = np.zeros((6, 2))
     with pytest.raises(EstimationError, match="no usable column"):
-        lambda_path(y, X, np.ones(6))
+        select_by_bic(y, X, np.ones(6))
 
 
 def test_column_scaling_invariance():
@@ -137,7 +129,7 @@ def test_bic_recomputable_from_fit():
     y, X, w = random_problem(rng, 21, 5)
     fit = select_by_bic(y, X, w)
     K = len(y)
-    rss = float(w @ (fit.residuals**2))
+    rss = float(w @ (y - X @ fit.beta) ** 2)
     df = len(fit.support)
     assert fit.bic == pytest.approx(K * math.log(rss / K) + df * math.log(K),
                                     abs=1e-10)
@@ -147,8 +139,8 @@ def test_bic_perfect_fit_warns_minus_inf():
     y = np.array([1.0, 2.0, 3.0, 4.0])
     X = y[:, None]
     with pytest.warns(RuntimeWarning, match="perfect fit"):
-        value = bic(y, X, np.ones(4), np.array([1.0]))
-    assert value == -math.inf
+        values = bic(y, X, np.ones(4), np.array([[1.0]]))
+    assert values[0] == -math.inf
 
 
 def test_bic_of_a_stack_equals_per_row_calls():
@@ -157,7 +149,7 @@ def test_bic_of_a_stack_equals_per_row_calls():
     stack = np.array([b for _, b, _ in select_by_bic(y, X, w).path])
     stacked = bic(y, X, w, stack)
     assert stacked.shape == (len(stack),)
-    per_row = np.array([bic(y, X, w, b) for b in stack])
+    per_row = np.array([bic(y, X, w, b[None])[0] for b in stack])
     np.testing.assert_allclose(stacked, per_row, rtol=1e-12)
 
 
@@ -190,7 +182,7 @@ def test_lstsq_calls_bounded_by_knots(K, p, monkeypatch):
     fit = select_by_bic(y, X, w)
     assert fit.knots >= 1
     assert len(calls) <= 2 * (fit.knots + 1)
-    assert fit.knots == fit_lasso(y, X, w, fit.path[-1][0])[1]
+    assert fit.knots == solve_at(y, X, w, fit.path[-1][0])[1]
     assert fit.to_json()["knots"] == fit.knots
 
 
@@ -214,7 +206,20 @@ def test_select_reports_support_and_path():
     assert fit.lambda_ in lams
     bics = [b for _, _, b in fit.path]
     assert fit.bic == min(bics)
-    np.testing.assert_allclose(fit.residuals, y - X @ fit.beta, atol=1e-12)
+
+
+def test_kkt_violation_detects_non_solutions():
+    # K = 16 makes 2/K a power of two, so the zero vector's gradient
+    # (2/K)|c_j| and the grid anchor 2|c_j|/K round alike
+    rng = np.random.default_rng(31012)
+    y, X, w = random_problem(rng, 16, 6)
+    fit = select_by_bic(y, X, w)
+    half = fit.path[0][0] / 2.0
+    assert kkt_violation(y, X, w, np.zeros(6), half) == half
+    assert kkt_violation(y, X, w, fit.beta, fit.lambda_) <= 1e-6
+    off = fit.beta.copy()
+    off[fit.support[0]] *= 1.01
+    assert kkt_violation(y, X, w, off, fit.lambda_) > 1e-3
 
 
 def test_near_collinear_panels_still_solve():
@@ -265,8 +270,9 @@ def test_path_entries_equal_single_point_solves(K, p, seed, scale):
     # the draws and designs of test_every_path_entry_satisfies_kkt, whose
     # source stays as it is because hypothesis derives its derandomized
     # examples from it.  select_by_bic solves each homotopy segment's grid
-    # points in one multi-right-hand-side call; fit_lasso solves one grid
-    # point with one right-hand side, so the two differ by rounding only
+    # points in one multi-right-hand-side call; the reference runs the
+    # homotopy down to one grid point and solves it with one right-hand
+    # side, so the two differ by rounding only
     rng = np.random.default_rng(seed)
     X = rng.normal(size=(K, p)) + rng.normal(size=(1, p))
     X[:, -1] = X[:, 0]
@@ -278,6 +284,7 @@ def test_path_entries_equal_single_point_solves(K, p, seed, scale):
     y = X @ beta + rng.normal(scale=0.2, size=K)
     w = rng.uniform(0.5, 4.0, size=K)
     fit = select_by_bic(y, X, w)
+    prep = _Prepared(y, X, w)
     for lam, b, _ in fit.path:
-        ref, _ = fit_lasso(y, X, w, lam)
+        ref = prep.to_original(_homotopy(prep, [lam])[0][0])
         assert np.max(np.abs(b - ref)) <= 1e-12 * np.max(np.abs(ref), initial=0.0)
