@@ -75,21 +75,31 @@ class AlignedPanel:
     extends ``horizon`` days beyond the target (the peers are "ahead",
     so those values are observed, not forecast).  ``weights`` are the
     emphasis multiplicities for the newest observations; estimation uses
-    the trailing ``window`` rows.
+    the trailing ``window`` rows.  ``tau_len``, ``horizon`` and
+    ``end_date`` are derived from ``y``, ``X`` and ``start_date``.
     """
 
     target_name: str
     peer_names: list[str]
-    tau_len: int
     y: np.ndarray
     X: np.ndarray
     weights: np.ndarray
     window: int
-    horizon: int
     start_date: date
-    end_date: date
     peer_start_dates: dict[str, date]
     drop_log: list[dict] = field(default_factory=list)
+
+    @property
+    def tau_len(self) -> int:
+        return len(self.y)
+
+    @property
+    def horizon(self) -> int:
+        return len(self.X) - len(self.y)
+
+    @property
+    def end_date(self) -> date:
+        return self.date_at(self.tau_len)
 
     @property
     def window_slice(self) -> slice:
@@ -182,6 +192,8 @@ def parse_jhu_wide(csv_text: str) -> list[CountrySeries]:
                 f"row {row_no}: expected {len(header)} cells, found {len(row)}"
             )
         country = row[country_idx].strip()
+        if not country:
+            raise DataFormatError(f"row {row_no}: empty country")
         values = np.array(
             [
                 _parse_count(cell, row_no, date_labels[j])
@@ -200,31 +212,39 @@ def parse_jhu_wide(csv_text: str) -> list[CountrySeries]:
 
 
 def parse_long(csv_text: str) -> list[CountrySeries]:
-    """Parse long-format CSV with columns ``country,date,cumulative``."""
-    reader = csv.DictReader(io.StringIO(csv_text))
+    """Parse long-format CSV with columns ``country,date,cumulative``.
+
+    The columns may come in any order, and other columns are ignored;
+    every row must have as many cells as the header.
+    """
+    reader = csv.reader(io.StringIO(csv_text))
+    header = next(reader, [])
     required = {"country", "date", "cumulative"}
-    if reader.fieldnames is None or not required.issubset(set(reader.fieldnames)):
-        missing = sorted(required - set(reader.fieldnames or []))
+    if not required.issubset(header):
+        missing = sorted(required - set(header))
         raise DataFormatError(f"malformed header: missing column(s) {missing}")
+    country_idx = header.index("country")
+    date_idx = header.index("date")
+    count_idx = header.index("cumulative")
 
     rows: dict[str, dict[date, int]] = {}
-    for row_no, rec in enumerate(reader, start=2):
-        if None in rec:
-            n_header = len(reader.fieldnames)
+    for row_no, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != len(header):
             raise DataFormatError(
-                f"row {row_no}: expected {n_header} cells, "
-                f"found {n_header + len(rec[None])}"
+                f"row {row_no}: expected {len(header)} cells, found {len(row)}"
             )
-        country = (rec["country"] or "").strip()
+        country = row[country_idx].strip()
         if not country:
             raise DataFormatError(f"row {row_no}: empty country")
         try:
-            d = date.fromisoformat((rec["date"] or "").strip())
+            d = date.fromisoformat(row[date_idx].strip())
         except ValueError:
             raise DataFormatError(
-                f"row {row_no}: bad ISO date {rec['date']!r}"
+                f"row {row_no}: bad ISO date {row[date_idx]!r}"
             ) from None
-        c = _parse_count(rec["cumulative"] or "", row_no, "cumulative")
+        c = _parse_count(row[count_idx], row_no, "cumulative")
         bucket = rows.setdefault(country, {})
         if d in bucket:
             raise DataFormatError(
@@ -422,14 +442,11 @@ def _assemble_panel(target: CountrySeries, aligned: list[tuple],
     return AlignedPanel(
         target_name=target.name,
         peer_names=[name for name, _, _ in kept],
-        tau_len=tau_len,
         y=y,
         X=X,
         weights=weights,
         window=eff_window,
-        horizon=max_horizon,
         start_date=start_date,
-        end_date=target.end,
         peer_start_dates={name: pstart for name, _, pstart in kept},
         drop_log=drop_log,
     )

@@ -36,10 +36,10 @@ class EcmFit:
     """Second-step estimates on the selected peers.
 
     ``support`` indexes columns of the panel's peer matrix; ``beta`` and
-    ``pi`` are restricted to those columns.  ``fitted_log`` holds the
-    in-sample one-step fitted log levels over the regression rows and
-    ``residuals_u`` the matching residuals, so the bias correction
-    ``alpha`` can be recomputed as the plain mean of exp(residuals_u).
+    ``pi`` are restricted to those columns.  ``residuals_u`` holds the
+    in-sample one-step residuals of the log change over the regression
+    rows, so the bias correction ``alpha`` (their plain mean of exp) and
+    the shock variance ``sigma2`` can be recomputed from them.
     """
 
     support: tuple[int, ...]
@@ -50,7 +50,6 @@ class EcmFit:
     sigma2: float
     alpha: float
     window: int
-    fitted_log: np.ndarray
     residuals_u: np.ndarray
     fallback: bool = False
 
@@ -186,6 +185,7 @@ def fit_ecm(panel: AlignedPanel, lasso: LassoFit) -> EcmFit:
         j, slope = _fallback_peer(panel)
         support = (j,)
         beta_sub = np.array([slope])
+        n_short = 0
         warnings.warn(
             f"first step selected no peer; falling back to equilibrium gap "
             f"against {panel.peer_names[j]!r}", RuntimeWarning, stacklevel=2,
@@ -193,6 +193,7 @@ def fit_ecm(panel: AlignedPanel, lasso: LassoFit) -> EcmFit:
     else:
         support = tuple(lasso.support)
         beta_sub = np.asarray(lasso.beta, dtype=float)[list(support)]
+        n_short = len(support)
 
     y = panel.y
     Xsub = panel.X[: panel.tau_len, list(support)]
@@ -211,32 +212,24 @@ def fit_ecm(panel: AlignedPanel, lasso: LassoFit) -> EcmFit:
     z_lag = z[rows - 1]
     w = panel.weights[rows]
 
-    if fallback:
-        design = z_lag[:, None]
-    else:
-        design = np.column_stack([dx, z_lag])
+    # the fallback fixes its short-run term at zero: no dx column
+    design = np.column_stack([dx[:, :n_short], z_lag])
     coef, dropped = weighted_least_squares(dy, design, w)
     if dropped:
-        labels = []
-        for d in dropped:
-            if not fallback and d < len(support):
-                labels.append(f"short-run {panel.peer_names[support[d]]!r}")
-            else:
-                labels.append("equilibrium gap")
+        labels = [
+            f"short-run {panel.peer_names[support[d]]!r}" if d < n_short
+            else "equilibrium gap"
+            for d in dropped
+        ]
         warnings.warn(
             "collinear columns dropped from the error-correction design: "
             + ", ".join(labels), RuntimeWarning, stacklevel=2,
         )
-    if fallback:
-        pi = np.zeros(1)
-        gamma = float(coef[0])
-    else:
-        pi = coef[: len(support)].copy()
-        gamma = float(coef[len(support)])
+    pi = np.zeros(len(support))
+    pi[:n_short] = coef[:n_short]
+    gamma = float(coef[n_short])
 
-    fitted_dy = design @ coef
-    fitted_log = y[rows - 1] + fitted_dy
-    resid = dy - fitted_dy
+    resid = dy - design @ coef
     q_eff = design.shape[1] - len(dropped)
     dof = len(rows) - q_eff
     if dof <= 0:
@@ -263,18 +256,12 @@ def fit_ecm(panel: AlignedPanel, lasso: LassoFit) -> EcmFit:
         pi=pi,
         gamma=gamma,
         sigma2=sigma2,
-        alpha=level_bias_correction(resid),
+        # smearing factor: plain mean of exp(residual) over the window
+        alpha=float(np.mean(np.exp(resid))),
         window=panel.window,
-        fitted_log=fitted_log,
         residuals_u=resid,
         fallback=fallback,
     )
-
-
-def level_bias_correction(residuals) -> float:
-    """Smearing factor: plain mean of exp(residual) over the window."""
-    r = np.asarray(residuals, dtype=float)
-    return float(np.mean(np.exp(r)))
 
 
 def _peer_rows_through(fit: EcmFit, panel: AlignedPanel, last_row: int) -> np.ndarray:
@@ -328,40 +315,24 @@ def forecast_levels(fit: EcmFit, y_hat) -> np.ndarray:
     return levels
 
 
-def simulate_log_paths(fit: EcmFit, panel: AlignedPanel, H: int,
-                       n_sims: int, seed: int) -> np.ndarray:
-    """Monte Carlo log paths: the point recursion plus shock deviations.
-
-    The shock recursion shares the (1 + gamma) propagation of the point
-    forecast, so each path is one draw of the recursion with iid
-    N(0, sigma2) disturbances.  Returns an (n_sims, H) matrix.
-    """
-    if n_sims < 1:
-        raise ValueError("n_sims must be >= 1")
-    point = forecast_log(fit, panel, H)
-    rng = np.random.default_rng(seed)
-    shocks = rng.normal(0.0, math.sqrt(max(fit.sigma2, 0.0)), size=(n_sims, H))
-    dev = np.zeros((n_sims, H))
-    dev[:, 0] = shocks[:, 0]
-    for h in range(1, H):
-        dev[:, h] = (1.0 + fit.gamma) * dev[:, h - 1] + shocks[:, h]
-    return point[None, :] + dev
-
-
 def simulate_bands(fit: EcmFit, panel: AlignedPanel, H: int,
                    n_sims: int = 10000, seed: int = 0,
                    confidence: float = 0.95) -> ForecastPath:
     """Point forecasts with simulated level bands and derived columns.
 
-    Bands are per-horizon empirical quantiles of the simulated level
-    paths at (1-c)/2 and 1-(1-c)/2; the bias correction is applied
-    inside every path so point and band share the same treatment.
-    Daily-new and growth-rate columns are computed per path against the
-    previous day's level (anchored at the last observed level) and
-    quantiled the same way.
+    Each of the ``n_sims`` paths is one draw of the point recursion with
+    iid N(0, sigma2) shocks added: the shock deviations share its
+    (1 + gamma) propagation.  Bands are per-horizon empirical quantiles
+    of the simulated level paths at (1-c)/2 and 1-(1-c)/2; the bias
+    correction is applied inside every path so point and band share the
+    same treatment.  Daily-new and growth-rate columns are computed per
+    path against the previous day's level (anchored at the last observed
+    level) and quantiled the same way.
     """
     if not 0.0 < confidence < 1.0:
         raise ValueError("confidence must be in (0, 1)")
+    if n_sims < 1:
+        raise ValueError("n_sims must be >= 1")
     y_hat = forecast_log(fit, panel, H)
     level_hat = forecast_levels(fit, y_hat)
     if fit.sigma2 <= 0.0:
@@ -369,7 +340,11 @@ def simulate_bands(fit: EcmFit, panel: AlignedPanel, H: int,
             "shock variance is zero; bands collapse to the point path",
             RuntimeWarning, stacklevel=2,
         )
-    log_paths = simulate_log_paths(fit, panel, H, n_sims, seed)
+    rng = np.random.default_rng(seed)
+    log_paths = rng.normal(0.0, math.sqrt(max(fit.sigma2, 0.0)), size=(n_sims, H))
+    for h in range(1, H):
+        log_paths[:, h] += (1.0 + fit.gamma) * log_paths[:, h - 1]
+    log_paths += y_hat
     level_paths = forecast_levels(fit, log_paths)
 
     anchor = float(np.exp(panel.y[panel.tau_len - 1]))
@@ -385,23 +360,25 @@ def simulate_bands(fit: EcmFit, panel: AlignedPanel, H: int,
 
     lo_q = (1.0 - confidence) / 2.0
     hi_q = 1.0 - lo_q
-
-    def quant(a, q):
-        return np.quantile(a, q, axis=0)
+    lower, level_median, upper = np.quantile(
+        level_paths, [lo_q, 0.5, hi_q], axis=0
+    )
+    new_lower, new_upper = np.quantile(new_paths, [lo_q, hi_q], axis=0)
+    rate_lower, rate_upper = np.quantile(rate_paths, [lo_q, hi_q], axis=0)
 
     return ForecastPath(
         horizons=np.arange(1, H + 1),
         y_hat=y_hat,
         level_hat=level_hat,
-        lower=quant(level_paths, lo_q),
-        upper=quant(level_paths, hi_q),
-        level_median=quant(level_paths, 0.5),
+        lower=lower,
+        upper=upper,
+        level_median=level_median,
         new_hat=new_hat,
-        new_lower=quant(new_paths, lo_q),
-        new_upper=quant(new_paths, hi_q),
+        new_lower=new_lower,
+        new_upper=new_upper,
         rate_hat=rate_hat,
-        rate_lower=quant(rate_paths, lo_q),
-        rate_upper=quant(rate_paths, hi_q),
+        rate_lower=rate_lower,
+        rate_upper=rate_upper,
         n_sims=n_sims,
         seed=seed,
         confidence=confidence,

@@ -6,6 +6,7 @@ so estimator tests are not polluted by integer rounding of counts.
 
 from __future__ import annotations
 
+import os
 from datetime import date, timedelta
 from pathlib import Path
 
@@ -14,14 +15,25 @@ import numpy as np
 from latecast.align import AlignedPanel, CountrySeries, inflation_weights
 from latecast.lasso import LassoFit, _homotopy, _Prepared
 
-FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+ROOT = Path(__file__).resolve().parent.parent
+FIXTURES = ROOT / "fixtures"
+
+
+def src_env() -> dict:
+    """This process's environment with ``src/`` first on ``PYTHONPATH``,
+    so a subprocess imports the checkout's ``latecast``."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    return env
 
 
 def make_series(name: str, start: date, counts) -> CountrySeries:
     return CountrySeries(name=name, start=start, counts=[int(c) for c in counts])
 
 
-def make_panel(y, X, weights=None, window=None, horizon=None,
+def make_panel(y, X, weights=None, window=None,
                start=date(2020, 3, 1), peer_lead_days=120) -> AlignedPanel:
     """AlignedPanel straight from arrays.
 
@@ -33,8 +45,6 @@ def make_panel(y, X, weights=None, window=None, horizon=None,
     X = np.asarray(X, dtype=float)
     T = len(y)
     p = X.shape[1]
-    if horizon is None:
-        horizon = X.shape[0] - T
     if window is None:
         window = T
     if weights is None:
@@ -43,14 +53,11 @@ def make_panel(y, X, weights=None, window=None, horizon=None,
     return AlignedPanel(
         target_name="T",
         peer_names=names,
-        tau_len=T,
         y=y,
         X=X,
         weights=np.asarray(weights, dtype=float),
         window=window,
-        horizon=horizon,
         start_date=start,
-        end_date=start + timedelta(days=T - 1),
         peer_start_dates={n: start - timedelta(days=peer_lead_days) for n in names},
     )
 
@@ -106,7 +113,7 @@ def gen_ecm_panel(rng, n=60, p=3, beta=(0.7, 0.3), pi=(0.4, 0.2),
         z_lag = y_full[t - 1] - X[t - 1, :k] @ beta
         y_full[t] = y_full[t - 1] + dx @ pi + gamma * z_lag + shocks[t]
 
-    panel = make_panel(y_full[:n], X, weights=weights, horizon=horizon)
+    panel = make_panel(y_full[:n], X, weights=weights)
     truth = {
         "beta": beta,
         "pi": pi,

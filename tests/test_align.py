@@ -2,6 +2,7 @@
 
 import logging
 import math
+import re
 from datetime import date
 
 import numpy as np
@@ -93,6 +94,35 @@ def test_parse_long_rejects_extra_cells():
     with pytest.raises(DataFormatError,
                        match=r"^row 3: expected 3 cells, found 4$"):
         parse_long(text)
+
+
+@pytest.mark.parametrize("rows,msg", [
+    ("A", "row 2: expected 3 cells, found 1"),
+    ("A,2020-01-01", "row 2: expected 3 cells, found 2"),
+    # a blank line counts as a row, as in the wide layout
+    ("A,2020-01-01,5\n\nA,2020-01-02", "row 4: expected 3 cells, found 2"),
+    ("A,2020-01-01,5\n\nA,2020-01-0x,5", "row 4: bad ISO date '2020-01-0x'"),
+], ids=["one_cell", "two_cells", "after_blank_line", "bad_date_after_blank_line"])
+def test_parse_long_reports_short_rows_by_line(rows, msg):
+    with pytest.raises(DataFormatError, match=f"^{re.escape(msg)}$"):
+        parse_long(f"country,date,cumulative\n{rows}\n")
+
+
+def test_parse_long_columns_in_any_order():
+    text = "date,note,cumulative,country\n2020-03-02,x,7,A\n2020-03-01,,5,A\n"
+    [series] = parse_long(text)
+    assert series.name == "A"
+    assert series.start == date(2020, 3, 1)
+    np.testing.assert_array_equal(series.counts, [5, 7])
+
+
+@pytest.mark.parametrize("parse,text", [
+    (parse_jhu_wide, f"{JHU_HEADER}\n,Uruguay,-32.5,-55.8,1,2,3\nP, ,0,0,1,2,3"),
+    (parse_long, "country,date,cumulative\nA,2020-03-01,5\n,,"),
+], ids=["wide", "long"])
+def test_empty_country_is_rejected(parse, text):
+    with pytest.raises(DataFormatError, match=r"^row 3: empty country$"):
+        parse(text)
 
 
 def test_parse_long_groups_and_sorts():

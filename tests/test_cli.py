@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from helpers import FIXTURES
+from helpers import FIXTURES, src_env
 from latecast.cli import JHU_FILENAMES, main
 
 LONG = str(FIXTURES / "synthetic_ecm_long.csv")
@@ -167,7 +167,7 @@ def test_unknown_subcommand_is_usage_error():
 def test_usage_errors_are_one_json_line(argv):
     proc = subprocess.run(
         [sys.executable, "-m", "latecast", *argv],
-        capture_output=True, text=True, timeout=120,
+        env=src_env(), capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 4
     assert proc.stdout == ""
@@ -216,13 +216,30 @@ def test_oversized_count_is_one_json_line(tmp_path, layout, text):
     proc = subprocess.run(
         [sys.executable, "-m", "latecast", "ingest-check",
          "--data-path", str(f), "--data-format", layout],
-        capture_output=True, text=True, timeout=120,
+        env=src_env(), capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 2
     [line] = proc.stderr.splitlines()
     payload = json.loads(line)
     assert payload["error"] == "DataFormatError"
     assert "out of range" in payload["message"]
+
+
+def test_empty_country_is_one_json_line(tmp_path):
+    f = tmp_path / "blank.csv"
+    f.write_text("Province/State,Country/Region,Lat,Long,1/22/20,1/23/20\n"
+                 "A,,0,0,1,2\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "latecast", "ingest-check",
+         "--data-path", str(f)],
+        env=src_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    [line] = proc.stderr.splitlines()
+    assert json.loads(line) == {
+        "error": "DataFormatError", "message": "row 2: empty country",
+    }
 
 
 def test_below_threshold_target_is_data_error(tmp_path, capsys):
@@ -331,7 +348,7 @@ def test_console_entrypoint_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "latecast", "ingest-check",
          "--data-path", JHU_CASES],
-        capture_output=True, text=True, timeout=120,
+        env=src_env(), capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["n_countries"] == 24
@@ -345,7 +362,7 @@ def test_warnings_keep_stderr_json_lines(extra, source):
     proc = subprocess.run(
         [sys.executable, "-m", "latecast", "forecast",
          "--data-path", JHU_CASES, "--seed", "11", *extra],
-        capture_output=True, text=True, timeout=120,
+        env=src_env(), capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0
     payloads = [json.loads(line) for line in proc.stderr.splitlines()]
@@ -356,7 +373,7 @@ def test_import_does_not_load_scipy():
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys, latecast; print('scipy' in sys.modules)"],
-        capture_output=True, text=True, timeout=120,
+        env=src_env(), capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "False"

@@ -1,13 +1,12 @@
 """The narrated demos run clean from the repository root."""
 
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
-ROOT = Path(__file__).resolve().parent.parent
+from helpers import ROOT, src_env
+
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
@@ -17,13 +16,9 @@ def test_every_demo_is_collected():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
 def test_demo_runs_clean(demo):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
-    )
     proc = subprocess.run(
         [sys.executable, str(demo.relative_to(ROOT))],
-        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
+        cwd=ROOT, env=src_env(), capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
