@@ -73,18 +73,18 @@ class AlignedPanel:
     ``y`` holds the log cumulative counts of the target for ages
     1..tau_len.  ``X`` holds the peers' log counts at the same ages and
     extends ``horizon`` days beyond the target (the peers are "ahead",
-    so those values are observed, not forecast).  ``weights`` are the
-    emphasis multiplicities for the newest observations; estimation uses
-    the trailing ``window`` rows.  ``tau_len``, ``horizon`` and
-    ``end_date`` are derived from ``y``, ``X`` and ``start_date``.
+    so those values are observed, not forecast).  Estimation uses the
+    trailing ``window`` rows, where ``window`` is the length of
+    ``window_weights``, the emphasis multiplicities of those rows.
+    ``tau_len``, ``horizon`` and ``end_date`` are derived from ``y``,
+    ``X`` and ``start_date``.
     """
 
     target_name: str
     peer_names: list[str]
     y: np.ndarray
     X: np.ndarray
-    weights: np.ndarray
-    window: int
+    window_weights: np.ndarray
     start_date: date
     peer_start_dates: dict[str, date]
     drop_log: list[dict] = field(default_factory=list)
@@ -102,6 +102,10 @@ class AlignedPanel:
         return self.date_at(self.tau_len)
 
     @property
+    def window(self) -> int:
+        return len(self.window_weights)
+
+    @property
     def window_slice(self) -> slice:
         return slice(self.tau_len - self.window, self.tau_len)
 
@@ -112,10 +116,6 @@ class AlignedPanel:
     @property
     def window_X(self) -> np.ndarray:
         return self.X[self.window_slice]
-
-    @property
-    def window_weights(self) -> np.ndarray:
-        return self.weights[self.window_slice]
 
     def date_at(self, tau: int) -> date:
         """Calendar date of the target at epidemic age ``tau`` (1-based)."""
@@ -215,10 +215,11 @@ def parse_long(csv_text: str) -> list[CountrySeries]:
     """Parse long-format CSV with columns ``country,date,cumulative``.
 
     The columns may come in any order, and other columns are ignored;
-    every row must have as many cells as the header.
+    header cells are stripped, as in the wide layout, and every row must
+    have as many cells as the header.
     """
     reader = csv.reader(io.StringIO(csv_text))
-    header = next(reader, [])
+    header = [h.strip() for h in next(reader, [])]
     required = {"country", "date", "cumulative"}
     if not required.issubset(header):
         missing = sorted(required - set(header))
@@ -364,8 +365,10 @@ def build_panel(
         raise ValueError("max_horizon must be >= 1")
     if window < 2:
         raise ValueError("window must be >= 2")
+    y, start_date = to_tau(target, threshold)
     aligned = _align_peers(peers, threshold, target.name)
-    return _assemble_panel(target, aligned, threshold, max_horizon, window)
+    return _assemble_panel(target.name, y, start_date, aligned,
+                           max_horizon, window)
 
 
 def _align_peers(peers: list[CountrySeries], threshold: int,
@@ -374,8 +377,7 @@ def _align_peers(peers: list[CountrySeries], threshold: int,
 
     The peer named like the target is not aligned, and a peer that never
     reaches ``threshold`` has ``None`` log counts.  A peer whose data
-    cannot be aligned keeps its ``DataFormatError`` in place of the log
-    counts, raised by the first panel that would use it.
+    cannot be aligned raises its ``DataFormatError`` here.
     """
     aligned = []
     for peer in peers:
@@ -385,28 +387,27 @@ def _align_peers(peers: list[CountrySeries], threshold: int,
                 ptau, pstart = to_tau(peer, threshold)
             except NotLatecomerError:
                 pass
-            except DataFormatError as exc:
-                ptau = exc
         aligned.append((peer.name, ptau, pstart))
     return aligned
 
 
-def _assemble_panel(target: CountrySeries, aligned: list[tuple],
-                    threshold: int, max_horizon: int,
+def _assemble_panel(target_name: str, y: np.ndarray, start_date: date,
+                    aligned: list[tuple], max_horizon: int,
                     window: int) -> AlignedPanel:
-    """Align ``target`` and build its panel from peers already aligned by
-    ``_align_peers``, so a backtest aligns each peer once for all origins."""
-    y, start_date = to_tau(target, threshold)
+    """Build the panel of a target already aligned by ``to_tau`` from
+    peers already aligned by ``_align_peers``.
+
+    ``y`` may be any prefix of the target's alignment, so a backtest
+    aligns each series once and slices the target at every origin.
+    """
     tau_len = len(y)
     required = tau_len + max_horizon
 
     drop_log: list[dict] = []
     kept: list[tuple[str, np.ndarray, date]] = []
     for name, ptau, pstart in aligned:
-        if name == target.name:
+        if name == target_name:
             reason, n = "is_target", 0
-        elif isinstance(ptau, DataFormatError):
-            raise ptau.with_traceback(None)
         elif ptau is None:
             reason, n = "below_threshold", 0
         elif len(ptau) < required:
@@ -423,7 +424,7 @@ def _assemble_panel(target: CountrySeries, aligned: list[tuple],
     if not kept:
         raise DataFormatError(
             f"no peer has {required} aligned observations for target "
-            f"{target.name!r} (tau_len={tau_len}, horizon={max_horizon})"
+            f"{target_name!r} (tau_len={tau_len}, horizon={max_horizon})"
         )
     kept.sort(key=lambda item: item[0])
 
@@ -431,21 +432,16 @@ def _assemble_panel(target: CountrySeries, aligned: list[tuple],
     if tau_len < window:
         logger.warning(
             "target %r has only %d aligned observations; shrinking window from %d",
-            target.name, tau_len, window,
+            target_name, tau_len, window,
         )
         eff_window = tau_len
 
-    X = np.column_stack([col for _, col, _ in kept])
-    weights = np.ones(tau_len)
-    weights[tau_len - eff_window:] = inflation_weights(eff_window)
-
     return AlignedPanel(
-        target_name=target.name,
+        target_name=target_name,
         peer_names=[name for name, _, _ in kept],
         y=y,
-        X=X,
-        weights=weights,
-        window=eff_window,
+        X=np.column_stack([col for _, col, _ in kept]),
+        window_weights=inflation_weights(eff_window),
         start_date=start_date,
         peer_start_dates={name: pstart for name, _, pstart in kept},
         drop_log=drop_log,

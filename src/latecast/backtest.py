@@ -1,11 +1,11 @@
 """Rolling-origin evaluation of the two-step pipeline.
 
-Each origin date replays an operational daily run: the target series is
-truncated to what was observable on that date, the panel is rebuilt,
-both estimation steps are refit, and level forecasts one to H days out
-are stored.  Forecast cells with a realized observation are scored by
-absolute percentage error; aggregates are the mean over all scored
-cells, the worst single cell, and the mean per forecasting horizon.
+Each origin date replays an operational daily run: the panel is rebuilt
+from the target's data observable on that date, both estimation steps
+are refit, and level forecasts one to H days out are stored.  Forecast
+cells with a realized observation are scored by absolute percentage
+error; aggregates are the mean over all scored cells, the worst single
+cell, and the mean per forecasting horizon.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from .align import (
     _align_peers,
     _assemble_panel,
     to_tau,
-    truncate_series,
 )
 from .ecm import fit_ecm, forecast_levels, forecast_log
 from .errors import DataFormatError, LatecastError
@@ -103,8 +102,8 @@ def score(matrix: dict[date, dict[date, float]],
     return float(np.mean(all_apes)), float(np.max(all_apes)), by_h
 
 
-def _feasible_origins(target: CountrySeries, config: BacktestConfig) -> list[date]:
-    _, start_date = to_tau(target, config.threshold)
+def _feasible_origins(target: CountrySeries, start_date: date,
+                      config: BacktestConfig) -> list[date]:
     # first origin needs window + 1 observations so every window row has
     # a one-day lag for the error-correction step
     first = start_date + timedelta(days=config.window)
@@ -147,13 +146,16 @@ def run_backtest(target: CountrySeries, peers: list[CountrySeries],
     """Refit daily over all feasible origins and score the forecasts.
 
     An origin is feasible once the target has window + 1 aligned
-    observations.  Origins whose fit raises are skipped and recorded;
-    the report is partial rather than aborted.  Scoring uses the point
-    forecasts only; no shock paths are simulated.
+    observations.  Every series is aligned once; each origin's panel
+    takes the prefix of the target's alignment observable on that date.
+    A peer whose data cannot be aligned raises before any origin is fit.
+    Origins whose fit raises are skipped and recorded; the report is
+    partial rather than aborted.  Scoring uses the point forecasts only;
+    no shock paths are simulated.
     """
     config = config or BacktestConfig()
-    origins = _feasible_origins(target, config)
-    # only the target is truncated per origin: the peers align once
+    y, start_date = to_tau(target, config.threshold)
+    origins = _feasible_origins(target, start_date, config)
     aligned = _align_peers(peers, config.threshold, target.name)
 
     matrix: dict[date, dict[date, float]] = {}
@@ -162,12 +164,9 @@ def run_backtest(target: CountrySeries, peers: list[CountrySeries],
     details: list[dict] = []
     for origin in origins:
         try:
-            truncated = truncate_series(target, origin)
             panel = _assemble_panel(
-                truncated, aligned,
-                threshold=config.threshold,
-                max_horizon=config.horizon,
-                window=config.window,
+                target.name, y[:(origin - start_date).days + 1], start_date,
+                aligned, config.horizon, config.window,
             )
             lasso = select_by_bic(
                 panel.window_y, panel.window_X, panel.window_weights

@@ -122,7 +122,8 @@ def _resolve_data_path(path_str: str, metric: str) -> Path:
 
 def _load_series(path: Path, data_format: str) -> list[CountrySeries]:
     try:
-        text = path.read_text(encoding="utf-8")
+        # utf-8-sig drops the byte-order mark spreadsheet exports put first
+        text = path.read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise DataFormatError(f"{path} is not UTF-8 text: {exc}") from None
     if data_format == "jhu-wide":

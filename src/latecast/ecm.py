@@ -200,17 +200,16 @@ def fit_ecm(panel: AlignedPanel, lasso: LassoFit) -> EcmFit:
     z = y - Xsub @ beta_sub
 
     lo = panel.tau_len - panel.window
-    rows = [i for i in range(lo, panel.tau_len) if i >= 1]
+    rows = np.arange(max(lo, 1), panel.tau_len)
     if len(rows) < 2:
         raise EstimationError(
             f"need at least 2 rows with a lag to fit the error-correction "
             f"step, have {len(rows)}"
         )
-    rows = np.asarray(rows)
     dy = y[rows] - y[rows - 1]
     dx = Xsub[rows] - Xsub[rows - 1]
     z_lag = z[rows - 1]
-    w = panel.weights[rows]
+    w = panel.window_weights[rows - lo]
 
     # the fallback fixes its short-run term at zero: no dx column
     design = np.column_stack([dx[:, :n_short], z_lag])

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from latecast.align import AlignedPanel, CountrySeries, inflation_weights
+from latecast.align import AlignedPanel, CountrySeries
 from latecast.lasso import LassoFit, _homotopy, _Prepared
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -38,25 +38,29 @@ def make_panel(y, X, weights=None, window=None,
     """AlignedPanel straight from arrays.
 
     ``X`` may extend beyond ``len(y)``; the overhang is the forecast
-    horizon.  Peers are dated far ahead of the target by default so the
-    calendar-leakage check stays quiet unless a test wants otherwise.
+    horizon.  ``weights`` are the window's weights, so the window is
+    their length; without them it is ``window`` rows of weight one, the
+    whole of ``y`` by default.  Peers are dated far ahead of the target
+    by default so the calendar-leakage check stays quiet unless a test
+    wants otherwise.
     """
     y = np.asarray(y, dtype=float)
     X = np.asarray(X, dtype=float)
-    T = len(y)
     p = X.shape[1]
-    if window is None:
-        window = T
     if weights is None:
-        weights = np.ones(T)
+        weights = np.ones(len(y) if window is None else window)
+    weights = np.asarray(weights, dtype=float)
+    if window is not None and window != len(weights):
+        raise ValueError(
+            f"window {window} disagrees with {len(weights)} window weights"
+        )
     names = [f"P{j}" for j in range(p)]
     return AlignedPanel(
         target_name="T",
         peer_names=names,
         y=y,
         X=X,
-        weights=np.asarray(weights, dtype=float),
-        window=window,
+        window_weights=weights,
         start_date=start,
         peer_start_dates={n: start - timedelta(days=peer_lead_days) for n in names},
     )

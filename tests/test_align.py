@@ -116,6 +116,15 @@ def test_parse_long_columns_in_any_order():
     np.testing.assert_array_equal(series.counts, [5, 7])
 
 
+def test_parse_long_strips_header_cells():
+    # the wide parser strips its header cells too
+    body = "A,2020-03-01,5\nA,2020-03-02,7\n"
+    [plain] = parse_long("country,date,cumulative\n" + body)
+    [spaced] = parse_long("country, date , cumulative\n" + body)
+    assert (spaced.name, spaced.start) == (plain.name, plain.start)
+    np.testing.assert_array_equal(spaced.counts, plain.counts)
+
+
 @pytest.mark.parametrize("parse,text", [
     (parse_jhu_wide, f"{JHU_HEADER}\n,Uruguay,-32.5,-55.8,1,2,3\nP, ,0,0,1,2,3"),
     (parse_long, "country,date,cumulative\nA,2020-03-01,5\n,,"),

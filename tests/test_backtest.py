@@ -192,8 +192,9 @@ def test_failed_origins_are_skipped_not_fatal():
 
 
 def test_each_origin_panel_equals_build_panel(monkeypatch, caplog):
-    # peers are aligned once per backtest; every origin's panel, drop
-    # log and info lines must still be what build_panel gives there
+    # every series is aligned once per backtest; every origin's panel,
+    # drop log and info lines must still be what build_panel gives on
+    # the target truncated to that origin
     target, peers = load_fixture("synthetic_ecm_noiseless_long")
     peers = [head(peers[0], 32)] + peers[1:] + [
         make_series("Low", target.start, [5] * 40),
@@ -202,24 +203,31 @@ def test_each_origin_panel_equals_build_panel(monkeypatch, caplog):
     seen = []
     assemble = backtest._assemble_panel
 
-    def recording(truncated, *args, **kwargs):
-        panel = assemble(truncated, *args, **kwargs)
-        seen.append((truncated, panel))
+    def recording(*args, **kwargs):
+        panel = assemble(*args, **kwargs)
+        seen.append(panel)
         return panel
 
     monkeypatch.setattr(backtest, "_assemble_panel", recording)
     cfg = BacktestConfig(window=21, horizon=7)
     with caplog.at_level(logging.INFO, logger="latecast.align"):
-        run_backtest(target, peers, cfg)
+        report = run_backtest(target, peers, cfg)
     backtest_lines = [r.getMessage() for r in caplog.records]
     caplog.clear()
+    # one panel per origin, each ending on its origin
+    assert [panel.end_date for panel in seen] == report.origins
     reasons = set()
     with caplog.at_level(logging.INFO, logger="latecast.align"):
-        for truncated, panel in seen:
-            ref = build_panel(truncated, peers, threshold=cfg.threshold,
+        for panel in seen:
+            ref = build_panel(truncate_series(target, panel.end_date), peers,
+                              threshold=cfg.threshold,
                               max_horizon=cfg.horizon, window=cfg.window)
             assert panel.drop_log == ref.drop_log
             assert panel.peer_names == ref.peer_names
+            assert panel.start_date == ref.start_date
+            assert panel.peer_start_dates == ref.peer_start_dates
+            assert panel.window == ref.window
+            np.testing.assert_array_equal(panel.window_weights, ref.window_weights)
             np.testing.assert_array_equal(panel.X, ref.X)
             np.testing.assert_array_equal(panel.y, ref.y)
             reasons |= {d["reason"] for d in panel.drop_log}
@@ -228,21 +236,19 @@ def test_each_origin_panel_equals_build_panel(monkeypatch, caplog):
     assert reasons == {"is_target", "below_threshold", "too_short"}
 
 
-def test_peer_with_zero_after_threshold_skips_every_origin():
+def test_peer_with_zero_after_threshold_is_a_data_error():
     target, peers = load_fixture("synthetic_ecm_noiseless_long")
     counts = np.array(peers[0].counts)
     counts[-1] = 0
     broken = CountrySeries(peers[0].name, peers[0].start, counts)
     cfg = BacktestConfig(window=21, horizon=7)
-    with pytest.raises(DataFormatError, match="every origin failed") as err:
+    with pytest.raises(DataFormatError) as err:
         run_backtest(target, [broken] + peers[1:], cfg)
-    first = backtest._feasible_origins(target, cfg)[0]
     with pytest.raises(DataFormatError) as ref:
-        build_panel(truncate_series(target, first), [broken] + peers[1:],
-                    threshold=cfg.threshold, max_horizon=cfg.horizon,
-                    window=cfg.window)
+        build_panel(target, [broken] + peers[1:], threshold=cfg.threshold,
+                    max_horizon=cfg.horizon, window=cfg.window)
     assert "zero count" in str(ref.value)
-    assert f"skip reasons: {ref.value}; {ref.value}; {ref.value}" in str(err.value)
+    assert str(err.value) == str(ref.value)
 
 
 def test_all_origins_failing_raises():

@@ -1,0 +1,32 @@
+"""What the benchmark harness reads of the package.
+
+``perfbench`` wraps the traced functions by name, reads
+``LassoFit.path`` and the panel's window arrays, and replays backtest
+origins through ``truncate_series`` and ``BacktestConfig``.  A change
+that renames or deletes one of these fails here rather than only when
+the benchmark runs.
+"""
+
+from datetime import date
+
+from helpers import ROOT
+from latecast.backtest import BacktestConfig
+from perfbench import checks, workloads
+from perfbench.tracer import Tracer
+
+
+def test_perfbench_reads_what_the_package_exposes():
+    series = workloads.load_snapshots(ROOT)
+    _, threshold = workloads.SNAPSHOTS["cases"]
+    target, peers = workloads.split(series["cases"], "Brazil")
+    tracer = Tracer()
+    # install() looks up every traced function by its attribute name
+    with tracer:
+        workloads.fit_pipeline(target, peers, threshold)
+        # drain() reads LassoFit.path and runs the KKT oracle
+        tracer.drain()
+    assert tracer.counters["lasso.grid_points"] == 100
+    assert tracer.counters["align.peers_kept"] > 0
+    config = BacktestConfig(threshold=threshold, window=workloads.WINDOW,
+                            horizon=workloads.HORIZON)
+    assert checks.rerun_origin(target, peers, config, date(2020, 4, 10)) == "fitted"

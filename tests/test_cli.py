@@ -4,6 +4,7 @@ import json
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -205,6 +206,22 @@ def test_non_utf8_file_is_data_error(tmp_path, capsys):
     assert "UTF-8" in payloads[-1]["message"]
 
 
+@pytest.mark.parametrize("path,layout", [
+    (JHU_CASES, "jhu-wide"), (LONG, "long"),
+], ids=["wide", "long"])
+def test_byte_order_mark_is_ignored(tmp_path, capsys, path, layout):
+    # spreadsheet "CSV UTF-8" exports start with a byte-order mark;
+    # the copy keeps the file name, which the summary reports
+    bom = tmp_path / Path(path).name
+    bom.write_bytes(b"\xef\xbb\xbf" + Path(path).read_bytes())
+    outs = []
+    for f in (path, str(bom)):
+        rc = main(["ingest-check", "--data-path", f, "--data-format", layout])
+        assert rc == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] and outs[1] == outs[0]
+
+
 @pytest.mark.parametrize("layout,text", [
     ("jhu-wide", "Province/State,Country/Region,Lat,Long,1/22/20,1/23/20\n"
                  "A,X,0,0,1,1e20\nB,X,0,0,1,2\n"),
@@ -289,6 +306,23 @@ def test_backtest_cli_summary_and_csv(capsys):
     summary = next(p for p in summary if p.get("info") == "backtest_summary")
     assert summary["origins"] == n_origins
     assert summary["mape_total_pct"] < 5.0
+
+
+def test_backtest_peer_with_zero_after_threshold_is_exit_2(tmp_path, capsys):
+    lines = Path(LONG).read_text(encoding="utf-8").splitlines()
+    last = max(i for i, l in enumerate(lines) if l.startswith("PeerB,"))
+    lines[last] = lines[last].rsplit(",", 1)[0] + ",0"
+    f = tmp_path / "zero.csv"
+    f.write_text("\n".join(lines) + "\n")
+    rc = main(["backtest", "--data-path", str(f), "--data-format", "long",
+               "--target", "Target", "--seed", "0", "--k", "21", "--h", "5"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    payloads = [json.loads(l) for l in captured.err.splitlines()]
+    [error] = [p for p in payloads if "error" in p]
+    assert error["error"] == "DataFormatError"
+    assert error["message"].startswith("'PeerB': zero count on ")
 
 
 def test_backtest_cli_origin_bounds(capsys):

@@ -83,8 +83,7 @@ def test_two_regressor_hand_system():
     y = np.array([4.61, 4.70, 4.83, 4.91, 5.02, 5.11])
     x = np.array([4.80, 4.93, 5.01, 5.15, 5.24, 5.30])
     beta = np.array([0.96])
-    panel = make_panel(y, x[:, None], window=5,
-                       weights=np.array([1.0, 1.0, 1.0, 2.0, 3.0, 4.0]))
+    panel = make_panel(y, x[:, None], weights=np.array([1.0, 1.0, 2.0, 3.0, 4.0]))
     fit = fit_ecm(panel, lasso_with_beta(beta))
 
     rows = np.arange(1, 6)
@@ -133,7 +132,7 @@ def test_alpha_and_sigma2_recomputable():
     assert fit.alpha == pytest.approx(
         float(np.mean(np.exp(fit.residuals_u))), abs=1e-12
     )
-    w = panel.weights[1:]
+    w = panel.window_weights[1:]
     q = len(fit.support) + 1
     expect = float(w @ fit.residuals_u**2) / (len(fit.residuals_u) - q)
     assert fit.sigma2 == pytest.approx(expect, abs=1e-12)
