@@ -20,6 +20,8 @@ import numpy as np
 
 from .align import (
     DEFAULT_CASE_THRESHOLD,
+    DEFAULT_HORIZON,
+    DEFAULT_WINDOW,
     CountrySeries,
     _align_peers,
     _assemble_panel,
@@ -28,10 +30,6 @@ from .align import (
 from .ecm import fit_ecm, forecast_levels, forecast_log
 from .errors import DataFormatError, LatecastError
 from .lasso import select_by_bic
-
-DEFAULT_WINDOW = 21
-DEFAULT_HORIZON = 14
-
 
 @dataclass
 class BacktestConfig:

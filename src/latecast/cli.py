@@ -3,25 +3,25 @@
 Four subcommands: ``ingest-check`` validates a data file and summarizes
 per-country readiness, ``forecast`` fits the two-step model once and
 emits the forecast table, ``backtest`` replays daily refits and scores
-them, ``report`` produces the combined cases-and-deaths table with a
-closing confidence-interval row.
+them, ``report`` produces the combined table, cases then deaths, each
+with a closing confidence-interval row.
 
 Conventions: result tables go to stdout or ``--output``; everything
 else (peer drop log, selected peers, warnings, errors) goes to stderr
-as JSON lines.  Exit codes: 0 success, 2 data problem, 3 estimation
-problem, 4 bad arguments; a usage error, too, is one line
-``{"error": "UsageError", "message": ...}``.  Outputs are deterministic:
-the same inputs, flags, and seed produce byte-identical files.
+as JSON lines; every non-fatal note of the package is a Python warning,
+written as ``{"warning": <category>, "message": ...}``.  Exit codes: 0
+success, 2 data problem, 3 estimation problem, 4 bad arguments; a usage
+error, too, is one line ``{"error": "UsageError", "message": ...}``.
+Outputs are deterministic: the same inputs, flags, and seed produce
+byte-identical files.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import csv
 import io
 import json
-import logging
 import sys
 import warnings
 from datetime import date, timedelta
@@ -30,6 +30,8 @@ from pathlib import Path
 from .align import (
     DEFAULT_CASE_THRESHOLD,
     DEFAULT_DEATH_THRESHOLD,
+    DEFAULT_HORIZON,
+    DEFAULT_WINDOW,
     CountrySeries,
     build_panel,
     ingestion_warnings,
@@ -37,15 +39,14 @@ from .align import (
     parse_long,
     threshold_crossing,
 )
-from .backtest import (
-    DEFAULT_HORIZON,
-    DEFAULT_WINDOW,
-    BacktestConfig,
-    dumps_report,
-    report_to_csv,
-    run_backtest,
+from .backtest import BacktestConfig, dumps_report, report_to_csv, run_backtest
+from .ecm import (
+    DEFAULT_CONFIDENCE,
+    DEFAULT_N_SIMS,
+    ForecastPath,
+    fit_ecm,
+    simulate_bands,
 )
-from .ecm import ForecastPath, fit_ecm, simulate_bands
 from .errors import DataFormatError, EstimationError, LatecastError
 from .lasso import select_by_bic
 
@@ -85,29 +86,6 @@ def _show_warning(message, category, filename, lineno, file=None, line=None):
     _info({"warning": category.__name__, "message": str(message)})
 
 
-class _WarningLogHandler(logging.Handler):
-    def emit(self, record):
-        _info({"warning": record.name, "message": record.getMessage()})
-
-
-@contextlib.contextmanager
-def _warnings_as_json_lines():
-    """Route ``warnings.warn`` and package log warnings through ``_info``.
-
-    ``warnings`` messages carry their category name, log records the
-    logger name; the previous warning hooks are restored on exit.
-    """
-    handler = _WarningLogHandler(logging.WARNING)
-    logger = logging.getLogger("latecast")
-    logger.addHandler(handler)
-    try:
-        with warnings.catch_warnings():
-            warnings.showwarning = _show_warning
-            yield
-    finally:
-        logger.removeHandler(handler)
-
-
 def _resolve_data_path(path_str: str, metric: str) -> Path:
     path = Path(path_str)
     if path.is_dir():
@@ -122,8 +100,7 @@ def _resolve_data_path(path_str: str, metric: str) -> Path:
 
 def _load_series(path: Path, data_format: str) -> list[CountrySeries]:
     try:
-        # utf-8-sig drops the byte-order mark spreadsheet exports put first
-        text = path.read_text(encoding="utf-8-sig")
+        text = path.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise DataFormatError(f"{path} is not UTF-8 text: {exc}") from None
     if data_format == "jhu-wide":
@@ -444,12 +421,14 @@ def build_parser() -> argparse.ArgumentParser:
                            "per-metric filenames")
     data.add_argument("--data-format", choices=("jhu-wide", "long"),
                       default="jhu-wide")
-    data.add_argument("--metric", choices=("cases", "deaths"),
-                      default="cases")
     data.add_argument("--threshold", type=_at_least(1), default=None,
                       help=f"alignment threshold (default "
                            f"{DEFAULT_CASE_THRESHOLD} cases, "
                            f"{DEFAULT_DEATH_THRESHOLD} deaths)")
+
+    metric = _Parser(add_help=False)
+    metric.add_argument("--metric", choices=("cases", "deaths"),
+                        default="cases")
 
     model = _Parser(add_help=False)
     model.add_argument("--target", required=True)
@@ -461,34 +440,36 @@ def build_parser() -> argparse.ArgumentParser:
                             "(default %(default)s)")
     model.add_argument("--h", type=_at_least(1), default=DEFAULT_HORIZON,
                        help="forecast horizon in days (default %(default)s)")
-    model.add_argument("--n-sims", type=_at_least(1), default=10000)
     model.add_argument("--seed", type=_at_least(0), required=True)
-    model.add_argument("--confidence", default=0.95,
-                       type=_checked(float, lambda v: 0.0 < v < 1.0,
-                                     "strictly between 0 and 1"))
+
+    sims = _Parser(add_help=False)
+    sims.add_argument("--n-sims", type=_at_least(1), default=DEFAULT_N_SIMS)
+    sims.add_argument("--confidence", default=DEFAULT_CONFIDENCE,
+                      type=_checked(float, lambda v: 0.0 < v < 1.0,
+                                    "strictly between 0 and 1"))
 
     out = _Parser(add_help=False)
     out.add_argument("--output", default=None,
                      help="write the table here instead of stdout")
     out.add_argument("--format", choices=("csv", "json"), default="csv")
 
-    p_ingest = sub.add_parser("ingest-check", parents=[data],
+    p_ingest = sub.add_parser("ingest-check", parents=[data, metric],
                               help="validate a data file and summarize "
                                    "per-country readiness")
     p_ingest.add_argument("--target", default=None)
     p_ingest.add_argument("--output", default=None)
 
-    sub.add_parser("forecast", parents=[data, model, out],
+    sub.add_parser("forecast", parents=[data, metric, model, sims, out],
                    help="fit once and forecast H days ahead")
 
-    p_back = sub.add_parser("backtest", parents=[data, model, out],
+    p_back = sub.add_parser("backtest", parents=[data, metric, model, out],
                             help="replay daily refits and score them")
     p_back.add_argument("--origin-start", type=date.fromisoformat,
                         default=None)
     p_back.add_argument("--origin-end", type=date.fromisoformat,
                         default=None)
 
-    p_report = sub.add_parser("report", parents=[data, model, out],
+    p_report = sub.add_parser("report", parents=[data, model, sims, out],
                               help="combined cases and deaths table")
     p_report.add_argument("--deaths-path", default=None,
                           help="deaths CSV when --data-path is a single "
@@ -511,12 +492,15 @@ COMMANDS = {
 
 
 def main(argv=None) -> int:
+    """Run one subcommand; its warnings become stderr JSON lines under
+    the default filters, and the previous ``showwarning`` is restored."""
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        with _warnings_as_json_lines():
+        with warnings.catch_warnings():
+            warnings.showwarning = _show_warning
             return COMMANDS[args.command](args)
     except DataFormatError as exc:
         _fail(exc)

@@ -30,6 +30,9 @@ from .align import AlignedPanel
 from .errors import EstimationError, ForecastError
 from .lasso import LassoFit
 
+DEFAULT_N_SIMS = 10000
+DEFAULT_CONFIDENCE = 0.95
+
 
 @dataclass
 class EcmFit:
@@ -315,8 +318,8 @@ def forecast_levels(fit: EcmFit, y_hat) -> np.ndarray:
 
 
 def simulate_bands(fit: EcmFit, panel: AlignedPanel, H: int,
-                   n_sims: int = 10000, seed: int = 0,
-                   confidence: float = 0.95) -> ForecastPath:
+                   n_sims: int = DEFAULT_N_SIMS, seed: int = 0,
+                   confidence: float = DEFAULT_CONFIDENCE) -> ForecastPath:
     """Point forecasts with simulated level bands and derived columns.
 
     Each of the ``n_sims`` paths is one draw of the point recursion with

@@ -1,6 +1,5 @@
 """Ingestion, epidemic-age alignment, and panel construction."""
 
-import logging
 import math
 import re
 from datetime import date
@@ -127,11 +126,51 @@ def test_parse_long_strips_header_cells():
 
 @pytest.mark.parametrize("parse,text", [
     (parse_jhu_wide, f"{JHU_HEADER}\n,Uruguay,-32.5,-55.8,1,2,3\nP, ,0,0,1,2,3"),
-    (parse_long, "country,date,cumulative\nA,2020-03-01,5\n,,"),
+    (parse_long, "country,date,cumulative\nA,2020-03-01,5\n ,2020-03-02,7"),
 ], ids=["wide", "long"])
 def test_empty_country_is_rejected(parse, text):
     with pytest.raises(DataFormatError, match=r"^row 3: empty country$"):
         parse(text)
+
+
+WIDE_TEXT = f"{JHU_HEADER}\n,Uruguay,-32.5,-55.8,1,2,3\n"
+LONG_TEXT = "country,date,cumulative\nA,2020-03-01,5\nA,2020-03-02,7\n"
+
+
+@pytest.mark.parametrize("parse,text", [
+    (parse_jhu_wide, WIDE_TEXT), (parse_long, LONG_TEXT),
+], ids=["wide", "long"])
+def test_byte_order_mark_is_ignored(parse, text):
+    # spreadsheet "CSV UTF-8" exports start with one U+FEFF
+    [plain] = parse(text)
+    [marked] = parse("\ufeff" + text)
+    assert (marked.name, marked.start) == (plain.name, plain.start)
+    np.testing.assert_array_equal(marked.counts, plain.counts)
+
+
+@pytest.mark.parametrize("parse,text,blank", [
+    (parse_jhu_wide, WIDE_TEXT, ",,,,,,"),
+    (parse_jhu_wide, WIDE_TEXT, " , "),
+    (parse_long, LONG_TEXT, ",,"),
+    (parse_long, LONG_TEXT, " , "),
+], ids=["wide", "wide_short", "long", "long_short"])
+def test_all_blank_row_is_skipped(parse, text, blank):
+    [plain] = parse(text)
+    [padded] = parse(text + blank + "\n")
+    assert (padded.name, padded.start) == (plain.name, plain.start)
+    np.testing.assert_array_equal(padded.counts, plain.counts)
+
+
+@pytest.mark.parametrize("parse,text", [
+    (parse_jhu_wide, f"{JHU_HEADER}\n,B,0,0,5,9,7\n"),
+    (parse_long, "country,date,cumulative\n"
+                 "B,2020-01-22,5\nB,2020-01-23,9\nB,2020-01-24,7\n"),
+], ids=["wide", "long"])
+def test_downward_revision_warns(parse, text):
+    with pytest.warns(RuntimeWarning,
+                      match=r"^B: cumulative count fell 9 -> 7 on 2020-01-24$"):
+        [series] = parse(text)
+    np.testing.assert_array_equal(series.counts, [5, 9, 7])
 
 
 def test_parse_long_groups_and_sorts():
@@ -256,14 +295,13 @@ def test_build_panel_drops_short_peers_with_log():
     assert reasons["B"]["len"] == 22
 
 
-def test_build_panel_shrinks_window_with_warning(caplog):
+def test_build_panel_shrinks_window_with_warning():
     target = _peer("T", date(2020, 3, 20), 10)
     peer = _peer("A", date(2020, 2, 1), 40)
-    with caplog.at_level(logging.WARNING, logger="latecast.align"):
+    with pytest.warns(RuntimeWarning, match="shrinking window"):
         panel = build_panel(target, [peer], threshold=100,
                             max_horizon=14, window=21)
     assert panel.window == 10
-    assert any("window" in r.message for r in caplog.records)
 
 
 def test_build_panel_all_peers_short_errors():

@@ -1,7 +1,6 @@
 """Rolling-origin evaluation: scoring, leakage, skips, and rendering."""
 
 import json
-import logging
 import warnings
 from datetime import date, timedelta
 
@@ -119,14 +118,14 @@ def test_backtest_is_deterministic_and_scoring_ignores_sims(tmp_path):
     b = run_backtest(target, peers, BacktestConfig(window=21, horizon=5))
     assert a.matrix == b.matrix
     assert a.mape_total == b.mape_total
-    # the command line takes simulation flags, but scoring never simulates
+    # the command line takes a seed, but scoring never simulates
     reports = []
-    for seed, n_sims in (("7", "2000"), ("9", "13")):
+    for seed in ("7", "9"):
         out = tmp_path / f"seed{seed}.json"
         assert main(["backtest", "--data-path",
                      str(FIXTURES / "synthetic_ecm_long.csv"),
                      "--data-format", "long", "--target", "Target",
-                     "--seed", seed, "--n-sims", n_sims, "--h", "5",
+                     "--seed", seed, "--h", "5",
                      "--format", "json", "--output", str(out)]) == 0
         reports.append(out.read_bytes())
     assert reports[0] == reports[1]
@@ -191,9 +190,9 @@ def test_failed_origins_are_skipped_not_fatal():
     assert report.origins == sorted(report.matrix)
 
 
-def test_each_origin_panel_equals_build_panel(monkeypatch, caplog):
+def test_each_origin_panel_equals_build_panel(monkeypatch):
     # every series is aligned once per backtest; every origin's panel,
-    # drop log and info lines must still be what build_panel gives on
+    # drop log and warnings must still be what build_panel gives on
     # the target truncated to that origin
     target, peers = load_fixture("synthetic_ecm_noiseless_long")
     peers = [head(peers[0], 32)] + peers[1:] + [
@@ -210,14 +209,14 @@ def test_each_origin_panel_equals_build_panel(monkeypatch, caplog):
 
     monkeypatch.setattr(backtest, "_assemble_panel", recording)
     cfg = BacktestConfig(window=21, horizon=7)
-    with caplog.at_level(logging.INFO, logger="latecast.align"):
+    with warnings.catch_warnings(record=True) as backtest_warnings:
+        warnings.simplefilter("always")
         report = run_backtest(target, peers, cfg)
-    backtest_lines = [r.getMessage() for r in caplog.records]
-    caplog.clear()
     # one panel per origin, each ending on its origin
     assert [panel.end_date for panel in seen] == report.origins
     reasons = set()
-    with caplog.at_level(logging.INFO, logger="latecast.align"):
+    with warnings.catch_warnings(record=True) as panel_warnings:
+        warnings.simplefilter("always")
         for panel in seen:
             ref = build_panel(truncate_series(target, panel.end_date), peers,
                               threshold=cfg.threshold,
@@ -231,7 +230,10 @@ def test_each_origin_panel_equals_build_panel(monkeypatch, caplog):
             np.testing.assert_array_equal(panel.X, ref.X)
             np.testing.assert_array_equal(panel.y, ref.y)
             reasons |= {d["reason"] for d in panel.drop_log}
-    assert [r.getMessage() for r in caplog.records] == backtest_lines
+    # every origin has window + 1 observations, so neither side shrinks
+    # its window; the backtest must not warn where build_panel does not
+    assert ([str(w.message) for w in panel_warnings]
+            == [str(w.message) for w in backtest_warnings])
     assert len(seen) > 1
     assert reasons == {"is_target", "below_threshold", "too_short"}
 

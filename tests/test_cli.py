@@ -162,9 +162,13 @@ def test_unknown_subcommand_is_usage_error():
      "--seed", "1", "--origin-start", "2020-13-01"],
     ["backtest", "--data-path", JHU_CASES, "--target", "Brazil",
      "--seed", "1", "--no-calendar-check"],
+    ["report", "--data-path", JHU_CASES, "--deaths-path", JHU_DEATHS,
+     "--target", "Brazil", "--seed", "1", "--metric", "deaths"],
+    ["backtest", "--data-path", JHU_CASES, "--target", "Brazil",
+     "--seed", "1", "--n-sims", "13"],
 ], ids=["missing_seed", "unknown_subcommand", "confidence_1.5", "h_0", "k_1",
         "n_sims_0", "negative_seed", "deaths_threshold_0", "bad_origin_date",
-        "removed_calendar_flag"])
+        "removed_calendar_flag", "report_metric", "backtest_n_sims"])
 def test_usage_errors_are_one_json_line(argv):
     proc = subprocess.run(
         [sys.executable, "-m", "latecast", *argv],
@@ -220,6 +224,23 @@ def test_byte_order_mark_is_ignored(tmp_path, capsys, path, layout):
         assert rc == 0
         outs.append(capsys.readouterr().out)
     assert outs[0] and outs[1] == outs[0]
+
+
+def test_downward_revision_is_one_warning_line(tmp_path):
+    f = tmp_path / "revised.csv"
+    f.write_text("country,date,cumulative\n"
+                 "A,2020-03-01,1\nA,2020-03-02,2\nA,2020-03-03,3\n"
+                 "B,2020-03-01,5\nB,2020-03-02,9\nB,2020-03-03,7\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "latecast", "ingest-check",
+         "--data-path", str(f), "--data-format", "long"],
+        env=src_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0
+    assert [json.loads(line) for line in proc.stderr.splitlines()] == [{
+        "warning": "RuntimeWarning",
+        "message": "B: cumulative count fell 9 -> 7 on 2020-03-03",
+    }]
 
 
 @pytest.mark.parametrize("layout,text", [
@@ -390,7 +411,7 @@ def test_console_entrypoint_runs():
 
 @pytest.mark.parametrize("extra, source", [
     (["--target", "Japan"], "RuntimeWarning"),
-    (["--target", "Brazil", "--k", "60"], "latecast.align"),
+    (["--target", "Brazil", "--k", "60"], "RuntimeWarning"),
 ], ids=["unstable_gamma", "shrunk_window"])
 def test_warnings_keep_stderr_json_lines(extra, source):
     proc = subprocess.run(
@@ -404,10 +425,13 @@ def test_warnings_keep_stderr_json_lines(extra, source):
 
 
 def test_import_does_not_load_scipy():
+    # numpy is the only runtime dependency, and warnings the only channel
+    # for non-fatal notes, so logging stays unloaded too
     proc = subprocess.run(
         [sys.executable, "-c",
-         "import sys, latecast; print('scipy' in sys.modules)"],
+         "import sys, latecast.cli; "
+         "print('scipy' in sys.modules, 'logging' in sys.modules)"],
         env=src_env(), capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.split() == ["False", "False"]
