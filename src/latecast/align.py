@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import io
+import re
 import warnings
 from dataclasses import dataclass, field
 from datetime import date, datetime, timedelta
@@ -29,6 +30,16 @@ JHU_FIXED_COLUMNS = ("Province/State", "Country/Region", "Lat", "Long")
 # Counts are parsed through float, which is exact for integers below
 # this bound only.
 _MAX_EXACT_COUNT = 2**53
+
+# numpy reads other date strings than date.fromisoformat does (20200102
+# as the year 20200102; 0000-01-01, today, NaT), so only cells of this
+# form, joined by commas, are read by numpy
+_ISO_DAYS = re.compile(r"(?:(?!0000)[0-9]{4}-[0-9]{2}-[0-9]{2},)*")
+_EPOCH_ORDINAL = date(1970, 1, 1).toordinal()
+
+# least number of long-layout rows converted together, so that a file
+# whose countries alternate row by row still converts in bulk
+_BLOCK_ROWS = 4096
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,13 +137,15 @@ class AlignedPanel:
         return self.peer_start_dates[peer] + timedelta(days=tau - 1)
 
 
-def _require_consecutive(dates, where: str) -> None:
-    for prev, cur in zip(dates, dates[1:]):
-        if (cur - prev).days != 1:
-            raise DataFormatError(
-                f"{where}: dates must be consecutive days, "
-                f"found gap {prev.isoformat()} -> {cur.isoformat()}"
-            )
+def _require_consecutive(days: np.ndarray, where: str) -> None:
+    """Raise at the first step between day ordinals that is not one day."""
+    steps = np.flatnonzero(np.diff(days) != 1)
+    if steps.size:
+        prev, cur = (date.fromordinal(int(d)) for d in days[steps[0]:steps[0] + 2])
+        raise DataFormatError(
+            f"{where}: dates must be consecutive days, "
+            f"found gap {prev.isoformat()} -> {cur.isoformat()}"
+        )
 
 
 def _csv_reader(csv_text: str):
@@ -143,6 +156,15 @@ def _csv_reader(csv_text: str):
 def _blank(row: list[str]) -> bool:
     """True for a row whose cells are all empty or whitespace."""
     return not any(map(str.strip, row))
+
+
+def _read_header(reader) -> tuple[list[str], int]:
+    """Stripped cells of the first row that is not all blank, and the
+    number of the row after it."""
+    for row_no, row in enumerate(reader, start=1):
+        if not _blank(row):
+            return [h.strip() for h in row], row_no + 1
+    raise DataFormatError("empty file")
 
 
 def _parse_count(cell: str, row: int, col: str) -> int:
@@ -165,6 +187,31 @@ def _parse_count(cell: str, row: int, col: str) -> int:
     return int(v)
 
 
+def _counts(cells: list[str]) -> np.ndarray:
+    """Count cells as int64, read by the ``float`` that ``_parse_count``
+    uses; raises ``ValueError`` if ``_parse_count`` rejects any cell."""
+    v = np.fromiter(map(float, cells), float, len(cells))
+    # the range test is False for nan and inf as well
+    if not ((np.abs(v) < _MAX_EXACT_COUNT) & (np.trunc(v) == v)).all():
+        raise ValueError("count cell rejected")
+    return v.astype(np.int64)
+
+
+def _days(cells: list[str]) -> np.ndarray:
+    """Date cells as day ordinals, read as ``date.fromisoformat`` reads
+    each stripped cell; raises ``ValueError`` if it rejects any cell."""
+    joined = ",".join(cells) + ","
+    # at 11 characters per cell no cell holds a comma of its own, so each
+    # cell is one match of the pattern
+    if len(joined) == 11 * len(cells) and _ISO_DAYS.fullmatch(joined):
+        days = np.array(cells, dtype="datetime64[D]").view(np.int64)
+        return days + _EPOCH_ORDINAL
+    return np.fromiter(
+        (date.fromisoformat(c.strip()).toordinal() for c in cells),
+        np.int64, len(cells),
+    )
+
+
 def parse_jhu_wide(csv_text: str) -> list[CountrySeries]:
     """Parse the JHU wide CSV layout into one series per country.
 
@@ -173,11 +220,7 @@ def parse_jhu_wide(csv_text: str) -> list[CountrySeries]:
     layouts a leading byte-order mark and all-blank rows are ignored.
     """
     reader = _csv_reader(csv_text)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise DataFormatError("empty file") from None
-    header = [h.strip() for h in header]
+    header, first_row = _read_header(reader)
     for col in JHU_FIXED_COLUMNS:
         if col not in header:
             raise DataFormatError(f"malformed header: missing column {col!r}")
@@ -192,10 +235,11 @@ def parse_jhu_wide(csv_text: str) -> list[CountrySeries]:
         )
     except ValueError as exc:
         raise DataFormatError(f"malformed date column header: {exc}") from None
-    _require_consecutive(dates, "date column header")
+    _require_consecutive(np.array([d.toordinal() for d in dates]),
+                         "date column header")
 
     totals: dict[str, np.ndarray] = {}
-    for row_no, row in enumerate(reader, start=2):
+    for row_no, row in enumerate(reader, start=first_row):
         if _blank(row):
             continue
         if len(row) != len(header):
@@ -205,13 +249,13 @@ def parse_jhu_wide(csv_text: str) -> list[CountrySeries]:
         country = row[country_idx].strip()
         if not country:
             raise DataFormatError(f"row {row_no}: empty country")
-        values = np.array(
-            [
-                _parse_count(cell, row_no, date_labels[j])
-                for j, cell in enumerate(row[n_fixed:])
-            ],
-            dtype=np.int64,
-        )
+        cells = row[n_fixed:]
+        try:
+            values = _counts(cells)
+        except ValueError:
+            for label, cell in zip(date_labels, cells):
+                _parse_count(cell, row_no, label)
+            raise
         if country not in totals:
             totals[country] = values
         else:
@@ -227,54 +271,142 @@ def parse_long(csv_text: str) -> list[CountrySeries]:
 
     The columns may come in any order, and other columns are ignored;
     header cells are stripped, as in the wide layout, and every row that
-    is not all blank must have as many cells as the header.
+    is not all blank must have as many cells as the header.  Date cells
+    are read as ``datetime.date.fromisoformat`` reads them.
     """
     reader = _csv_reader(csv_text)
-    header = [h.strip() for h in next(reader, [])]
+    header, first_row = _read_header(reader)
     required = {"country", "date", "cumulative"}
     if not required.issubset(header):
         missing = sorted(required - set(header))
         raise DataFormatError(f"malformed header: missing column(s) {missing}")
+    width = len(header)
     country_idx = header.index("country")
     date_idx = header.index("date")
     count_idx = header.index("cumulative")
 
-    rows: dict[str, dict[date, int]] = {}
-    for row_no, row in enumerate(reader, start=2):
-        # look for an all-blank row only in rows that fail a check: run on
-        # every row, that test adds about 15% to parsing 250k rows
-        if len(row) != len(header):
+    # Cells wait in a block of rows, converted once a row that starts a
+    # segment finds the block at least _BLOCK_ROWS long, into a tuple of
+    # (country id, day ordinal, count) arrays.  A segment is a run of rows
+    # with the same country cell and no blank row between them, kept as
+    # (offset in the block, country id, row number).
+    countries: dict[str, int] = {}
+    date_cells: list[str] = []
+    count_cells: list[str] = []
+    segments: list[tuple[int, int, int]] = []
+    blocks: list[tuple[np.ndarray, ...]] = []
+
+    def convert_block() -> None:
+        if not date_cells:
+            return
+        try:
+            days, counts = _days(date_cells), _counts(count_cells)
+        except ValueError:
+            # a duplicate among the converted rows comes before this block
+            _merge_blocks(blocks, list(countries))
+            _replay_block(date_cells, count_cells, segments, blocks,
+                          list(countries))
+            raise
+        offsets, ids, _ = zip(*segments)
+        lengths = np.diff(offsets, append=len(days))
+        blocks.append((np.repeat(ids, lengths), days, counts))
+        date_cells.clear()
+        count_cells.clear()
+        segments.clear()
+
+    def fail(message: str) -> DataFormatError:
+        # a fault in an earlier row is raised first
+        convert_block()
+        _merge_blocks(blocks, list(countries))
+        return DataFormatError(message)
+
+    key = None
+    for row_no, row in enumerate(reader, start=first_row):
+        if len(row) == width and row[country_idx] == key:
+            date_cells.append(row[date_idx])
+            count_cells.append(row[count_idx])
+            continue
+        key = None
+        if len(date_cells) >= _BLOCK_ROWS:
+            convert_block()
+        if len(row) != width:
             if _blank(row):
                 continue
-            raise DataFormatError(
-                f"row {row_no}: expected {len(header)} cells, found {len(row)}"
-            )
+            raise fail(f"row {row_no}: expected {width} cells, found {len(row)}")
         country = row[country_idx].strip()
         if not country:
             if _blank(row):
                 continue
-            raise DataFormatError(f"row {row_no}: empty country")
-        try:
-            d = date.fromisoformat(row[date_idx].strip())
-        except ValueError:
-            raise DataFormatError(
-                f"row {row_no}: bad ISO date {row[date_idx]!r}"
-            ) from None
-        c = _parse_count(row[count_idx], row_no, "cumulative")
-        bucket = rows.setdefault(country, {})
-        if d in bucket:
-            raise DataFormatError(
-                f"duplicate row for ({country!r}, {d.isoformat()})"
-            )
-        bucket[d] = c
+            raise fail(f"row {row_no}: empty country")
+        key = row[country_idx]
+        segments.append(
+            (len(date_cells), countries.setdefault(country, len(countries)), row_no)
+        )
+        date_cells.append(row[date_idx])
+        count_cells.append(row[count_idx])
+    convert_block()
 
     out = []
-    for country, by_date in rows.items():
-        dates = sorted(by_date)
-        _require_consecutive(dates, repr(country))
-        out.append(CountrySeries(country, dates[0], [by_date[d] for d in dates]))
+    for country, days, counts in _merge_blocks(blocks, list(countries)):
+        _require_consecutive(days, repr(country))
+        out.append(CountrySeries(country, date.fromordinal(int(days[0])), counts))
     _warn_on_revisions(out)
     return out
+
+
+def _duplicate(country: str, day: int) -> DataFormatError:
+    return DataFormatError(
+        f"duplicate row for ({country!r}, {date.fromordinal(day).isoformat()})"
+    )
+
+
+def _merge_blocks(blocks: list, names: list[str]) -> list[tuple]:
+    """Each country's ``(name, day ordinals, counts)`` in day order, for
+    the converted blocks of ``parse_long``.
+
+    ``names`` lists the countries by id.  Raises at the duplicate
+    (country, date) row that comes first in the file.
+    """
+    if not blocks:
+        return []
+    ids, days, counts = (np.concatenate(a) for a in zip(*blocks))
+    # the blocks are in file order and lexsort is stable, so a repeated
+    # day follows the row it repeats, and order ranks rows by file position
+    order = np.lexsort((days, ids))
+    ids = ids[order]
+    days = days[order]
+    counts = counts[order]
+    repeats = np.flatnonzero((np.diff(ids) == 0) & (np.diff(days) == 0)) + 1
+    if repeats.size:
+        i = repeats[np.argmin(order[repeats])]
+        raise _duplicate(names[ids[i]], int(days[i]))
+    bounds = np.searchsorted(ids, np.arange(len(names) + 1))
+    return [(name, days[a:b], counts[a:b])
+            for name, a, b in zip(names, bounds[:-1], bounds[1:])]
+
+
+def _replay_block(date_cells, count_cells, segments, blocks, names) -> None:
+    """Check the pending block of ``parse_long`` cell by cell, in row
+    order, and raise its first fault with its row number in the file."""
+    seen: dict[int, set[int]] = {}
+    for ids, days, _ in blocks:
+        for i, day in zip(ids.tolist(), days.tolist()):
+            seen.setdefault(i, set()).add(day)
+    ends = [offset for offset, _, _ in segments[1:]] + [len(date_cells)]
+    for (offset, country_id, first_row), end in zip(segments, ends):
+        days = seen.setdefault(country_id, set())
+        for i in range(offset, end):
+            row_no = first_row + i - offset
+            try:
+                day = date.fromisoformat(date_cells[i].strip()).toordinal()
+            except ValueError:
+                raise DataFormatError(
+                    f"row {row_no}: bad ISO date {date_cells[i]!r}"
+                ) from None
+            _parse_count(count_cells[i], row_no, "cumulative")
+            if day in days:
+                raise _duplicate(names[country_id], day)
+            days.add(day)
 
 
 def ingestion_warnings(series_list: list[CountrySeries]) -> list[dict]:
@@ -382,8 +514,14 @@ def build_panel(
         raise ValueError("window must be >= 2")
     y, start_date = to_tau(target, threshold)
     aligned = _align_peers(peers, threshold, target.name)
-    return _assemble_panel(target.name, y, start_date, aligned,
-                           max_horizon, window)
+    panel = _assemble_panel(target.name, y, start_date, aligned,
+                            max_horizon, min(window, len(y)))
+    if len(y) < window:
+        warnings.warn(
+            f"target {target.name!r} has only {len(y)} aligned observations; "
+            f"shrinking window from {window}", RuntimeWarning, stacklevel=2,
+        )
+    return panel
 
 
 def _align_peers(peers: list[CountrySeries], threshold: int,
@@ -414,6 +552,7 @@ def _assemble_panel(target_name: str, y: np.ndarray, start_date: date,
 
     ``y`` may be any prefix of the target's alignment, so a backtest
     aligns each series once and slices the target at every origin.
+    ``window`` must not exceed ``len(y)``.
     """
     tau_len = len(y)
     required = tau_len + max_horizon
@@ -440,21 +579,12 @@ def _assemble_panel(target_name: str, y: np.ndarray, start_date: date,
             f"{target_name!r} (tau_len={tau_len}, horizon={max_horizon})"
         )
     kept.sort(key=lambda item: item[0])
-
-    eff_window = window
-    if tau_len < window:
-        warnings.warn(
-            f"target {target_name!r} has only {tau_len} aligned observations; "
-            f"shrinking window from {window}", RuntimeWarning, stacklevel=3,
-        )
-        eff_window = tau_len
-
     return AlignedPanel(
         target_name=target_name,
         peer_names=[name for name, _, _ in kept],
         y=y,
         X=np.column_stack([col for _, col, _ in kept]),
-        window_weights=inflation_weights(eff_window),
+        window_weights=inflation_weights(window),
         start_date=start_date,
         peer_start_dates={name: pstart for name, _, pstart in kept},
         drop_log=drop_log,

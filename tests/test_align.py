@@ -1,13 +1,18 @@
 """Ingestion, epidemic-age alignment, and panel construction."""
 
+import csv
+import io
 import math
 import re
-from datetime import date
+import warnings
+from datetime import date, timedelta
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import make_series
+from latecast import align
 from latecast.align import (
     build_panel,
     inflation_weights,
@@ -161,6 +166,29 @@ def test_all_blank_row_is_skipped(parse, text, blank):
     np.testing.assert_array_equal(padded.counts, plain.counts)
 
 
+@pytest.mark.parametrize("text", ["", "\ufeff", "\n\n", "\ufeff , \n\n,,\n"],
+                         ids=["empty", "bom", "blank_lines", "bom_blank_rows"])
+@pytest.mark.parametrize("parse", [parse_jhu_wide, parse_long],
+                         ids=["wide", "long"])
+def test_empty_file(parse, text):
+    with pytest.raises(DataFormatError, match="^empty file$"):
+        parse(text)
+
+
+@pytest.mark.parametrize("parse,text,short_row,msg", [
+    (parse_jhu_wide, WIDE_TEXT, ",U", "row 5: expected 7 cells, found 2"),
+    (parse_long, LONG_TEXT, "A,2020-03-03", "row 6: expected 3 cells, found 2"),
+], ids=["wide", "long"])
+def test_blank_rows_before_the_header_are_skipped_and_counted(
+        parse, text, short_row, msg):
+    [plain] = parse(text)
+    [padded] = parse("\n , \n" + text)
+    assert (padded.name, padded.start) == (plain.name, plain.start)
+    np.testing.assert_array_equal(padded.counts, plain.counts)
+    with pytest.raises(DataFormatError, match=f"^{re.escape(msg)}$"):
+        parse("\n , \n" + text + short_row)
+
+
 @pytest.mark.parametrize("parse,text", [
     (parse_jhu_wide, f"{JHU_HEADER}\n,B,0,0,5,9,7\n"),
     (parse_long, "country,date,cumulative\n"
@@ -192,6 +220,195 @@ def test_parse_long_date_gap_errors():
     text = "country,date,cumulative\nA,2020-03-01,1\nA,2020-03-03,2"
     with pytest.raises(DataFormatError):
         parse_long(text)
+
+
+# single cells, each read or rejected as date.fromisoformat reads it on
+# the running Python; a strict YYYY-MM-DD row comes first, so the cell
+# shares its block of rows with a cell that numpy can read
+@pytest.mark.parametrize("cell", [
+    "20200102", "2020-W01-1", "0000-01-01", "-200-01-01", "+200-01-01",
+    "today", "NaT", "2021-02-29", " 2020-03-01 ",
+])
+def test_date_cell_parity_with_fromisoformat(cell):
+    text = f"country,date,cumulative\nA,2020-01-01,5\nB,{cell},7\n"
+    try:
+        expected = date.fromisoformat(cell.strip())
+    except ValueError:
+        msg = f"row 3: bad ISO date {cell!r}"
+        with pytest.raises(DataFormatError, match=f"^{re.escape(msg)}$"):
+            parse_long(text)
+    else:
+        _, b = parse_long(text)
+        assert (b.name, b.start, b.counts.tolist()) == ("B", expected, [7])
+
+
+def test_strict_date_cells_match_fromisoformat():
+    # every month 00-13 and day 00-32 of leap, century and edge years,
+    # one cell at a time through the numpy path
+    for year in ("0001", "0004", "1900", "2000", "2020", "2021", "9999"):
+        for month in range(14):
+            for day in range(33):
+                cell = f"{year}-{month:02d}-{day:02d}"
+                try:
+                    expected = date.fromisoformat(cell).toordinal()
+                except ValueError:
+                    with pytest.raises(ValueError):
+                        align._days([cell])
+                else:
+                    assert align._days([cell]).tolist() == [expected]
+
+
+# the values and messages of the per-cell count parser, pinned in both
+# layouts; {at} is the row and column of the cell
+COUNT_CELLS = [
+    (" 12 ", 12),
+    ("1_000", 1000),
+    ("1e3", 1000),
+    ("12.0", 12),
+    ("12.5", "non-integer count '12.5' at {at}"),
+    ("inf", "non-integer count 'inf' at {at}"),
+    ("nan", "non-integer count 'nan' at {at}"),
+    ("-0", 0),
+    ("9007199254740991", 2**53 - 1),
+    ("9007199254740992",
+     "count '9007199254740992' at {at} is out of range (2**53 or more)"),
+]
+
+
+@pytest.mark.parametrize("layout", ["wide", "long"])
+@pytest.mark.parametrize("cell,expected", COUNT_CELLS,
+                         ids=[c for c, _ in COUNT_CELLS])
+def test_count_cell_parity(layout, cell, expected):
+    if layout == "wide":
+        text = f"{JHU_HEADER}\n,A,0,0,1,2,3\n,B,0,0,0,{cell},{cell}\n"
+        parse, at = parse_jhu_wide, "row 3, column '1/23/20'"
+    else:
+        text = ("country,date,cumulative\nA,2020-01-01,1\n"
+                f"B,2020-01-01,{cell}\n")
+        parse, at = parse_long, "row 3, column 'cumulative'"
+    if isinstance(expected, str):
+        msg = expected.format(at=at)
+        with pytest.raises(DataFormatError, match=f"^{re.escape(msg)}$"):
+            parse(text)
+    else:
+        _, b = parse(text)
+        assert b.counts[-1] == expected
+
+
+# several faults in one file: the error names the first in file order
+MULTI_FAULT = {
+    "bad_count_before_short_row_in_one_run": (
+        ["A,2020-01-01,1", "A,2020-01-02,2", "A,2020-01-03,3",
+         "A,2020-01-04,x", "A,2020-01-05,5", "A,2020-01-06,6",
+         "A,2020-01-07,7", "A,2020-01-08"],
+        "non-numeric count 'x' at row 5, column 'cumulative'"),
+    "duplicate_before_bad_count": (
+        ["A,2020-01-01,1", "A,2020-01-02,2", "B,2020-01-01,1",
+         "A,2020-01-01,3", "B,2020-01-02,x"],
+        "duplicate row for ('A', 2020-01-01)"),
+    "second_run_repeats_a_date": (
+        ["A,2020-01-01,1", "A,2020-01-02,2", "B,2020-01-01,5",
+         "B,2020-01-05,6", "A,2020-01-03,3", "A,2020-01-02,9"],
+        "duplicate row for ('A', 2020-01-02)"),
+    "first_repeat_in_the_file_wins": (
+        ["A,2020-01-01,1", "B,2020-01-01,1", "B,2020-01-01,2",
+         "A,2020-01-01,2"],
+        "duplicate row for ('B', 2020-01-01)"),
+    "duplicate_before_empty_country": (
+        ["A,2020-01-01,1", "B,2020-01-01,1", "A,2020-01-01,2", " ,2020-01-02,3"],
+        "duplicate row for ('A', 2020-01-01)"),
+    "bad_date_after_blank_line": (
+        ["A,2020-01-01,1", "", "A,2020-01-02,2", "B,2020-01-01,3",
+         "B,2020-01-0x,4", "A,2020-01-03,x"],
+        "row 6: bad ISO date '2020-01-0x'"),
+    "gap_before_later_negative": (
+        ["A,2020-01-01,1", "A,2020-01-03,2", "B,2020-01-01,-1"],
+        "'A': dates must be consecutive days, found gap 2020-01-01 -> 2020-01-03"),
+    "negative_before_later_gap": (
+        ["A,2020-01-01,-1", "B,2020-01-01,1", "B,2020-01-03,2"],
+        "'A': negative count -1 on 2020-01-01"),
+}
+
+
+@pytest.mark.parametrize("block_rows", [1, 2, 4096])
+@pytest.mark.parametrize("rows,msg", MULTI_FAULT.values(), ids=MULTI_FAULT)
+def test_parse_long_names_the_first_fault(monkeypatch, block_rows, rows, msg):
+    # rows are converted in blocks; small blocks split these files
+    monkeypatch.setattr(align, "_BLOCK_ROWS", block_rows)
+    text = "\n".join(["country,date,cumulative", *rows]) + "\n"
+    with pytest.raises(DataFormatError, match=f"^{re.escape(msg)}$"):
+        parse_long(text)
+
+
+_NAMES = st.text(alphabet="ab ,\"", min_size=1, max_size=5).map(str.strip)
+
+
+@st.composite
+def _panels(draw):
+    """Counts of a few countries on shared days, as (name, counts) pairs,
+    plus the first day."""
+    names = draw(st.lists(_NAMES.filter(bool), min_size=1, max_size=4,
+                          unique=True))
+    n_days = draw(st.integers(1, 6))
+    counts = [draw(st.lists(st.integers(0, 10**6), min_size=n_days,
+                            max_size=n_days)) for _ in names]
+    start = date(2020, 1, 22) + timedelta(days=draw(st.integers(0, 400)))
+    return list(zip(names, counts)), start
+
+
+def _csv_text(rows, pad, blank_at, bom) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    for i, row in enumerate(rows):
+        if i in blank_at:
+            writer.writerow([""] * len(row))
+        writer.writerow([f" {c} " if pad else c for c in row])
+    return ("\ufeff" if bom else "") + buf.getvalue()
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(panel=_panels(), data=st.data())
+def test_both_layouts_parse_to_the_same_series(panel, data):
+    series, start = panel
+    days = [start + timedelta(days=i) for i in range(len(series[0][1]))]
+    pad = data.draw(st.booleans(), "pad")
+    bom = data.draw(st.booleans(), "bom")
+
+    wide = [["Province/State", "Country/Region", "Lat", "Long",
+             *(f"{d.month}/{d.day}/{d.year % 100}" for d in days)]]
+    for name, counts in series:
+        # a split country comes as province rows that sum to its counts
+        if data.draw(st.booleans(), f"split {name}"):
+            part = [data.draw(st.integers(0, c)) for c in counts]
+            wide.append(["North", name, "0", "0", *part])
+            wide.append(["South", name, "0", "0",
+                         *(c - p for c, p in zip(counts, part))])
+        else:
+            wide.append(["", name, "0", "0", *counts])
+    long_rows = data.draw(st.permutations(
+        [[name, d.isoformat(), c] for name, counts in series
+         for d, c in zip(days, counts)]), "long rows")
+    long = [["country", "date", "cumulative"], *long_rows]
+
+    texts = {}
+    for layout, rows in (("wide", wide), ("long", long)):
+        blank_at = data.draw(st.sets(st.integers(0, len(rows) - 1)),
+                             f"{layout} blanks")
+        texts[layout] = _csv_text(rows, pad, blank_at, bom)
+    with warnings.catch_warnings():
+        # random counts fall from day to day
+        warnings.simplefilter("ignore", RuntimeWarning)
+        from_wide = parse_jhu_wide(texts["wide"])
+        from_long = parse_long(texts["long"])
+
+    def as_dict(parsed):
+        return {s.name: (s.start, s.counts.tolist()) for s in parsed}
+
+    assert as_dict(from_wide) == as_dict(from_long) == {
+        name: (start, counts) for name, counts in series}
+    assert [s.name for s in from_wide] == [name for name, _ in series]
+    assert [s.name for s in from_long] == list(dict.fromkeys(
+        name for name, _, _ in long_rows))
 
 
 def test_to_tau_starts_at_first_crossing():
@@ -302,6 +519,19 @@ def test_build_panel_shrinks_window_with_warning():
         panel = build_panel(target, [peer], threshold=100,
                             max_horizon=14, window=21)
     assert panel.window == 10
+
+
+@pytest.mark.parametrize("fn,args", [
+    (build_panel, (_peer("T", date(2020, 3, 20), 10),
+                   [_peer("A", date(2020, 2, 1), 40)], 100, 14, 21)),
+    (parse_jhu_wide, (f"{JHU_HEADER}\n,B,0,0,5,9,7\n",)),
+    (parse_long, ("country,date,cumulative\n"
+                  "B,2020-01-22,5\nB,2020-01-23,9\nB,2020-01-24,7\n",)),
+], ids=["window_shrink", "wide_revision", "long_revision"])
+def test_warnings_point_at_the_caller(fn, args):
+    with pytest.warns(RuntimeWarning) as record:
+        fn(*args)
+    assert [w.filename for w in record] == [__file__]
 
 
 def test_build_panel_all_peers_short_errors():

@@ -1,15 +1,17 @@
 """What the benchmark harness reads of the package.
 
-``perfbench`` wraps the traced functions by name, reads
-``LassoFit.path`` and the panel's window arrays, and replays backtest
-origins through ``truncate_series`` and ``BacktestConfig``.  A change
+``perfbench`` wraps the traced functions by name, reads the parsers'
+``csv_text`` argument, ``LassoFit.path`` and the panel's window arrays,
+and replays backtest origins through ``truncate_series`` and
+``BacktestConfig``.  A change
 that renames or deletes one of these fails here rather than only when
 the benchmark runs.
 """
 
 from datetime import date
 
-from helpers import ROOT
+from helpers import FIXTURES, ROOT
+from latecast import align
 from latecast.backtest import BacktestConfig
 from perfbench import checks, workloads
 from perfbench.tracer import Tracer
@@ -30,3 +32,18 @@ def test_perfbench_reads_what_the_package_exposes():
     config = BacktestConfig(threshold=threshold, window=workloads.WINDOW,
                             horizon=workloads.HORIZON)
     assert checks.rerun_origin(target, peers, config, date(2020, 4, 10)) == "fitted"
+
+
+def test_perfbench_counts_the_rows_each_parser_reads():
+    wide, long = (
+        (FIXTURES / name).read_text(encoding="utf-8")
+        for name in ("jhu_confirmed_snapshot_20200415.csv", "synthetic_ecm_long.csv")
+    )
+    tracer = Tracer()
+    with tracer:
+        # passed by keyword, the text is read by its parameter name
+        align.parse_jhu_wide(csv_text=wide)
+        align.parse_long(csv_text=long)
+        tracer.drain()
+    assert tracer.counters["align.parse_jhu_wide.rows"] > 0
+    assert tracer.counters["align.parse_long.rows"] > 0

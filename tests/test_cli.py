@@ -263,6 +263,20 @@ def test_oversized_count_is_one_json_line(tmp_path, layout, text):
     assert "out of range" in payload["message"]
 
 
+@pytest.mark.parametrize("layout", ["jhu-wide", "long"])
+@pytest.mark.parametrize("content", [b"", b"\xef\xbb\xbf", b"\n\n"],
+                         ids=["empty", "bom", "blank_lines"])
+def test_empty_file_is_one_json_line(tmp_path, capsys, layout, content):
+    f = tmp_path / "empty.csv"
+    f.write_bytes(content)
+    rc = main(["ingest-check", "--data-path", str(f), "--data-format", layout])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert [json.loads(line) for line in captured.err.splitlines()] == [
+        {"error": "DataFormatError", "message": "empty file"}]
+
+
 def test_empty_country_is_one_json_line(tmp_path):
     f = tmp_path / "blank.csv"
     f.write_text("Province/State,Country/Region,Lat,Long,1/22/20,1/23/20\n"
