@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import io
-import re
 import warnings
 from dataclasses import dataclass, field
 from datetime import date, datetime, timedelta
@@ -30,12 +29,6 @@ JHU_FIXED_COLUMNS = ("Province/State", "Country/Region", "Lat", "Long")
 # Counts are parsed through float, which is exact for integers below
 # this bound only.
 _MAX_EXACT_COUNT = 2**53
-
-# numpy reads other date strings than date.fromisoformat does (20200102
-# as the year 20200102; 0000-01-01, today, NaT), so only cells of this
-# form, joined by commas, are read by numpy
-_ISO_DAYS = re.compile(r"(?:(?!0000)[0-9]{4}-[0-9]{2}-[0-9]{2},)*")
-_EPOCH_ORDINAL = date(1970, 1, 1).toordinal()
 
 # least number of long-layout rows converted together, so that a file
 # whose countries alternate row by row still converts in bulk
@@ -200,12 +193,6 @@ def _counts(cells: list[str]) -> np.ndarray:
 def _days(cells: list[str]) -> np.ndarray:
     """Date cells as day ordinals, read as ``date.fromisoformat`` reads
     each stripped cell; raises ``ValueError`` if it rejects any cell."""
-    joined = ",".join(cells) + ","
-    # at 11 characters per cell no cell holds a comma of its own, so each
-    # cell is one match of the pattern
-    if len(joined) == 11 * len(cells) and _ISO_DAYS.fullmatch(joined):
-        days = np.array(cells, dtype="datetime64[D]").view(np.int64)
-        return days + _EPOCH_ORDINAL
     return np.fromiter(
         (date.fromisoformat(c.strip()).toordinal() for c in cells),
         np.int64, len(cells),
