@@ -14,6 +14,7 @@ import io
 import warnings
 from dataclasses import dataclass, field
 from datetime import date, datetime, timedelta
+from typing import NoReturn
 
 import numpy as np
 
@@ -30,9 +31,9 @@ JHU_FIXED_COLUMNS = ("Province/State", "Country/Region", "Lat", "Long")
 # this bound only.
 _MAX_EXACT_COUNT = 2**53
 
-# least number of long-layout rows converted together, so that a file
-# whose countries alternate row by row still converts in bulk
-_BLOCK_ROWS = 4096
+# least number of characters that _lines reads through one io.StringIO,
+# which holds 4 bytes per character, so that none copies the whole text
+_CHUNK_CHARS = 1 << 20
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,9 +142,20 @@ def _require_consecutive(days: np.ndarray, where: str) -> None:
         )
 
 
+def _lines(text: str):
+    """The lines of ``io.StringIO(text)``, read through one ``StringIO``
+    at a time over chunks of at least ``_CHUNK_CHARS`` characters that
+    end after a newline (the last chunk may be shorter)."""
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + _CHUNK_CHARS - 1) + 1 or len(text)
+        yield from io.StringIO(text[start:end])
+        start = end
+
+
 def _csv_reader(csv_text: str):
     """CSV rows of ``csv_text``, ignoring one leading byte-order mark."""
-    return csv.reader(io.StringIO(csv_text.removeprefix("\ufeff")))
+    return csv.reader(_lines(csv_text.removeprefix("\ufeff")))
 
 
 def _blank(row: list[str]) -> bool:
@@ -260,9 +272,15 @@ def parse_long(csv_text: str) -> list[CountrySeries]:
     header cells are stripped, as in the wide layout, and every row that
     is not all blank must have as many cells as the header.  Date cells
     are read as ``datetime.date.fromisoformat`` reads them.
+
+    A file with several faults is named by its first, in file order.
+    Row faults (a wrong cell count, an empty country, a bad date or
+    count cell, a repeated country and date) come first; a gap in a
+    country's dates or a negative count is raised only for a file with
+    no row fault, for the first country in the file that has one.
     """
     reader = _csv_reader(csv_text)
-    header, first_row = _read_header(reader)
+    header, _ = _read_header(reader)
     required = {"country", "date", "cumulative"}
     if not required.issubset(header):
         missing = sorted(required - set(header))
@@ -272,128 +290,79 @@ def parse_long(csv_text: str) -> list[CountrySeries]:
     date_idx = header.index("date")
     count_idx = header.index("cumulative")
 
-    # Cells wait in a block of rows, converted once a row that starts a
-    # segment finds the block at least _BLOCK_ROWS long, into a tuple of
-    # (country id, day ordinal, count) arrays.  A segment is a run of rows
-    # with the same country cell and no blank row between them, kept as
-    # (offset in the block, country id, row number).
-    countries: dict[str, int] = {}
-    date_cells: list[str] = []
-    count_cells: list[str] = []
-    segments: list[tuple[int, int, int]] = []
-    blocks: list[tuple[np.ndarray, ...]] = []
-
-    def convert_block() -> None:
-        if not date_cells:
-            return
-        try:
-            days, counts = _days(date_cells), _counts(count_cells)
-        except ValueError:
-            # a duplicate among the converted rows comes before this block
-            _merge_blocks(blocks, list(countries))
-            _replay_block(date_cells, count_cells, segments, blocks,
-                          list(countries))
-            raise
-        offsets, ids, _ = zip(*segments)
-        lengths = np.diff(offsets, append=len(days))
-        blocks.append((np.repeat(ids, lengths), days, counts))
-        date_cells.clear()
-        count_cells.clear()
-        segments.clear()
-
-    def fail(message: str) -> DataFormatError:
-        # a fault in an earlier row is raised first
-        convert_block()
-        _merge_blocks(blocks, list(countries))
-        return DataFormatError(message)
-
+    # each country's date and count cells, in file order
+    cells: dict[str, tuple[list[str], list[str]]] = {}
     key = None
-    for row_no, row in enumerate(reader, start=first_row):
+    for row in reader:
         if len(row) == width and row[country_idx] == key:
             date_cells.append(row[date_idx])
             count_cells.append(row[count_idx])
             continue
         key = None
-        if len(date_cells) >= _BLOCK_ROWS:
-            convert_block()
-        if len(row) != width:
+        if len(row) != width or not row[country_idx].strip():
             if _blank(row):
                 continue
-            raise fail(f"row {row_no}: expected {width} cells, found {len(row)}")
-        country = row[country_idx].strip()
-        if not country:
-            if _blank(row):
-                continue
-            raise fail(f"row {row_no}: empty country")
+            _first_fault(csv_text)
         key = row[country_idx]
-        segments.append(
-            (len(date_cells), countries.setdefault(country, len(countries)), row_no)
-        )
+        date_cells, count_cells = cells.setdefault(key.strip(), ([], []))
         date_cells.append(row[date_idx])
         count_cells.append(row[count_idx])
-    convert_block()
+
+    converted = []
+    for country, (date_cells, count_cells) in cells.items():
+        try:
+            days, counts = _days(date_cells), _counts(count_cells)
+        except ValueError:
+            _first_fault(csv_text)
+        order = np.argsort(days, kind="stable")
+        days = days[order]
+        # a zero step between sorted days is a repeated date
+        if not np.diff(days).all():
+            _first_fault(csv_text)
+        converted.append((country, days, counts[order]))
 
     out = []
-    for country, days, counts in _merge_blocks(blocks, list(countries)):
+    for country, days, counts in converted:
         _require_consecutive(days, repr(country))
         out.append(CountrySeries(country, date.fromordinal(int(days[0])), counts))
     _warn_on_revisions(out)
     return out
 
 
-def _duplicate(country: str, day: int) -> DataFormatError:
-    return DataFormatError(
-        f"duplicate row for ({country!r}, {date.fromordinal(day).isoformat()})"
-    )
-
-
-def _merge_blocks(blocks: list, names: list[str]) -> list[tuple]:
-    """Each country's ``(name, day ordinals, counts)`` in day order, for
-    the converted blocks of ``parse_long``.
-
-    ``names`` lists the countries by id.  Raises at the duplicate
-    (country, date) row that comes first in the file.
-    """
-    if not blocks:
-        return []
-    ids, days, counts = (np.concatenate(a) for a in zip(*blocks))
-    # the blocks are in file order and lexsort is stable, so a repeated
-    # day follows the row it repeats, and order ranks rows by file position
-    order = np.lexsort((days, ids))
-    ids = ids[order]
-    days = days[order]
-    counts = counts[order]
-    repeats = np.flatnonzero((np.diff(ids) == 0) & (np.diff(days) == 0)) + 1
-    if repeats.size:
-        i = repeats[np.argmin(order[repeats])]
-        raise _duplicate(names[ids[i]], int(days[i]))
-    bounds = np.searchsorted(ids, np.arange(len(names) + 1))
-    return [(name, days[a:b], counts[a:b])
-            for name, a, b in zip(names, bounds[:-1], bounds[1:])]
-
-
-def _replay_block(date_cells, count_cells, segments, blocks, names) -> None:
-    """Check the pending block of ``parse_long`` cell by cell, in row
-    order, and raise its first fault with its row number in the file."""
-    seen: dict[int, set[int]] = {}
-    for ids, days, _ in blocks:
-        for i, day in zip(ids.tolist(), days.tolist()):
-            seen.setdefault(i, set()).add(day)
-    ends = [offset for offset, _, _ in segments[1:]] + [len(date_cells)]
-    for (offset, country_id, first_row), end in zip(segments, ends):
-        days = seen.setdefault(country_id, set())
-        for i in range(offset, end):
-            row_no = first_row + i - offset
-            try:
-                day = date.fromisoformat(date_cells[i].strip()).toordinal()
-            except ValueError:
-                raise DataFormatError(
-                    f"row {row_no}: bad ISO date {date_cells[i]!r}"
-                ) from None
-            _parse_count(count_cells[i], row_no, "cumulative")
-            if day in days:
-                raise _duplicate(names[country_id], day)
-            days.add(day)
+def _first_fault(csv_text: str) -> NoReturn:
+    """Re-read the long-layout ``csv_text`` row by row and raise its first
+    row fault, for a file in which ``parse_long`` found one."""
+    reader = _csv_reader(csv_text)
+    header, first_row = _read_header(reader)
+    width = len(header)
+    country_idx = header.index("country")
+    date_idx = header.index("date")
+    count_idx = header.index("cumulative")
+    seen: dict[str, set[date]] = {}
+    for row_no, row in enumerate(reader, start=first_row):
+        if _blank(row):
+            continue
+        if len(row) != width:
+            raise DataFormatError(
+                f"row {row_no}: expected {width} cells, found {len(row)}"
+            )
+        country = row[country_idx].strip()
+        if not country:
+            raise DataFormatError(f"row {row_no}: empty country")
+        try:
+            day = date.fromisoformat(row[date_idx].strip())
+        except ValueError:
+            raise DataFormatError(
+                f"row {row_no}: bad ISO date {row[date_idx]!r}"
+            ) from None
+        _parse_count(row[count_idx], row_no, "cumulative")
+        days = seen.setdefault(country, set())
+        if day in days:
+            raise DataFormatError(
+                f"duplicate row for ({country!r}, {day.isoformat()})"
+            )
+        days.add(day)
+    raise RuntimeError("internal error: no row fault found to raise")
 
 
 def ingestion_warnings(series_list: list[CountrySeries]) -> list[dict]:

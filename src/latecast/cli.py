@@ -365,10 +365,10 @@ def cmd_report(args: argparse.Namespace) -> int:
                     name, r["date"], "", round(r["total"]), round(r["new"]),
                     f"{r['growth_rate_pct']:.2f}",
                 ])
-            pct = round(section["confidence"] * 100)
+            pct = section["confidence"] * 100
             writer.writerow([
                 name,
-                f"CI({pct}%) on {section['ci_on']}",
+                f"CI({pct:.12g}%) on {section['ci_on']}",
                 "",
                 f"{round(section['ci_below']):+d} / "
                 f"{round(section['ci_above']):+d}",

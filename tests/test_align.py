@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import make_series
+from helpers import FIXTURES, make_series
 from latecast import align
 from latecast.align import (
     build_panel,
@@ -24,6 +24,7 @@ from latecast.align import (
     truncate_series,
 )
 from latecast.errors import DataFormatError, NotLatecomerError
+from perfbench.panelgen import generate_panel
 
 JHU_HEADER = "Province/State,Country/Region,Lat,Long,1/22/20,1/23/20,1/24/20"
 
@@ -223,8 +224,8 @@ def test_parse_long_date_gap_errors():
 
 
 # single cells, each read or rejected as date.fromisoformat reads it on
-# the running Python; a good row comes first, so a rejected cell shares
-# its block of rows with a good one and is still named by its own row
+# the running Python; a good row of another country comes first, so a
+# rejected cell is still named by its own row
 @pytest.mark.parametrize("cell", [
     "20200102", "2020-W01-1", "0000-01-01", "-200-01-01", "+200-01-01",
     "today", "NaT", "2021-02-29", " 2020-03-01 ",
@@ -311,17 +312,83 @@ MULTI_FAULT = {
     "negative_before_later_gap": (
         ["A,2020-01-01,-1", "B,2020-01-01,1", "B,2020-01-03,2"],
         "'A': negative count -1 on 2020-01-01"),
+    "short_row_after_a_gap": (
+        ["A,2020-01-01,1", "A,2020-01-03,2", "B,2020-01-01"],
+        "row 4: expected 3 cells, found 2"),
+    "duplicate_after_a_gap": (
+        ["A,2020-01-01,1", "A,2020-01-03,2", "B,2020-01-01,1",
+         "B,2020-01-01,2"],
+        "duplicate row for ('B', 2020-01-01)"),
+    "duplicate_after_a_negative": (
+        ["A,2020-01-01,-1", "B,2020-01-01,1", "B,2020-01-01,2"],
+        "duplicate row for ('B', 2020-01-01)"),
+    "bad_count_under_a_quoted_newline": (
+        ['"A\nB",2020-01-01,1', '"A\nB",2020-01-02,x'],
+        "non-numeric count 'x' at row 3, column 'cumulative'"),
 }
 
+DEFAULT_CHUNK_CHARS = align._CHUNK_CHARS
 
-@pytest.mark.parametrize("block_rows", [1, 2, 4096])
+
+@pytest.mark.parametrize("chunk_chars", [1, 7, DEFAULT_CHUNK_CHARS])
 @pytest.mark.parametrize("rows,msg", MULTI_FAULT.values(), ids=MULTI_FAULT)
-def test_parse_long_names_the_first_fault(monkeypatch, block_rows, rows, msg):
-    # rows are converted in blocks; small blocks split these files
-    monkeypatch.setattr(align, "_BLOCK_ROWS", block_rows)
+def test_parse_long_names_the_first_fault(monkeypatch, chunk_chars, rows, msg):
+    # small chunks cut these files, and quoted cells, between StringIOs
+    monkeypatch.setattr(align, "_CHUNK_CHARS", chunk_chars)
     text = "\n".join(["country,date,cumulative", *rows]) + "\n"
     with pytest.raises(DataFormatError, match=f"^{re.escape(msg)}$"):
         parse_long(text)
+
+
+# CRLF ends, a byte-order mark, no final newline, and a quoted country
+# cell whose newline ends a chunk at sizes 1 and 7
+LINES_TEXTS = {
+    "long": '\ufeffcountry,date,cumulative\r\n"Saint\nKitts",2020-01-01,1\r\n'
+            '"Saint\nKitts",2020-01-02,2\r\nZ,2020-01-01,3',
+    "wide": '\ufeffProvince/State,Country/Region,Lat,Long,1/22/20,1/23/20\r\n'
+            ',"Saint\nKitts",0,0,1,2\r\n,Z,0,0,3,4',
+}
+
+
+@pytest.mark.parametrize("chunk_chars", [1, 7, DEFAULT_CHUNK_CHARS])
+@pytest.mark.parametrize("layout", ["long", "wide"])
+def test_lines_match_one_stringio(monkeypatch, layout, chunk_chars):
+    text = LINES_TEXTS[layout]
+    parse = parse_long if layout == "long" else parse_jhu_wide
+    expected = [(s.name, s.start, s.counts.tolist()) for s in parse(text)]
+    monkeypatch.setattr(align, "_CHUNK_CHARS", chunk_chars)
+    assert list(align._lines(text)) == list(io.StringIO(text))
+    assert [(s.name, s.start, s.counts.tolist())
+            for s in parse(text)] == expected
+    assert expected[0][0] == "Saint\nKitts"
+
+
+def _date_major(long_text: str) -> str:
+    """The rows of a long-layout text sorted by date, so that countries
+    alternate row by row."""
+    header, *rows = long_text.splitlines(keepends=True)
+    return header + "".join(sorted(rows, key=lambda r: r.rsplit(",", 2)[1]))
+
+
+def test_valid_files_never_take_the_re_read(monkeypatch):
+    # the re-read raises even for a file that has no fault to name
+    with pytest.raises(RuntimeError, match="internal error"):
+        align._first_fault(LONG_TEXT)
+
+    def re_read(csv_text):
+        raise AssertionError("a valid file was re-read")
+
+    monkeypatch.setattr(align, "_first_fault", re_read)
+    long_fixtures = sorted(FIXTURES.glob("*_long.csv"))
+    assert long_fixtures
+    for path in long_fixtures:
+        assert parse_long(path.read_text(encoding="utf-8"))
+    panel = generate_panel(FIXTURES, seed=1, n_countries=12, n_days=120)
+    parsed = parse_long(_date_major(panel.long_text))
+    assert [s.name for s in parsed] == panel.names
+    for s in parsed:
+        assert s.start == panel.dates[0]
+        np.testing.assert_array_equal(s.counts, panel.counts[s.name])
 
 
 _NAMES = st.text(alphabet="ab ,\"", min_size=1, max_size=5).map(str.strip)

@@ -391,6 +391,19 @@ def test_report_combines_cases_and_deaths(tmp_path):
     assert any("CI(95%) on 2020-04-20" in l for l in lines)
 
 
+@pytest.mark.parametrize("confidence,label", [("0.999", "CI(99.9%)"),
+                                              ("0.975", "CI(97.5%)")])
+def test_report_ci_label_is_the_exact_level(tmp_path, confidence, label):
+    out = tmp_path / "report.csv"
+    rc = main(["report", "--data-path", str(_jhu_dir(tmp_path)),
+               "--target", "Brazil", "--seed", "3", "--h", "5",
+               "--confidence", confidence, "--output", str(out)])
+    assert rc == 0
+    ci_rows = [l for l in out.read_text().splitlines() if ",CI(" in l]
+    assert [l.split(",")[1] for l in ci_rows] == [
+        f"{label} on 2020-04-20"] * 2
+
+
 def test_report_json_sections(tmp_path):
     out = tmp_path / "report.json"
     rc = main(["report", "--data-path", str(_jhu_dir(tmp_path)),
