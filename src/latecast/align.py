@@ -142,11 +142,10 @@ def _require_consecutive(days: np.ndarray, where: str) -> None:
         )
 
 
-def _lines(text: str):
-    """The lines of ``io.StringIO(text)``, read through one ``StringIO``
-    at a time over chunks of at least ``_CHUNK_CHARS`` characters that
-    end after a newline (the last chunk may be shorter)."""
-    start = 0
+def _lines(text: str, start: int = 0):
+    """The lines of ``io.StringIO(text[start:])``, read through one
+    ``StringIO`` at a time over chunks of at least ``_CHUNK_CHARS``
+    characters that end after a newline (the last chunk may be shorter)."""
     while start < len(text):
         end = text.find("\n", start + _CHUNK_CHARS - 1) + 1 or len(text)
         yield from io.StringIO(text[start:end])
@@ -155,7 +154,8 @@ def _lines(text: str):
 
 def _csv_reader(csv_text: str):
     """CSV rows of ``csv_text``, ignoring one leading byte-order mark."""
-    return csv.reader(_lines(csv_text.removeprefix("\ufeff")))
+    # start past the mark rather than strip it, which copies the text
+    return csv.reader(_lines(csv_text, int(csv_text.startswith("\ufeff"))))
 
 
 def _blank(row: list[str]) -> bool:

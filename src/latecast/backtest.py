@@ -54,7 +54,9 @@ class BacktestReport:
     ``observed`` holds realized levels for every target date that has
     one.  Origins whose fit failed are in ``skipped`` with the reason;
     peer values that were calendar-future at their origin are in
-    ``flags``.  Percentages are in percent units (6.8 means 6.8%).
+    ``flags``.  Each fitted origin has one ``origin_details`` entry: its
+    selected peers, the fallback flag, gamma, alpha, and the ``knots``
+    of its lasso path.  Percentages are in percent units (6.8 means 6.8%).
     """
 
     origins: list[date]
@@ -186,6 +188,7 @@ def run_backtest(target: CountrySeries, peers: list[CountrySeries],
             "fallback": bool(fit.fallback),
             "gamma": float(fit.gamma),
             "alpha": float(fit.alpha),
+            "knots": lasso.knots,
         })
 
     if not matrix:

@@ -49,6 +49,8 @@ class LassoFit:
     """Selected long-run fit: coefficients, support, and the search path.
 
     ``knots`` counts the homotopy's active-set changes along the grid.
+    The path is held as three arrays over the penalty grid: ``lambdas``,
+    the coefficient rows ``betas`` and their ``bics``.
     """
 
     beta: np.ndarray
@@ -56,7 +58,15 @@ class LassoFit:
     lambda_: float
     bic: float
     knots: int = 0
-    path: list[tuple[float, np.ndarray, float]] = field(repr=False, default_factory=list)
+    lambdas: np.ndarray = field(repr=False, default_factory=lambda: np.zeros(0))
+    betas: np.ndarray = field(repr=False, default_factory=lambda: np.zeros((0, 0)))
+    bics: np.ndarray = field(repr=False, default_factory=lambda: np.zeros(0))
+
+    @property
+    def path(self) -> list[tuple[float, np.ndarray, float]]:
+        """The grid as ``(lambda, beta, bic)`` tuples, largest penalty first."""
+        return [(float(lam), beta, float(b))
+                for lam, beta, b in zip(self.lambdas, self.betas, self.bics)]
 
     def to_json(self, peer_names: list[str] | None = None) -> dict:
         names = (
@@ -119,53 +129,86 @@ def _homotopy(prep: _Prepared, lams) -> tuple[np.ndarray, int]:
     share the current support, so one multi-right-hand-side solve of
     A_SS gives them all, in ascending column order.
 
-    Two rules keep the path finite on degenerate designs: a column in
-    the span of the active set never enters (its correlation is tied to
-    theirs), and a column that just left may not re-enter with its old
-    sign on the very next step, where that event would have zero length.
+    Two rules keep the path finite on degenerate designs.  First, a
+    column in the span of the active set never enters (its correlation
+    is tied to theirs), so A_SS stays nonsingular.  Only the column that
+    would join next is checked: a Gram-Schmidt step against an
+    orthonormal basis of the weighted active columns, done twice for
+    accuracy, leaves its residual, and if that keeps less than
+    ``_SPAN_TOL`` of the column's squared norm the column is passed over
+    and the next earliest one is checked.  The basis is kept in step
+    with the active set: a joining column appends its normalized
+    residual, and when a column leaves, one QR of the remaining columns
+    rebuilds it.  With K active columns the basis spans every column, so
+    none can join.  Second, a column that just left may not re-enter
+    with its old sign on the very next step, where that event would
+    have zero length.
     """
     A = prep.G / prep.K
     b = prep.c / prep.K
     Xw = prep.Xs * np.sqrt(prep.w)[:, None]
     norm2 = np.einsum("tj,tj->j", Xw, Xw)
     mus = np.asarray(lams, dtype=float) / 2.0
-    betas = np.zeros((len(mus), prep.p))
-    beta = np.zeros(prep.p)
-    sign = np.zeros(prep.p)  # +-1 on the active set, 0 elsewhere
+    K, p = prep.K, prep.p
+    betas = np.zeros((len(mus), p))
+    beta = np.zeros(p)
+    sign = np.zeros(p)  # +-1 on the active set, 0 elsewhere
+    free = prep.active.copy()  # columns that may join
+    basis = np.empty((K, K))  # rows [:S.size]: orthonormal, spanning Xw[:, S]
+    # row j of the join times holds the steps at which rho_j reaches +mu,
+    # (mu - rho_j) / (1 - a_j), and -mu, (mu + rho_j) / (1 + a_j): flat
+    # index 2j joins column j with sign +1 and 2j + 1 with sign -1
+    flip = np.array([-1.0, 1.0])
     mu = float(np.max(np.abs(b[prep.active]), initial=0.0))
     i = knots = 0
-    blocked, blocked_sign = -1, 0.0
+    blocked = -1  # flat join-time index of the zero-length re-entry
+    S = np.flatnonzero(sign)
     while True:
-        S = np.flatnonzero(sign)
-        free = prep.active & (sign == 0.0)
-        A_SS = A[np.ix_(S, S)]
+        A_S = A[:, S]
+        A_SS = A_S[S]
+        beta_S = beta[S]
+        sign_S = sign[S]
+        t_out = t_in = math.inf
         if S.size:
-            v = np.linalg.lstsq(A_SS, sign[S], rcond=None)[0]
-            Q, _ = np.linalg.qr(Xw[:, S])
-            R = Xw - Q @ (Q.T @ Xw)
-            free &= np.einsum("tj,tj->j", R, R) > _SPAN_TOL * norm2
+            v = np.linalg.lstsq(A_SS, sign_S, rcond=None)[0]
+            to_zero = np.divide(-beta_S, v, out=np.full(S.size, np.inf), where=v != 0.0)
+            to_zero[to_zero <= 0.0] = np.inf
+            k_out = int(np.argmin(to_zero))
+            t_out = to_zero[k_out]
         else:
             v = np.zeros(0)
-        rho = b - A[:, S] @ beta[S]
-        a = A[:, S] @ v
-        with np.errstate(divide="ignore", invalid="ignore"):
-            up = np.where(1.0 - a > 0.0, np.maximum(mu - rho, 0.0) / (1.0 - a), np.inf)
-            down = np.where(1.0 + a > 0.0, np.maximum(mu + rho, 0.0) / (1.0 + a), np.inf)
-            to_zero = -beta[S] / v
-        if blocked >= 0:
-            (up if blocked_sign > 0 else down)[blocked] = np.inf
-        join = np.where(free, np.minimum(up, down), np.inf)
-        drop = np.full(prep.p, np.inf)
-        drop[S] = np.where(to_zero > 0.0, to_zero, np.inf)
-        j_in, j_out = int(np.argmin(join)), int(np.argmin(drop))
-        step = min(join[j_in], drop[j_out])
+        if S.size < K:
+            rho = (b - A_S @ beta_S)[:, None]
+            a = (A_S @ v)[:, None]
+            rate = 1.0 + a * flip
+            times = np.divide(np.maximum(mu + rho * flip, 0.0), rate,
+                              out=np.full((p, 2), np.inf),
+                              where=(rate > 0.0) & free[:, None])
+            flat = times.reshape(-1)
+            if blocked >= 0:
+                flat[blocked] = np.inf
+            Q = basis[:S.size]
+            while True:
+                f = int(np.argmin(flat))
+                t_in = flat[f]
+                if not t_in < t_out:
+                    break
+                x = Xw[:, f >> 1]
+                resid = x - (Q @ x) @ Q
+                resid -= (Q @ resid) @ Q
+                rr = resid @ resid
+                if rr > _SPAN_TOL * norm2[f >> 1]:
+                    break
+                times[f >> 1] = np.inf
+        joins = t_in < t_out
+        step = t_in if joins else t_out
 
         n = i
         while n < len(mus) and mu - mus[n] <= step:
             n += 1
         if S.size and n > i:
             # column k is the right-hand side at mus[i + k]
-            rhs = b[S][:, None] - sign[S][:, None] * mus[i:n]
+            rhs = b[S][:, None] - sign_S[:, None] * mus[i:n]
             betas[i:n, S] = np.linalg.lstsq(A_SS, rhs, rcond=None)[0].T
         i = n
         if i == len(mus):
@@ -174,13 +217,21 @@ def _homotopy(prep: _Prepared, lams) -> tuple[np.ndarray, int]:
         beta[S] += step * v
         mu -= step
         knots += 1
-        if drop[j_out] <= join[j_in]:
-            blocked, blocked_sign = j_out, sign[j_out]
-            beta[j_out] = 0.0
-            sign[j_out] = 0.0
-        else:
+        if joins:
             blocked = -1
-            sign[j_in] = 1.0 if up[j_in] <= down[j_in] else -1.0
+            j = f >> 1
+            sign[j] = -1.0 if f & 1 else 1.0
+            free[j] = False
+            basis[S.size] = resid / math.sqrt(rr)
+            S = np.flatnonzero(sign)
+        else:
+            j = int(S[k_out])
+            blocked = 2 * j + int(sign[j] < 0.0)
+            beta[j] = sign[j] = 0.0
+            free[j] = True
+            S = np.flatnonzero(sign)
+            if S.size:
+                basis[:S.size] = np.linalg.qr(Xw[:, S])[0].T
 
 
 def _grid(prep: _Prepared) -> np.ndarray:
@@ -232,19 +283,20 @@ def select_by_bic(y, X, weights) -> LassoFit:
     betas_s, knots = _homotopy(prep, lams)
     betas = prep.to_original(betas_s)
     bics = bic(y, X, weights, betas)
-    path = [(float(lam), beta, float(b)) for lam, beta, b in zip(lams, betas, bics)]
 
     # argmin returns the first of tied entries: the path runs from large
     # penalties to small, so that is the sparser model
     k = int(np.argmin(bics))
-    lam, beta, best_bic = path[k]
+    beta = betas[k]
     return LassoFit(
         beta=beta,
         support=tuple(int(j) for j in np.flatnonzero(beta)),
-        lambda_=lam,
-        bic=best_bic,
+        lambda_=float(lams[k]),
+        bic=float(bics[k]),
         knots=knots,
-        path=path,
+        lambdas=lams,
+        betas=betas,
+        bics=bics,
     )
 
 

@@ -4,6 +4,7 @@ import csv
 import io
 import math
 import re
+import tracemalloc
 import warnings
 from datetime import date, timedelta
 
@@ -340,6 +341,41 @@ def test_parse_long_names_the_first_fault(monkeypatch, chunk_chars, rows, msg):
         parse_long(text)
 
 
+@pytest.mark.parametrize("parse,layout", [
+    (parse_jhu_wide, "wide"), (parse_long, "long"),
+], ids=["wide", "long"])
+def test_byte_order_mark_costs_no_copy_of_the_text(monkeypatch, parse, layout):
+    # chunks far shorter than the text, so that a whole-text copy stands
+    # out against the one chunk the reader holds at a time
+    monkeypatch.setattr(align, "_CHUNK_CHARS", 1 << 12)
+    days = [date(2020, 1, 22) + timedelta(days=i) for i in range(400)]
+    names = [f"C{k}" for k in range(40)]
+    if layout == "wide":
+        rows = ["Province/State,Country/Region,Lat,Long,"
+                + ",".join(f"{d.month}/{d.day}/{d.year % 100}" for d in days)]
+        rows += [f",{n},0,0," + ",".join(str(1000 + i) for i in range(len(days)))
+                 for n in names]
+    else:
+        rows = ["country,date,cumulative"]
+        rows += [f"{n},{d.isoformat()},{1000 + i}"
+                 for n in names for i, d in enumerate(days)]
+    plain = "\n".join(rows) + "\n"
+    marked = "\ufeff" + plain
+    peaks = []
+    for text in (plain, marked):
+        tracemalloc.start()
+        try:
+            # the parse's own peak comes after the reader is done, so the
+            # reader is measured alone
+            for _ in align._csv_reader(text):
+                pass
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < len(plain) / 8
+    assert ([(s.name, s.start, s.counts.tolist()) for s in parse(marked)]
+            == [(s.name, s.start, s.counts.tolist()) for s in parse(plain)])
+
 # CRLF ends, a byte-order mark, no final newline, and a quoted country
 # cell whose newline ends a chunk at sizes 1 and 7
 LINES_TEXTS = {
@@ -358,6 +394,7 @@ def test_lines_match_one_stringio(monkeypatch, layout, chunk_chars):
     expected = [(s.name, s.start, s.counts.tolist()) for s in parse(text)]
     monkeypatch.setattr(align, "_CHUNK_CHARS", chunk_chars)
     assert list(align._lines(text)) == list(io.StringIO(text))
+    assert list(align._lines(text, 1)) == list(io.StringIO(text[1:]))
     assert [(s.name, s.start, s.counts.tolist())
             for s in parse(text)] == expected
     assert expected[0][0] == "Saint\nKitts"

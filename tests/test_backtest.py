@@ -344,3 +344,6 @@ def test_json_report_is_stable_and_complete():
     assert tail is None or isinstance(tail, float)
     assert set(data["matrix"]) == {o.isoformat() for o in report.origins}
     assert data["origin_details"][0]["selected"]
+    # each origin's lasso path crosses at least one knot
+    knots = [d["knots"] for d in data["origin_details"]]
+    assert all(type(k) is int and k >= 1 for k in knots)

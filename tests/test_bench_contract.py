@@ -10,6 +10,8 @@ the benchmark runs.
 
 from datetime import date
 
+import numpy as np
+
 from helpers import FIXTURES, ROOT
 from latecast import align
 from latecast.backtest import BacktestConfig
@@ -32,6 +34,22 @@ def test_perfbench_reads_what_the_package_exposes():
     config = BacktestConfig(threshold=threshold, window=workloads.WINDOW,
                             horizon=workloads.HORIZON)
     assert checks.rerun_origin(target, peers, config, date(2020, 4, 10)) == "fitted"
+
+
+def test_lasso_path_tuples_equal_the_path_arrays():
+    # the tracer iterates LassoFit.path as (lambda, beta, bic) tuples
+    series = workloads.load_snapshots(ROOT)
+    _, threshold = workloads.SNAPSHOTS["cases"]
+    target, peers = workloads.split(series["cases"], "Brazil")
+    _, fit, _ = workloads.fit_pipeline(target, peers, threshold)
+    path = fit.path
+    assert len(path) == 100
+    rows = zip(path, fit.lambdas, fit.betas, fit.bics, strict=True)
+    for (lam, beta, bic), lam_row, beta_row, bic_row in rows:
+        assert type(lam) is float and type(bic) is float
+        assert isinstance(beta, np.ndarray)
+        assert lam == lam_row and bic == bic_row
+        assert np.array_equal(beta, beta_row)
 
 
 def test_perfbench_counts_the_rows_each_parser_reads():

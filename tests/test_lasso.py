@@ -186,6 +186,49 @@ def test_lstsq_calls_bounded_by_knots(K, p, monkeypatch):
     assert fit.to_json()["knots"] == fit.knots
 
 
+def test_full_rank_path_never_takes_a_twin():
+    # p > K: the active set reaches rank K, after which no column can
+    # join, and the first column to enter has an exact and a scaled twin,
+    # which lie in the span of the active set once it is in
+    for seed in (0, 1, 3):
+        rng = np.random.default_rng(seed)
+        K, p = 8, 20
+        X = rng.normal(size=(K, p))
+        X[:, p - 1] = X[:, 0]
+        X[:, p - 2] = -2.5 * X[:, 0]
+        y = 3.0 * X[:, 0] + X[:, 1:6] @ rng.normal(size=5) + 0.1 * rng.normal(size=K)
+        w = rng.uniform(0.5, 4.0, K)
+        fit = select_by_bic(y, X, w)
+        twins = {0, p - 2, p - 1}
+        supports = [set(np.flatnonzero(b).tolist()) for b in fit.betas]
+        assert next(s for s in supports if s) <= twins
+        assert max(len(s) for s in supports) == K
+        for (lam, b, _), s in zip(fit.path, supports):
+            assert len(s & twins) <= 1
+            assert kkt_violation(y, X, w, b, lam) <= 1e-6
+
+
+def test_path_that_only_adds_columns_runs_no_qr(monkeypatch):
+    # on X'WX = K*I no coefficient returns to zero, so the span basis
+    # only grows and is never refactored
+    rng = np.random.default_rng(31015)
+    n, p = 21, 6
+    w = rng.uniform(0.5, 4.0, n)
+    X = orthonormal_design(rng, n, p, w)
+    y = X @ rng.uniform(0.5, 2.0, p) + 0.1 * rng.normal(size=n)
+    calls = []
+    qr = np.linalg.qr
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return qr(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", counting)
+    fit = select_by_bic(y, X, w)
+    assert fit.knots == p
+    assert calls == []
+
+
 def test_bic_ties_prefer_larger_penalty():
     # y is weighted-orthogonal to the only column: every path entry is
     # the zero vector with the same BIC, and the first (largest) penalty wins
