@@ -202,13 +202,16 @@ def _counts(cells: list[str]) -> np.ndarray:
     return v.astype(np.int64)
 
 
-def _days(cells: list[str]) -> np.ndarray:
+def _days(cells: list[str], memo: dict[str, int]) -> np.ndarray:
     """Date cells as day ordinals, read as ``date.fromisoformat`` reads
-    each stripped cell; raises ``ValueError`` if it rejects any cell."""
-    return np.fromiter(
-        (date.fromisoformat(c.strip()).toordinal() for c in cells),
-        np.int64, len(cells),
-    )
+    each stripped cell; raises ``ValueError`` if it rejects any cell.
+
+    ``memo`` maps each cell already read to its ordinal and gains the
+    cells read here, so a cell shared by many countries is read once."""
+    for c in cells:
+        if c not in memo:
+            memo[c] = date.fromisoformat(c.strip()).toordinal()
+    return np.fromiter(map(memo.__getitem__, cells), np.int64, len(cells))
 
 
 def parse_jhu_wide(csv_text: str) -> list[CountrySeries]:
@@ -309,9 +312,10 @@ def parse_long(csv_text: str) -> list[CountrySeries]:
         count_cells.append(row[count_idx])
 
     converted = []
+    ordinals: dict[str, int] = {}
     for country, (date_cells, count_cells) in cells.items():
         try:
-            days, counts = _days(date_cells), _counts(count_cells)
+            days, counts = _days(date_cells, ordinals), _counts(count_cells)
         except ValueError:
             _first_fault(csv_text)
         order = np.argsort(days, kind="stable")

@@ -317,6 +317,26 @@ def forecast_levels(fit: EcmFit, y_hat) -> np.ndarray:
     return levels
 
 
+def _sorted_quantiles(rows: np.ndarray, qs) -> list[np.ndarray]:
+    """``np.quantile(rows, qs, axis=1)`` of ``rows`` already sorted along
+    axis 1, by numpy's linear rule: the same neighbours, weights and
+    arithmetic, so the result is bit-identical, NaN rows included."""
+    n = rows.shape[1]
+    out = []
+    for q in qs:
+        v = (n - 1) * q
+        # at or past the last index numpy takes the last value twice and
+        # weighs it by v - (-1), which keeps the sign of -0.0 at n == 1
+        lo, hi = (math.floor(v), math.floor(v) + 1) if v < n - 1 else (-1, -1)
+        a, b, t = rows[:, lo], rows[:, hi], v - lo
+        out.append(a + (b - a) * t if t < 0.5 else b - (b - a) * (1.0 - t))
+    # NaN sorts last; numpy then returns that last value
+    nan_rows = np.isnan(rows[:, -1])
+    for edge in out:
+        np.copyto(edge, rows[:, -1], where=nan_rows)
+    return out
+
+
 def simulate_bands(fit: EcmFit, panel: AlignedPanel, H: int,
                    n_sims: int = DEFAULT_N_SIMS, seed: int = 0,
                    confidence: float = DEFAULT_CONFIDENCE) -> ForecastPath:
@@ -324,12 +344,16 @@ def simulate_bands(fit: EcmFit, panel: AlignedPanel, H: int,
 
     Each of the ``n_sims`` paths is one draw of the point recursion with
     iid N(0, sigma2) shocks added: the shock deviations share its
-    (1 + gamma) propagation.  Bands are per-horizon empirical quantiles
-    of the simulated level paths at (1-c)/2 and 1-(1-c)/2; the bias
-    correction is applied inside every path so point and band share the
-    same treatment.  Daily-new and growth-rate columns are computed per
-    path against the previous day's level (anchored at the last observed
-    level) and quantiled the same way.
+    (1 + gamma) propagation.  The bias correction is applied inside
+    every path so point and band share the same treatment.  Daily-new
+    and growth-rate columns are computed per path against the previous
+    day's level (anchored at the last observed level).
+
+    Bands are per-horizon empirical quantiles at (1-c)/2 and 1-(1-c)/2,
+    plus the level median.  The paths are held one row per horizon, each
+    row is sorted once, and every edge is read from the sorted row by
+    numpy's ``linear`` rule, so the bands equal ``np.quantile`` of the
+    paths bit for bit.
     """
     if not 0.0 < confidence < 1.0:
         raise ValueError("confidence must be in (0, 1)")
@@ -343,18 +367,24 @@ def simulate_bands(fit: EcmFit, panel: AlignedPanel, H: int,
             RuntimeWarning, stacklevel=2,
         )
     rng = np.random.default_rng(seed)
-    log_paths = rng.normal(0.0, math.sqrt(max(fit.sigma2, 0.0)), size=(n_sims, H))
+    # drawn (n_sims, H), which fixes the path each seed gives; held one
+    # row per horizon, so each recursion step and each sort runs on
+    # contiguous memory
+    sd = math.sqrt(max(fit.sigma2, 0.0))
+    log_paths = rng.normal(0.0, sd, size=(n_sims, H)).T.copy()
     for h in range(1, H):
-        log_paths[:, h] += (1.0 + fit.gamma) * log_paths[:, h - 1]
-    log_paths += y_hat
+        log_paths[h] += (1.0 + fit.gamma) * log_paths[h - 1]
+    log_paths += y_hat[:, None]
     level_paths = forecast_levels(fit, log_paths)
 
     anchor = float(np.exp(panel.y[panel.tau_len - 1]))
-    prev_paths = np.concatenate(
-        [np.full((n_sims, 1), anchor), level_paths[:, :-1]], axis=1
-    )
-    new_paths = level_paths - prev_paths
-    rate_paths = level_paths / prev_paths - 1.0
+    new_paths = np.empty_like(level_paths)
+    rate_paths = np.empty_like(level_paths)
+    new_paths[0] = level_paths[0] - anchor
+    rate_paths[0] = level_paths[0] / anchor - 1.0
+    np.subtract(level_paths[1:], level_paths[:-1], out=new_paths[1:])
+    np.divide(level_paths[1:], level_paths[:-1], out=rate_paths[1:])
+    rate_paths[1:] -= 1.0
 
     prev_point = np.concatenate([[anchor], level_hat[:-1]])
     new_hat = level_hat - prev_point
@@ -362,11 +392,11 @@ def simulate_bands(fit: EcmFit, panel: AlignedPanel, H: int,
 
     lo_q = (1.0 - confidence) / 2.0
     hi_q = 1.0 - lo_q
-    lower, level_median, upper = np.quantile(
-        level_paths, [lo_q, 0.5, hi_q], axis=0
-    )
-    new_lower, new_upper = np.quantile(new_paths, [lo_q, hi_q], axis=0)
-    rate_lower, rate_upper = np.quantile(rate_paths, [lo_q, hi_q], axis=0)
+    for paths in (level_paths, new_paths, rate_paths):
+        paths.sort(axis=1)
+    lower, level_median, upper = _sorted_quantiles(level_paths, (lo_q, 0.5, hi_q))
+    new_lower, new_upper = _sorted_quantiles(new_paths, (lo_q, hi_q))
+    rate_lower, rate_upper = _sorted_quantiles(rate_paths, (lo_q, hi_q))
 
     return ForecastPath(
         horizons=np.arange(1, H + 1),

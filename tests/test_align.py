@@ -244,6 +244,32 @@ def test_date_cell_parity_with_fromisoformat(cell):
         assert (b.name, b.start, b.counts.tolist()) == ("B", expected, [7])
 
 
+def test_date_cells_shared_across_countries_are_read_once(monkeypatch):
+    # one memo serves the whole parse: a cell is read on its first
+    # sighting in any country, bare and padded copies of a date are two
+    # cells, and a bad cell after good ones is named by its own row
+    reads = []
+
+    class CountingDate(date):
+        @classmethod
+        def fromisoformat(cls, cell):
+            reads.append(cell)
+            return date.fromisoformat(cell)
+
+    monkeypatch.setattr(align, "date", CountingDate)
+    text = ("country,date,cumulative\n"
+            "A,2020-01-01,1\nA,2020-01-02,2\n"
+            "B, 2020-01-01 ,3\nB,2020-01-02,4\nB,2020-01-03 ,5\n")
+    a, b = parse_long(text)
+    assert (a.name, a.start, a.counts.tolist()) == ("A", date(2020, 1, 1), [1, 2])
+    assert (b.name, b.start, b.counts.tolist()) == ("B", date(2020, 1, 1), [3, 4, 5])
+    assert sorted(reads) == ["2020-01-01", "2020-01-01", "2020-01-02", "2020-01-03"]
+
+    bad = text + "C,2020-01-01,6\nC, 2020-01-02 ,7\nC,2020-01-32,8\n"
+    with pytest.raises(DataFormatError, match=r"^row 9: bad ISO date '2020-01-32'$"):
+        parse_long(bad)
+
+
 # the values and messages of the per-cell count parser, pinned in both
 # layouts; {at} is the row and column of the cell
 COUNT_CELLS = [

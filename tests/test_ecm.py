@@ -7,10 +7,12 @@ from statistics import NormalDist
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import gen_ecm_panel, lasso_with_beta, make_panel
 from latecast.ecm import (
     EcmFit,
+    _sorted_quantiles,
     fit_ecm,
     forecast_levels,
     forecast_log,
@@ -328,6 +330,104 @@ def test_zero_variance_bands_collapse():
     np.testing.assert_allclose(path.lower, path.level_hat, rtol=1e-12)
     np.testing.assert_allclose(path.upper, path.level_hat, rtol=1e-12)
     np.testing.assert_allclose(path.level_median, path.level_hat, rtol=1e-12)
+
+
+def reference_bands(fit, panel, H, n_sims, seed, confidence) -> dict:
+    """The band fields by the plain algorithm: paths held (n_sims, H),
+    daily-new and growth-rate against a concatenated previous day, and
+    every edge from ``np.quantile`` over axis 0."""
+    y_hat = forecast_log(fit, panel, H)
+    level_hat = forecast_levels(fit, y_hat)
+    rng = np.random.default_rng(seed)
+    log_paths = rng.normal(0.0, math.sqrt(max(fit.sigma2, 0.0)), size=(n_sims, H))
+    for h in range(1, H):
+        log_paths[:, h] += (1.0 + fit.gamma) * log_paths[:, h - 1]
+    log_paths += y_hat
+    level_paths = forecast_levels(fit, log_paths)
+    anchor = float(np.exp(panel.y[panel.tau_len - 1]))
+    prev_paths = np.concatenate(
+        [np.full((n_sims, 1), anchor), level_paths[:, :-1]], axis=1
+    )
+    new_paths = level_paths - prev_paths
+    rate_paths = level_paths / prev_paths - 1.0
+    prev_point = np.concatenate([[anchor], level_hat[:-1]])
+    lo_q = (1.0 - confidence) / 2.0
+    hi_q = 1.0 - lo_q
+    lower, level_median, upper = np.quantile(level_paths, [lo_q, 0.5, hi_q], axis=0)
+    new_lower, new_upper = np.quantile(new_paths, [lo_q, hi_q], axis=0)
+    rate_lower, rate_upper = np.quantile(rate_paths, [lo_q, hi_q], axis=0)
+    return {
+        "horizons": np.arange(1, H + 1), "y_hat": y_hat, "level_hat": level_hat,
+        "lower": lower, "upper": upper, "level_median": level_median,
+        "new_hat": level_hat - prev_point, "new_lower": new_lower,
+        "new_upper": new_upper, "rate_hat": level_hat / prev_point - 1.0,
+        "rate_lower": rate_lower, "rate_upper": rate_upper,
+    }
+
+
+def assert_bands_equal_reference(path, ref):
+    for name, expected in ref.items():
+        got = getattr(path, name)
+        assert got.dtype == expected.dtype, name
+        # bit for bit, so -0.0 against 0.0 would show too
+        assert got.tobytes() == expected.tobytes(), name
+
+
+@pytest.mark.parametrize("n_sims", [1, 2, 999, 10_000])
+@pytest.mark.parametrize("confidence", [0.5, 0.9, 0.95, 0.999])
+def test_bands_equal_the_reference_algorithm(n_sims, confidence):
+    rng = np.random.default_rng(41018)
+    panel, _ = gen_ecm_panel(rng, n=30, p=3, sigma=0.03, horizon=9)
+    fit = fit_ecm(panel, lasso_with_beta([0.7, 0.3, 0.0]))
+    for seed in (0, 7, 19):
+        path = simulate_bands(fit, panel, 9, n_sims=n_sims, seed=seed,
+                              confidence=confidence)
+        assert (path.n_sims, path.seed, path.confidence) == (n_sims, seed, confidence)
+        assert_bands_equal_reference(
+            path, reference_bands(fit, panel, 9, n_sims, seed, confidence))
+
+
+@pytest.mark.parametrize("n_sims", [1, 2, 999, 10_000])
+def test_zero_variance_bands_equal_the_reference_algorithm(n_sims):
+    # the hand fit of test_zero_variance_bands_collapse
+    y = np.linspace(4.0, 5.0, 8)
+    x = np.linspace(4.5, 6.0, 14)
+    panel = make_panel(y, x[:, None])
+    fit = hand_fit(beta=(0.8,), pi=(0.4,), gamma=-0.3, sigma2=0.0, alpha=1.0)
+    with pytest.warns(RuntimeWarning, match="collapse"):
+        path = simulate_bands(fit, panel, 5, n_sims=n_sims, seed=1)
+    assert_bands_equal_reference(path, reference_bands(fit, panel, 5, n_sims, 1, 0.95))
+
+
+# integer values give ties, and -0.0 against 0.0 ties that compare equal
+QUANTILE_CELLS = np.array([-3.0, -2.0, -1.0, -0.0, 0.0, 1.0, 2.0, 3.0,
+                           math.inf, -math.inf])
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(n=st.integers(1, 60), H=st.integers(1, 5),
+       confidence=st.floats(0.001, 0.999), seed=st.integers(0, 2**32 - 1),
+       nan_column=st.none() | st.integers(0, 4))
+def test_sorted_quantiles_equal_np_quantile(n, H, confidence, seed, nan_column):
+    rng = np.random.default_rng(seed)
+    x = rng.choice(QUANTILE_CELLS, size=(n, H))
+    if nan_column is not None:
+        x[rng.integers(n), nan_column % H] = math.nan
+    lo_q = (1.0 - confidence) / 2.0
+    qs = (lo_q, 0.5, 1.0 - lo_q)
+    # inf - inf in the interpolation is NaN, in both
+    with np.errstate(invalid="ignore"):
+        expected = np.quantile(x, qs, axis=0)
+        got = _sorted_quantiles(np.sort(x.T, axis=1), qs)
+    assert np.array_equal(np.array(got), expected, equal_nan=True)
+
+
+def test_sorted_quantiles_keep_the_sign_of_a_single_zero():
+    # with one value numpy weighs the last value by 1 and returns -0.0
+    rows = np.array([[-0.0], [0.0]])
+    for q, expected in zip(_sorted_quantiles(rows, (0.025, 0.5, 0.975)),
+                           np.quantile(rows.T, (0.025, 0.5, 0.975), axis=0)):
+        assert np.signbit(q).tolist() == np.signbit(expected).tolist() == [True, False]
 
 
 def test_band_width_grows_with_horizon():
