@@ -32,8 +32,21 @@ JHU_FIXED_COLUMNS = ("Province/State", "Country/Region", "Lat", "Long")
 _MAX_EXACT_COUNT = 2**53
 
 # least number of characters that _lines reads through one io.StringIO,
-# which holds 4 bytes per character, so that none copies the whole text
+# which holds 4 bytes per character, and that parse_long's byte reader
+# encodes into one slab, so that neither copies the whole text
 _CHUNK_CHARS = 1 << 20
+
+# newlines on each side of a slab, so that a window of up to 15 bytes
+# before or after any of its cells stays inside it
+_PAD = 16
+
+# the bytes that may stand next to a quote of a quoted cell: the comma
+# or newline around the cell, or the other quote of a doubled quote
+_QUOTE_NEIGHBOURS = np.zeros(256, dtype=bool)
+_QUOTE_NEIGHBOURS[[ord(","), ord("\n"), ord('"')]] = True
+
+# _BYTE_MASKS[n] keeps the first n bytes of a little-endian uint64
+_BYTE_MASKS = np.array([(1 << 8 * n) - 1 for n in range(9)], dtype=np.uint64)
 
 
 @dataclass(frozen=True, eq=False)
@@ -163,10 +176,24 @@ def _blank(row: list[str]) -> bool:
     return not any(map(str.strip, row))
 
 
+def _numbered(reader, row_no: int):
+    """The rows of a ``csv`` reader with their numbers from ``row_no``;
+    a ``csv.Error`` becomes a ``DataFormatError`` that names its row."""
+    while True:
+        try:
+            row = next(reader)
+        except StopIteration:
+            return
+        except csv.Error as exc:
+            raise DataFormatError(f"row {row_no}: {exc}") from None
+        yield row_no, row
+        row_no += 1
+
+
 def _read_header(reader) -> tuple[list[str], int]:
     """Stripped cells of the first row that is not all blank, and the
     number of the row after it."""
-    for row_no, row in enumerate(reader, start=1):
+    for row_no, row in _numbered(reader, 1):
         if not _blank(row):
             return [h.strip() for h in row], row_no + 1
     raise DataFormatError("empty file")
@@ -214,6 +241,27 @@ def _days(cells: list[str], memo: dict[str, int]) -> np.ndarray:
     return np.fromiter(map(memo.__getitem__, cells), np.int64, len(cells))
 
 
+def _header_dates(labels: list[str]) -> list[date]:
+    """The dates of M/D/YY header labels, as ``datetime.strptime`` reads
+    each; raises its ``ValueError`` at the first label it rejects.
+
+    Labels that spell consecutive days as the JHU files do (``1/22/20``)
+    are checked against the first label's date instead of read one by
+    one.  That is exact: ``%y`` reads 69-99 as 19xx and 00-68 as 20xx,
+    and every day between the first and last label's dates is within
+    that range."""
+    try:
+        first, last = (datetime.strptime(labels[i], "%m/%d/%y").date()
+                       for i in (0, -1))
+        days = [first + timedelta(days=i) for i in range(len(labels))]
+        if days[-1] == last and labels == [
+                f"{d.month}/{d.day}/{d.year % 100:02d}" for d in days]:
+            return days
+    except (ValueError, OverflowError):
+        pass
+    return [datetime.strptime(lbl, "%m/%d/%y").date() for lbl in labels]
+
+
 def parse_jhu_wide(csv_text: str) -> list[CountrySeries]:
     """Parse the JHU wide CSV layout into one series per country.
 
@@ -232,16 +280,14 @@ def parse_jhu_wide(csv_text: str) -> list[CountrySeries]:
     if not date_labels:
         raise DataFormatError("malformed header: no date columns after 'Long'")
     try:
-        dates = tuple(
-            datetime.strptime(lbl.strip(), "%m/%d/%y").date() for lbl in date_labels
-        )
+        dates = _header_dates(date_labels)
     except ValueError as exc:
         raise DataFormatError(f"malformed date column header: {exc}") from None
     _require_consecutive(np.array([d.toordinal() for d in dates]),
                          "date column header")
 
     totals: dict[str, np.ndarray] = {}
-    for row_no, row in enumerate(reader, start=first_row):
+    for row_no, row in _numbered(reader, first_row):
         if _blank(row):
             continue
         if len(row) != len(header):
@@ -268,6 +314,17 @@ def parse_jhu_wide(csv_text: str) -> list[CountrySeries]:
     return out
 
 
+def _long_columns(header: list[str]) -> tuple[int, int, int, int]:
+    """The width of a long-layout header and the indices of its
+    ``country``, ``date`` and ``cumulative`` columns."""
+    required = {"country", "date", "cumulative"}
+    if not required.issubset(header):
+        missing = sorted(required - set(header))
+        raise DataFormatError(f"malformed header: missing column(s) {missing}")
+    return (len(header), header.index("country"), header.index("date"),
+            header.index("cumulative"))
+
+
 def parse_long(csv_text: str) -> list[CountrySeries]:
     """Parse long-format CSV with columns ``country,date,cumulative``.
 
@@ -276,61 +333,265 @@ def parse_long(csv_text: str) -> list[CountrySeries]:
     is not all blank must have as many cells as the header.  Date cells
     are read as ``datetime.date.fromisoformat`` reads them.
 
+    Text whose quotes each enclose a whole cell, as RFC 4180 quotes, and
+    that holds no carriage return or NUL is read from its UTF-8 bytes,
+    one slab at a time; other text is read row by row by ``csv``, with
+    the same result.
+
     A file with several faults is named by its first, in file order.
     Row faults (a wrong cell count, an empty country, a bad date or
     count cell, a repeated country and date) come first; a gap in a
     country's dates or a negative count is raised only for a file with
     no row fault, for the first country in the file that has one.
     """
-    reader = _csv_reader(csv_text)
-    header, _ = _read_header(reader)
-    required = {"country", "date", "cumulative"}
-    if not required.issubset(header):
-        missing = sorted(required - set(header))
-        raise DataFormatError(f"malformed header: missing column(s) {missing}")
-    width = len(header)
-    country_idx = header.index("country")
-    date_idx = header.index("date")
-    count_idx = header.index("cumulative")
-
-    # each country's date and count cells, in file order
-    cells: dict[str, tuple[list[str], list[str]]] = {}
-    key = None
-    for row in reader:
-        if len(row) == width and row[country_idx] == key:
-            date_cells.append(row[date_idx])
-            count_cells.append(row[count_idx])
-            continue
-        key = None
-        if len(row) != width or not row[country_idx].strip():
-            if _blank(row):
-                continue
-            _first_fault(csv_text)
-        key = row[country_idx]
-        date_cells, count_cells = cells.setdefault(key.strip(), ([], []))
-        date_cells.append(row[date_idx])
-        count_cells.append(row[count_idx])
-
-    converted = []
-    ordinals: dict[str, int] = {}
-    for country, (date_cells, count_cells) in cells.items():
-        try:
-            days, counts = _days(date_cells, ordinals), _counts(count_cells)
-        except ValueError:
-            _first_fault(csv_text)
-        order = np.argsort(days, kind="stable")
-        days = days[order]
-        # a zero step between sorted days is a repeated date
-        if not np.diff(days).all():
-            _first_fault(csv_text)
-        converted.append((country, days, counts[order]))
-
+    names, ids, days, counts = (_read_long_bytes(csv_text)
+                                or _read_long_rows(csv_text))
+    order = np.lexsort((days, ids))
+    ids, days, counts = ids[order], days[order], counts[order]
+    same_country = np.diff(ids) == 0
+    # a zero step between one country's sorted days is a repeated date
+    if (same_country & (np.diff(days) == 0)).any():
+        _first_fault(csv_text)
+    bounds = [0, *(np.flatnonzero(~same_country) + 1).tolist(), len(ids)]
     out = []
-    for country, days, counts in converted:
-        _require_consecutive(days, repr(country))
-        out.append(CountrySeries(country, date.fromordinal(int(days[0])), counts))
+    for name, lo, hi in zip(names, bounds, bounds[1:]):
+        _require_consecutive(days[lo:hi], repr(name))
+        out.append(CountrySeries(name, date.fromordinal(int(days[lo])),
+                                 counts[lo:hi]))
     _warn_on_revisions(out)
     return out
+
+
+def _read_long_rows(csv_text: str):
+    """Country names in file order, and each row's country index, day
+    ordinal and count, read row by row by ``csv``."""
+    reader = _csv_reader(csv_text)
+    header, _ = _read_header(reader)
+    width, country_idx, date_idx, count_idx = _long_columns(header)
+    names: dict[str, int] = {}
+    ids, date_cells, count_cells = [], [], []
+    key = None
+    try:
+        for row in reader:
+            if len(row) == width and row[country_idx] == key:
+                ids.append(country)
+                date_cells.append(row[date_idx])
+                count_cells.append(row[count_idx])
+                continue
+            key = None
+            if len(row) != width or not row[country_idx].strip():
+                if _blank(row):
+                    continue
+                _first_fault(csv_text)
+            key = row[country_idx]
+            country = names.setdefault(key.strip(), len(names))
+            ids.append(country)
+            date_cells.append(row[date_idx])
+            count_cells.append(row[count_idx])
+    except csv.Error:
+        _first_fault(csv_text)
+    try:
+        days, counts = _days(date_cells, {}), _counts(count_cells)
+    except ValueError:
+        _first_fault(csv_text)
+    return list(names), np.array(ids, dtype=np.int64), days, counts
+
+
+def _read_long_bytes(csv_text: str):
+    """What ``_read_long_rows`` returns, read from the UTF-8 bytes of the
+    text one slab at a time, or None for text that ``csv`` may read into
+    other rows or cells: text with a carriage return or NUL, a quote
+    that does not enclose a whole cell, or a cell of more bytes than
+    ``csv.field_size_limit()``."""
+    if "\r" in csv_text or "\0" in csv_text:
+        return None
+    limit = csv.field_size_limit()
+    columns = None
+    names: dict[str, int] = {}
+    # the index in names of each raw country cell read, -1 for a blank one
+    countries: dict[bytes, int] = {}
+    ordinals: dict[str, int] = {}
+    parts = []
+    for slab in _slabs(csv_text, int(csv_text.startswith("\ufeff"))):
+        a = np.frombuffer(slab, np.uint8)
+        ends = _separators(a)
+        if ends is None:
+            return None
+        # field i is slab[starts[i]:ends[i]]; row r is fields first[r]
+        # to last[r]
+        starts = np.concatenate(([_PAD], ends[:-1] + 1))
+        if (ends - starts).max() > limit:
+            return None
+        last = np.flatnonzero(a[ends] == ord("\n"))
+        first = np.concatenate(([0], last[:-1] + 1))
+
+        def cells(r):
+            """The cells of row r."""
+            fields = slice(first[r], last[r] + 1)
+            return _cells(slab, starts[fields], ends[fields])
+
+        row = 0
+        while columns is None and row < len(first):
+            header = cells(row)
+            if not _blank(header):
+                columns = _long_columns([h.strip() for h in header])
+            row += 1
+        if columns is None:
+            continue
+        width, country_idx, date_idx, count_idx = columns
+        rows = np.arange(row, len(first))
+        # a row of another width, or with a blank country cell, must be
+        # all blank
+        wrong_width = last[rows] - first[rows] + 1 != width
+        if not all(_blank(cells(r)) for r in rows[wrong_width]):
+            _first_fault(csv_text)
+        rows = rows[~wrong_width]
+        c = first[rows] + country_idx
+        ids = _country_ids(slab, starts[c], ends[c], countries, names)
+        if not all(_blank(cells(r)) for r in rows[ids < 0]):
+            _first_fault(csv_text)
+        rows, ids = rows[ids >= 0], ids[ids >= 0]
+
+        d, k = first[rows] + date_idx, first[rows] + count_idx
+        try:
+            days = _date_cells(slab, starts[d], ends[d], ordinals)
+            counts = _count_cells(slab, starts[k], ends[k])
+        except ValueError:
+            _first_fault(csv_text)
+        parts.append((ids, days, counts))
+    if columns is None:
+        raise DataFormatError("empty file")
+    ids, days, counts = (np.concatenate(p) for p in zip(*parts))
+    return list(names), ids, days, counts
+
+
+def _slabs(text: str, start: int):
+    """The UTF-8 bytes of ``text[start:]`` in slabs of at least
+    ``_CHUNK_CHARS`` characters, each cut after a newline that an even
+    number of quotes precede and ending in a newline, padded by ``_PAD``
+    newlines on both sides (the last slab may be shorter)."""
+    pad = b"\n" * _PAD
+    while start < len(text):
+        end = text.find("\n", start + _CHUNK_CHARS - 1) + 1 or len(text)
+        quotes = text.count('"', start, end)
+        while quotes % 2 and end < len(text):
+            cut = text.find("\n", end) + 1 or len(text)
+            quotes += text.count('"', end, cut)
+            end = cut
+        body = text[start:end].encode("utf-8", "surrogatepass")
+        yield pad + body + (b"" if body.endswith(b"\n") else b"\n") + pad
+        start = end
+
+
+def _separators(a: np.ndarray) -> np.ndarray | None:
+    """Positions of the commas and newlines outside quotes in the slab
+    ``a``, or None if one of its quotes does not enclose a whole cell."""
+    body = a[_PAD:len(a) - _PAD]
+    seps = np.flatnonzero((body == ord(",")) | (body == ord("\n"))) + _PAD
+    quotes = np.flatnonzero(body == ord('"')) + _PAD
+    if not quotes.size:
+        return seps
+    # quotes alternate between opening and closing a cell: an opening
+    # quote follows a separator and a closing quote precedes one, except
+    # that a doubled quote inside a cell closes and at once reopens it
+    if (quotes.size % 2 or not _QUOTE_NEIGHBOURS[a[quotes[::2] - 1]].all()
+            or not _QUOTE_NEIGHBOURS[a[quotes[1::2] + 1]].all()):
+        return None
+    # a separator is outside quotes after an even number of them
+    return seps[np.searchsorted(quotes, seps) % 2 == 0]
+
+
+def _cell(raw: bytes) -> str:
+    """The text of a cell's bytes, unquoted if it is quoted."""
+    cell = raw.decode("utf-8", "surrogatepass")
+    return cell[1:-1].replace('""', '"') if cell.startswith('"') else cell
+
+
+def _cells(slab: bytes, starts: np.ndarray, ends: np.ndarray) -> list[str]:
+    """The text of the cells at ``slab[start:end]``."""
+    return [_cell(slab[s:e]) for s, e in zip(starts.tolist(), ends.tolist())]
+
+
+def _country_ids(slab: bytes, starts: np.ndarray, ends: np.ndarray,
+                 countries: dict[bytes, int], names: dict[str, int]) -> np.ndarray:
+    """The index in ``names`` of each country cell, or -1 for a blank one.
+
+    Only a cell that starts a run of equal cells is looked up in
+    ``countries``, and only one not yet there is decoded and stripped;
+    a new name is added to ``names``."""
+    new = _new_cells(slab, starts, ends)
+    raws = [slab[s:e] for s, e in zip(starts[new].tolist(), ends[new].tolist())]
+    for raw in raws:
+        if raw not in countries:
+            name = _cell(raw).strip()
+            countries[raw] = names.setdefault(name, len(names)) if name else -1
+    return np.fromiter(map(countries.__getitem__, raws), np.int64,
+                       len(raws))[np.cumsum(new) - 1]
+
+
+def _new_cells(slab: bytes, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """True for each cell whose bytes differ from the cell before it,
+    and for the first cell; cells are compared 8 bytes at a time."""
+    # the 8 bytes from each position of the slab, as one integer
+    words = np.ndarray((len(slab) - 7,), "<u8", slab, 0, (1,))
+    sizes = ends - starts
+    new = np.ones(len(sizes), dtype=bool)
+    # the cells of the same size as the cell before them, while their
+    # bytes so far are the same and more are left
+    pairs = np.flatnonzero(sizes[1:] == sizes[:-1]) + 1
+    new[pairs] = False
+    k = 0
+    while pairs.size:
+        differ = words[starts[pairs] + k] ^ words[starts[pairs - 1] + k]
+        differ &= _BYTE_MASKS[np.minimum(sizes[pairs] - k, 8)]
+        new[pairs[differ != 0]] = True
+        k += 8
+        pairs = pairs[(differ == 0) & (sizes[pairs] > k)]
+    return new
+
+
+def _date_cells(slab: bytes, starts: np.ndarray, ends: np.ndarray,
+                memo: dict[str, int]) -> np.ndarray:
+    """Date cells as ``_days`` reads them.  A cell of YYYY-MM-DD shape is
+    keyed by its eight digits, so that each distinct key is read once."""
+    a = np.frombuffer(slab, np.uint8)
+    iso = ends - starts == 10
+    keys = np.zeros(len(starts), dtype=np.int64)
+    for j in range(10):
+        byte = a[starts + j]
+        if j in (4, 7):
+            iso &= byte == ord("-")
+        else:
+            digit = byte - ord("0")
+            iso &= digit < 10
+            keys = keys * 10 + digit
+    _, at, inverse = np.unique(keys[iso], return_index=True,
+                               return_inverse=True)
+    # each distinct key's cell where it is first seen
+    at = starts[iso][at]
+    days = np.empty(len(starts), dtype=np.int64)
+    days[iso] = _days(_cells(slab, at, at + 10), memo)[inverse]
+    other = np.flatnonzero(~iso)
+    days[other] = _days(_cells(slab, starts[other], ends[other]), memo)
+    return days
+
+
+def _count_cells(slab: bytes, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """Count cells as ``_counts`` reads them.  A cell of 1 to 15 ASCII
+    digits is read as an integer directly."""
+    a = np.frombuffer(slab, np.uint8)
+    sizes = ends - starts
+    plain = (sizes >= 1) & (sizes <= 15)
+    counts = np.zeros(len(sizes), dtype=np.int64)
+    # Horner's rule over the last j bytes of each cell, the most
+    # significant first; the bytes before a shorter cell read as 0
+    for j in range(int(sizes.max(initial=0, where=plain)), 0, -1):
+        digit = np.where(sizes >= j, a[ends - j] - ord("0"), 0)
+        plain &= digit < 10
+        counts = counts * 10 + digit
+    other = np.flatnonzero(~plain)
+    counts[other] = _counts(_cells(slab, starts[other], ends[other]))
+    return counts
 
 
 def _first_fault(csv_text: str) -> NoReturn:
@@ -338,12 +599,9 @@ def _first_fault(csv_text: str) -> NoReturn:
     row fault, for a file in which ``parse_long`` found one."""
     reader = _csv_reader(csv_text)
     header, first_row = _read_header(reader)
-    width = len(header)
-    country_idx = header.index("country")
-    date_idx = header.index("date")
-    count_idx = header.index("cumulative")
+    width, country_idx, date_idx, count_idx = _long_columns(header)
     seen: dict[str, set[date]] = {}
-    for row_no, row in enumerate(reader, start=first_row):
+    for row_no, row in _numbered(reader, first_row):
         if _blank(row):
             continue
         if len(row) != width:

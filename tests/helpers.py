@@ -84,6 +84,17 @@ def solve_at(y, X, w, lam):
     return prep.to_original(betas[0]), knots
 
 
+def _row_dots(A: np.ndarray, v: np.ndarray) -> list[float]:
+    """``[row @ v for row in A]``, rounded as that rounds each product.
+
+    ``np.vecdot`` (numpy 2) runs the same per-row dot product as
+    ``row @ v``; ``A @ v`` is a matrix product whose sums may round
+    differently."""
+    if hasattr(np, "vecdot"):
+        return np.vecdot(A, v).tolist()
+    return [row @ v for row in A]
+
+
 def gen_ecm_panel(rng, n=60, p=3, beta=(0.7, 0.3), pi=(0.4, 0.2),
                   gamma=-0.35, sigma=0.01, horizon=14, weights=None,
                   step_range=(0.005, 0.10), z0_offset=0.0):
@@ -110,12 +121,15 @@ def gen_ecm_panel(rng, n=60, p=3, beta=(0.7, 0.3), pi=(0.4, 0.2),
         X[:, j] = level + np.cumsum(rng.uniform(*step_range, total))
 
     shocks = sigma * rng.standard_normal(total) if sigma > 0 else np.zeros(total)
-    y_full = np.empty(total)
-    y_full[0] = X[0, :k] @ beta + z0_offset
-    for t in range(1, total):
-        dx = X[t, :k] - X[t - 1, :k]
-        z_lag = y_full[t - 1] - X[t - 1, :k] @ beta
-        y_full[t] = y_full[t - 1] + dx @ pi + gamma * z_lag + shocks[t]
+    # y[t] = y[t-1] + dx[t] @ pi + gamma * (y[t-1] - x[t-1] @ beta) + e[t],
+    # with each row's dot product taken as ``row @ beta`` takes it, so
+    # that the recursion alone runs step by step
+    x_beta = _row_dots(X[:, :k], beta)
+    dx_pi = _row_dots(np.diff(X[:, :k], axis=0), pi)
+    y = [x_beta[0] + z0_offset]
+    for xb, dxp, e in zip(x_beta, dx_pi, shocks[1:].tolist()):
+        y.append(y[-1] + dxp + gamma * (y[-1] - xb) + e)
+    y_full = np.array(y)
 
     panel = make_panel(y_full[:n], X, weights=weights)
     truth = {

@@ -6,7 +6,7 @@ import math
 import re
 import tracemalloc
 import warnings
-from datetime import date, timedelta
+from datetime import date, datetime, timedelta
 
 import numpy as np
 import pytest
@@ -226,10 +226,12 @@ def test_parse_long_date_gap_errors():
 
 # single cells, each read or rejected as date.fromisoformat reads it on
 # the running Python; a good row of another country comes first, so a
-# rejected cell is still named by its own row
+# rejected cell is still named by its own row, and cells with its digits
+# in other shapes are not taken for it
 @pytest.mark.parametrize("cell", [
     "20200102", "2020-W01-1", "0000-01-01", "-200-01-01", "+200-01-01",
-    "today", "NaT", "2021-02-29", " 2020-03-01 ",
+    "today", "NaT", "2021-02-29", " 2020-03-01 ", "2020/01/01", "2020-01_01",
+    "２０２０-01-01",
 ])
 def test_date_cell_parity_with_fromisoformat(cell):
     text = f"country,date,cumulative\nA,2020-01-01,5\nB,{cell},7\n"
@@ -441,17 +443,215 @@ def test_valid_files_never_take_the_re_read(monkeypatch):
     def re_read(csv_text):
         raise AssertionError("a valid file was re-read")
 
+    def row_loop(csv_text):
+        raise AssertionError("a file of RFC 4180 text was read row by row")
+
     monkeypatch.setattr(align, "_first_fault", re_read)
+    monkeypatch.setattr(align, "_read_long_rows", row_loop)
     long_fixtures = sorted(FIXTURES.glob("*_long.csv"))
     assert long_fixtures
     for path in long_fixtures:
         assert parse_long(path.read_text(encoding="utf-8"))
-    panel = generate_panel(FIXTURES, seed=1, n_countries=12, n_days=120)
-    parsed = parse_long(_date_major(panel.long_text))
-    assert [s.name for s in parsed] == panel.names
-    for s in parsed:
-        assert s.start == panel.dates[0]
-        np.testing.assert_array_equal(s.counts, panel.counts[s.name])
+    # the small panel fits one slab; the large one, perfbench's, takes
+    # several, with quoted names such as "Korea, South"
+    for size in ({"n_countries": 12, "n_days": 120}, {}):
+        panel = generate_panel(FIXTURES, seed=1, **size)
+        for text in (panel.long_text, _date_major(panel.long_text)):
+            parsed = parse_long(text)
+            assert [s.name for s in parsed] == panel.names
+            for s in parsed:
+                assert s.start == panel.dates[0]
+                np.testing.assert_array_equal(s.counts, panel.counts[s.name])
+    assert len(panel.long_text) > 4 * align._CHUNK_CHARS
+    assert '"' in panel.long_text
+
+
+def _outcome(text: str):
+    """The series and warnings that parse_long gives for text, or the
+    message of its DataFormatError."""
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            series = parse_long(text)
+    except DataFormatError as exc:
+        return str(exc)
+    return ([(s.name, s.start, s.counts.tolist()) for s in series],
+            [str(w.message) for w in caught])
+
+
+def _quoted(cell: str) -> str:
+    return '"' + cell.replace('"', '""') + '"'
+
+
+# names with commas, quotes, newlines, padding, non-ASCII letters and
+# a line separator, and pairs that differ in their last byte only; date
+# cells bare and padded; counts that only float reads
+_RFC_NAMES = ["A", " A ", "b1", "b2", "a,b", 'q"q', "x\ny", "é", "l\u2028s",
+              "Saint Kitts 1", "Saint Kitts 2", "Korea, South"]
+_RFC_DATES = ["{}", " {} ", "{} "]
+_RFC_COUNTS = ["7", "12", "007", "1e3", "12.0", " 5 ", "+3",
+               "9007199254740991"]
+# cells that make a row fault (one of them all whitespace to
+# str.strip), and rows that are all blank
+_BAD_CELLS = {"country": [" ", "", "\x1c\u3000"],
+              "date": ["2020-01-32", "x", "", "2020-1-05", "2020/01/02"],
+              "cumulative": ["x", "-1", "12.5", "9007199254740992", "1e20", ""]}
+_BLANK_ROWS = ["", ",,,", " , ,,", '"",,,']
+
+
+@st.composite
+def _rfc_texts(draw):
+    """Long-layout RFC 4180 text: a few countries on consecutive days,
+    their rows shuffled or not, some cells quoted, and a few rows
+    faulty, short or all blank."""
+    columns = draw(st.permutations(["country", "date", "cumulative", "note"]))
+    rows = []
+    for name in draw(st.lists(st.sampled_from(_RFC_NAMES), min_size=1,
+                              max_size=3, unique=True)):
+        first = draw(st.integers(1, 3))
+        for day in range(first, first + draw(st.integers(1, 4))):
+            rows.append({
+                "country": name,
+                "date": draw(st.sampled_from(_RFC_DATES)).format(f"2020-01-0{day}"),
+                "cumulative": draw(st.sampled_from(_RFC_COUNTS)),
+                "note": draw(st.sampled_from(["", "n", "1,2"])),
+            })
+    if draw(st.booleans()):
+        rows = draw(st.permutations(rows))
+    lines = [[draw(st.sampled_from([c, f" {c} ", _quoted(c)])) for c in columns]]
+    for row in rows:
+        if draw(st.integers(0, 9)) == 0:
+            col = draw(st.sampled_from(sorted(_BAD_CELLS)))
+            row = {**row, col: draw(st.sampled_from(_BAD_CELLS[col]))}
+        cells = [_quoted(row[c]) if any(ch in row[c] for ch in ',"\n')
+                 or draw(st.integers(0, 5)) == 0 else row[c] for c in columns]
+        if draw(st.integers(0, 15)) == 0:
+            cells = cells[:draw(st.integers(1, 3))]
+        lines.append(cells)
+        if draw(st.integers(0, 7)) == 0:
+            lines.append([draw(st.sampled_from(_BLANK_ROWS))])
+    if draw(st.booleans()):
+        lines.insert(0, [draw(st.sampled_from(_BLANK_ROWS))])
+    text = "\n".join(",".join(cells) for cells in lines)
+    bom = draw(st.sampled_from(["", "\ufeff"]))
+    return bom + text + draw(st.sampled_from(["\n", ""]))
+
+
+@pytest.mark.parametrize("chunk_chars", [1, 7, DEFAULT_CHUNK_CHARS])
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(text=_rfc_texts())
+def test_byte_reader_matches_the_row_loop(chunk_chars, text):
+    # the same series and warnings, or the same fault, from both readers
+    def row_loop(csv_text):
+        raise AssertionError("RFC 4180 text was read row by row")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(align, "_CHUNK_CHARS", chunk_chars)
+        with pytest.MonkeyPatch.context() as bytes_only:
+            bytes_only.setattr(align, "_read_long_rows", row_loop)
+            from_bytes = _outcome(text)
+        mp.setattr(align, "_read_long_bytes", lambda csv_text: None)
+        assert _outcome(text) == from_bytes
+
+
+# text outside RFC 4180, which only the row loop reads, as csv reads
+# it: csv keeps a quote inside a cell and drops the quotes of a cell
+# that does not end at its closing quote, a CR ends a row only before a
+# newline, and a NUL is a character of its cell
+OUTSIDE_RFC = {
+    "mid_cell_quote": (
+        'country,date,cumulative\nA"B,2020-01-01,1\nA"B,2020-01-02,2\n'
+        '"C"D,2020-01-01,3\n',
+        [('A"B', date(2020, 1, 1), [1, 2]), ("CD", date(2020, 1, 1), [3])]),
+    "space_before_quote": (
+        'country,date,cumulative\n "A",2020-01-01,1\n',
+        [('"A"', date(2020, 1, 1), [1])]),
+    "crlf": (
+        "country,date,cumulative\r\nA,2020-01-01,1\r\nA,2020-01-02,2\r\n",
+        [("A", date(2020, 1, 1), [1, 2])]),
+    "lone_cr": (
+        "country,date,cumulative\nA,2020-01-01,1\rA,2020-01-02,2\n",
+        "row 2: new-line character seen in unquoted field"),
+    "nul": (
+        "country,date,cumulative\nA\0,2020-01-01,1\nA\0,2020-01-02,2\n",
+        [("A\0", date(2020, 1, 1), [1, 2])]),
+}
+
+
+@pytest.mark.parametrize("chunk_chars", [1, 7, DEFAULT_CHUNK_CHARS])
+@pytest.mark.parametrize("text,expected", OUTSIDE_RFC.values(),
+                         ids=OUTSIDE_RFC)
+def test_text_outside_rfc_4180_is_read_row_by_row(monkeypatch, chunk_chars,
+                                                  text, expected):
+    monkeypatch.setattr(align, "_CHUNK_CHARS", chunk_chars)
+    assert align._read_long_bytes(text) is None
+    if isinstance(expected, str):
+        with pytest.raises(DataFormatError, match=f"^{re.escape(expected)}"):
+            parse_long(text)
+    else:
+        assert [(s.name, s.start, s.counts.tolist())
+                for s in parse_long(text)] == expected
+
+
+LONG_CELL = "x" * 140_000
+LONG_HEAD = "country,date,cumulative\n"
+
+
+@pytest.mark.parametrize("parse,text,msg", [
+    (parse_long, f"{LONG_HEAD}A,2020-01-01,1\n{LONG_CELL},2020-01-01,2\n",
+     "row 3: field larger than field limit"),
+    (parse_long, f"{LONG_HEAD}A,2020-01-01,1\nB\r,2020-01-01,2\n",
+     "row 3: new-line character seen in unquoted field"),
+    # a fault before the csv error is named first, in file order
+    (parse_long, f"{LONG_HEAD}A,2020-01-0x,1\n{LONG_CELL},2020-01-01,2\n",
+     "row 2: bad ISO date '2020-01-0x'"),
+    (parse_long, f"\n{LONG_CELL},date,cumulative\n",
+     "row 2: field larger than field limit"),
+    (parse_jhu_wide, f"{JHU_HEADER}\n,A,0,0,1,2,3\n{LONG_CELL},B,0,0,1,2,3\n",
+     "row 3: field larger than field limit"),
+    (parse_jhu_wide, f"{JHU_HEADER}\n,A,0,0,1,2,3\r,B,0,0,1,2,3\n",
+     "row 2: new-line character seen in unquoted field"),
+], ids=["long_field", "long_cr", "long_fault_first", "long_header",
+        "wide_field", "wide_cr"])
+def test_csv_errors_name_their_row(parse, text, msg):
+    with pytest.raises(DataFormatError, match=f"^{re.escape(msg)}"):
+        parse(text)
+
+
+def _jhu_labels(days) -> list[str]:
+    return [f"{d.month}/{d.day}/{d.year % 100:02d}" for d in days]
+
+
+@pytest.mark.parametrize("labels", [
+    ["01/22/20", "01/23/20", "01/24/20"],
+    ["1/22/20", "01/23/20", "1/24/20"],
+    ["12/30/99", "12/31/99", "1/1/00"],
+    _jhu_labels(date(2020, 1, 22) + timedelta(days=i) for i in range(1000)),
+], ids=["zero_padded", "one_padded", "century", "jhu_1000"])
+def test_header_dates_as_strptime_reads_them(labels):
+    header = "Province/State,Country/Region,Lat,Long," + ",".join(labels)
+    [series] = parse_jhu_wide(f"{header}\n,A,0,0," + ",".join(["1"] * len(labels)))
+    assert series.start == datetime.strptime(labels[0], "%m/%d/%y").date()
+    assert align._header_dates(labels) == [
+        datetime.strptime(lbl, "%m/%d/%y").date() for lbl in labels]
+
+
+@pytest.mark.parametrize("labels,msg", [
+    # %y reads 68 as 2068 and 69 as 1969
+    ("12/31/68,1/1/69",
+     "date column header: dates must be consecutive days, "
+     "found gap 2068-12-31 -> 1969-01-01"),
+    ("1/22/20,1/23/20,1/25/20",
+     "date column header: dates must be consecutive days, "
+     "found gap 2020-01-23 -> 2020-01-25"),
+    ("1/22/20,1/32/20,1/x/20",
+     "malformed date column header: "
+     "time data '1/32/20' does not match format '%m/%d/%y'"),
+], ids=["century_wrap", "gap", "first_bad_label"])
+def test_header_dates_keep_their_faults(labels, msg):
+    text = f"Province/State,Country/Region,Lat,Long,{labels}\n,A,0,0,1,2,3\n"
+    with pytest.raises(DataFormatError, match=f"^{re.escape(msg)}$"):
+        parse_jhu_wide(text)
 
 
 _NAMES = st.text(alphabet="ab ,\"", min_size=1, max_size=5).map(str.strip)

@@ -263,6 +263,28 @@ def test_oversized_count_is_one_json_line(tmp_path, layout, text):
     assert "out of range" in payload["message"]
 
 
+@pytest.mark.parametrize("layout,text", [
+    ("jhu-wide", "Province/State,Country/Region,Lat,Long,1/22/20,1/23/20\n"
+                 f"{'x' * 140_000},X,0,0,1,2\n"),
+    ("long", f"country,date,cumulative\n{'x' * 140_000},2020-01-22,1\n"),
+], ids=["wide", "long"])
+def test_cell_past_the_csv_field_limit_is_one_json_line(tmp_path, layout, text):
+    f = tmp_path / "long_cell.csv"
+    f.write_text(text)
+    proc = subprocess.run(
+        [sys.executable, "-m", "latecast", "ingest-check",
+         "--data-path", str(f), "--data-format", layout],
+        env=src_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    [line] = proc.stderr.splitlines()
+    assert json.loads(line) == {
+        "error": "DataFormatError",
+        "message": "row 2: field larger than field limit (131072)",
+    }
+
+
 @pytest.mark.parametrize("layout", ["jhu-wide", "long"])
 @pytest.mark.parametrize("content", [b"", b"\xef\xbb\xbf", b"\n\n"],
                          ids=["empty", "bom", "blank_lines"])
