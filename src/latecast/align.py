@@ -14,7 +14,6 @@ import io
 import warnings
 from dataclasses import dataclass, field
 from datetime import date, datetime, timedelta
-from typing import NoReturn
 
 import numpy as np
 
@@ -335,8 +334,8 @@ def parse_long(csv_text: str) -> list[CountrySeries]:
 
     Text whose quotes each enclose a whole cell, as RFC 4180 quotes, and
     that holds no carriage return or NUL is read from its UTF-8 bytes,
-    one slab at a time; other text is read row by row by ``csv``, with
-    the same result.
+    one slab at a time; other text, and text with a row fault, is read
+    row by row by ``csv``, which names its first fault.
 
     A file with several faults is named by its first, in file order.
     Row faults (a wrong cell count, an empty country, a bad date or
@@ -346,12 +345,16 @@ def parse_long(csv_text: str) -> list[CountrySeries]:
     """
     names, ids, days, counts = (_read_long_bytes(csv_text)
                                 or _read_long_rows(csv_text))
-    order = np.lexsort((days, ids))
+    first_day = days.min(initial=0)
+    span = days.max(initial=0) - first_day + 1
+    order = np.argsort(ids * span + (days - first_day), kind="stable")
     ids, days, counts = ids[order], days[order], counts[order]
     same_country = np.diff(ids) == 0
-    # a zero step between one country's sorted days is a repeated date
+    # a zero step between one country's sorted days is a repeated date,
+    # which only the byte reader lets through; the row loop names it
     if (same_country & (np.diff(days) == 0)).any():
-        _first_fault(csv_text)
+        _read_long_rows(csv_text)
+        raise RuntimeError("internal error: the row loop found no repeated date")
     bounds = [0, *(np.flatnonzero(~same_country) + 1).tolist(), len(ids)]
     out = []
     for name, lo, hi in zip(names, bounds, bounds[1:]):
@@ -364,37 +367,53 @@ def parse_long(csv_text: str) -> list[CountrySeries]:
 
 def _read_long_rows(csv_text: str):
     """Country names in file order, and each row's country index, day
-    ordinal and count, read row by row by ``csv``."""
+    ordinal and count, read row by row by ``csv``; the first row fault
+    in file order is raised as it is read."""
     reader = _csv_reader(csv_text)
-    header, _ = _read_header(reader)
+    header, first_row = _read_header(reader)
     width, country_idx, date_idx, count_idx = _long_columns(header)
     names: dict[str, int] = {}
-    ids, date_cells, count_cells = [], [], []
+    # the day ordinals read so far for each country index
+    seen: dict[int, set[int]] = {}
+    ordinals: dict[str, int] = {}
+    ids, days, counts = [], [], []
+    # the raw country cell of the row before, if it named a country
     key = None
-    try:
-        for row in reader:
-            if len(row) == width and row[country_idx] == key:
-                ids.append(country)
-                date_cells.append(row[date_idx])
-                count_cells.append(row[count_idx])
+    for row_no, row in _numbered(reader, first_row):
+        if len(row) != width:
+            if _blank(row):
                 continue
+            raise DataFormatError(
+                f"row {row_no}: expected {width} cells, found {len(row)}"
+            )
+        if row[country_idx] != key:
             key = None
-            if len(row) != width or not row[country_idx].strip():
+            country = row[country_idx].strip()
+            if not country:
                 if _blank(row):
                     continue
-                _first_fault(csv_text)
+                raise DataFormatError(f"row {row_no}: empty country")
             key = row[country_idx]
-            country = names.setdefault(key.strip(), len(names))
-            ids.append(country)
-            date_cells.append(row[date_idx])
-            count_cells.append(row[count_idx])
-    except csv.Error:
-        _first_fault(csv_text)
-    try:
-        days, counts = _days(date_cells, {}), _counts(count_cells)
-    except ValueError:
-        _first_fault(csv_text)
-    return list(names), np.array(ids, dtype=np.int64), days, counts
+            index = names.setdefault(country, len(names))
+            country_days = seen.setdefault(index, set())
+        cell = row[date_idx]
+        day = ordinals.get(cell)
+        if day is None:
+            try:
+                day = ordinals[cell] = date.fromisoformat(cell.strip()).toordinal()
+            except ValueError:
+                raise DataFormatError(
+                    f"row {row_no}: bad ISO date {cell!r}"
+                ) from None
+        counts.append(_parse_count(row[count_idx], row_no, "cumulative"))
+        if day in country_days:
+            raise DataFormatError(f"duplicate row for ({country!r}, "
+                                  f"{date.fromordinal(day).isoformat()})")
+        country_days.add(day)
+        ids.append(index)
+        days.append(day)
+    return (list(names), np.array(ids, dtype=np.int64),
+            np.array(days, dtype=np.int64), np.array(counts, dtype=np.int64))
 
 
 def _read_long_bytes(csv_text: str):
@@ -402,7 +421,10 @@ def _read_long_bytes(csv_text: str):
     text one slab at a time, or None for text that ``csv`` may read into
     other rows or cells: text with a carriage return or NUL, a quote
     that does not enclose a whole cell, or a cell of more bytes than
-    ``csv.field_size_limit()``."""
+    ``csv.field_size_limit()``.  It is None too for text with no header
+    row or with a row fault, which ``_read_long_rows`` then reads row by
+    row to name its first fault; only a repeated country and date is
+    let through, for ``parse_long`` to find."""
     if "\r" in csv_text or "\0" in csv_text:
         return None
     limit = csv.field_size_limit()
@@ -444,12 +466,12 @@ def _read_long_bytes(csv_text: str):
         # all blank
         wrong_width = last[rows] - first[rows] + 1 != width
         if not all(_blank(cells(r)) for r in rows[wrong_width]):
-            _first_fault(csv_text)
+            return None
         rows = rows[~wrong_width]
         c = first[rows] + country_idx
         ids = _country_ids(slab, starts[c], ends[c], countries, names)
         if not all(_blank(cells(r)) for r in rows[ids < 0]):
-            _first_fault(csv_text)
+            return None
         rows, ids = rows[ids >= 0], ids[ids >= 0]
 
         d, k = first[rows] + date_idx, first[rows] + count_idx
@@ -457,10 +479,10 @@ def _read_long_bytes(csv_text: str):
             days = _date_cells(slab, starts[d], ends[d], ordinals)
             counts = _count_cells(slab, starts[k], ends[k])
         except ValueError:
-            _first_fault(csv_text)
+            return None
         parts.append((ids, days, counts))
     if columns is None:
-        raise DataFormatError("empty file")
+        return None
     ids, days, counts = (np.concatenate(p) for p in zip(*parts))
     return list(names), ids, days, counts
 
@@ -592,39 +614,6 @@ def _count_cells(slab: bytes, starts: np.ndarray, ends: np.ndarray) -> np.ndarra
     other = np.flatnonzero(~plain)
     counts[other] = _counts(_cells(slab, starts[other], ends[other]))
     return counts
-
-
-def _first_fault(csv_text: str) -> NoReturn:
-    """Re-read the long-layout ``csv_text`` row by row and raise its first
-    row fault, for a file in which ``parse_long`` found one."""
-    reader = _csv_reader(csv_text)
-    header, first_row = _read_header(reader)
-    width, country_idx, date_idx, count_idx = _long_columns(header)
-    seen: dict[str, set[date]] = {}
-    for row_no, row in _numbered(reader, first_row):
-        if _blank(row):
-            continue
-        if len(row) != width:
-            raise DataFormatError(
-                f"row {row_no}: expected {width} cells, found {len(row)}"
-            )
-        country = row[country_idx].strip()
-        if not country:
-            raise DataFormatError(f"row {row_no}: empty country")
-        try:
-            day = date.fromisoformat(row[date_idx].strip())
-        except ValueError:
-            raise DataFormatError(
-                f"row {row_no}: bad ISO date {row[date_idx]!r}"
-            ) from None
-        _parse_count(row[count_idx], row_no, "cumulative")
-        days = seen.setdefault(country, set())
-        if day in days:
-            raise DataFormatError(
-                f"duplicate row for ({country!r}, {day.isoformat()})"
-            )
-        days.add(day)
-    raise RuntimeError("internal error: no row fault found to raise")
 
 
 def ingestion_warnings(series_list: list[CountrySeries]) -> list[dict]:

@@ -177,6 +177,13 @@ def test_empty_file(parse, text):
         parse(text)
 
 
+@pytest.mark.parametrize("text", ["country,date,cumulative\n",
+                                  "\ufeffcountry,date,cumulative\n"],
+                         ids=["plain", "bom"])
+def test_header_only_long_file_has_no_series(text):
+    assert parse_long(text) == []
+
+
 @pytest.mark.parametrize("parse,text,short_row,msg", [
     (parse_jhu_wide, WIDE_TEXT, ",U", "row 5: expected 7 cells, found 2"),
     (parse_long, LONG_TEXT, "A,2020-03-03", "row 6: expected 3 cells, found 2"),
@@ -436,17 +443,9 @@ def _date_major(long_text: str) -> str:
 
 
 def test_valid_files_never_take_the_re_read(monkeypatch):
-    # the re-read raises even for a file that has no fault to name
-    with pytest.raises(RuntimeError, match="internal error"):
-        align._first_fault(LONG_TEXT)
-
-    def re_read(csv_text):
-        raise AssertionError("a valid file was re-read")
-
     def row_loop(csv_text):
         raise AssertionError("a file of RFC 4180 text was read row by row")
 
-    monkeypatch.setattr(align, "_first_fault", re_read)
     monkeypatch.setattr(align, "_read_long_rows", row_loop)
     long_fixtures = sorted(FIXTURES.glob("*_long.csv"))
     assert long_fixtures
@@ -499,6 +498,11 @@ _BAD_CELLS = {"country": [" ", "", "\x1c\u3000"],
 _BLANK_ROWS = ["", ",,,", " , ,,", '"",,,']
 
 
+# the messages of row faults, each of which names its row
+_ROW_FAULT = re.compile(r"row \d+: |(non-numeric |non-integer )?count .* "
+                        r"at row \d+, column |duplicate row for \(")
+
+
 @st.composite
 def _rfc_texts(draw):
     """Long-layout RFC 4180 text: a few countries on consecutive days,
@@ -541,17 +545,17 @@ def _rfc_texts(draw):
 @settings(max_examples=120, deadline=None, derandomize=True)
 @given(text=_rfc_texts())
 def test_byte_reader_matches_the_row_loop(chunk_chars, text):
-    # the same series and warnings, or the same fault, from both readers
-    def row_loop(csv_text):
-        raise AssertionError("RFC 4180 text was read row by row")
-
+    # the same series and warnings, or the same fault, with the byte
+    # reader and without it; it declines RFC 4180 text only for a row
+    # fault, which the row loop names
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(align, "_CHUNK_CHARS", chunk_chars)
-        with pytest.MonkeyPatch.context() as bytes_only:
-            bytes_only.setattr(align, "_read_long_rows", row_loop)
-            from_bytes = _outcome(text)
+        from_bytes = _outcome(text)
+        columns = align._read_long_bytes(text)
         mp.setattr(align, "_read_long_bytes", lambda csv_text: None)
         assert _outcome(text) == from_bytes
+    if columns is None:
+        assert isinstance(from_bytes, str) and _ROW_FAULT.match(from_bytes)
 
 
 # text outside RFC 4180, which only the row loop reads, as csv reads
@@ -575,6 +579,21 @@ OUTSIDE_RFC = {
     "nul": (
         "country,date,cumulative\nA\0,2020-01-01,1\nA\0,2020-01-02,2\n",
         [("A\0", date(2020, 1, 1), [1, 2])]),
+    # row faults, which the row loop names in file order as it reads
+    "crlf_duplicate": (
+        "country,date,cumulative\r\nA,2020-01-01,1\r\nA,2020-01-01,2\r\n",
+        "duplicate row for ('A', 2020-01-01)"),
+    "crlf_bad_count_before_duplicate": (
+        "country,date,cumulative\r\nA,2020-01-01,1\r\nA,2020-01-02,x\r\n"
+        "A,2020-01-01,3\r\n",
+        "non-numeric count 'x' at row 3, column 'cumulative'"),
+    "crlf_bad_count_on_a_duplicate": (
+        "country,date,cumulative\r\nA,2020-01-01,1\r\nA,2020-01-01,x\r\n",
+        "non-numeric count 'x' at row 3, column 'cumulative'"),
+    "crlf_duplicate_before_short_row": (
+        "country,date,cumulative\r\nA,2020-01-01,1\r\nA,2020-01-01,2\r\n"
+        "A,2020-01-02\r\n",
+        "duplicate row for ('A', 2020-01-01)"),
 }
 
 

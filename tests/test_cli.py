@@ -9,6 +9,8 @@ from pathlib import Path
 import pytest
 
 from helpers import FIXTURES, src_env
+from latecast import align
+from latecast.align import parse_long
 from latecast.cli import JHU_FILENAMES, main
 
 LONG = str(FIXTURES / "synthetic_ecm_long.csv")
@@ -92,6 +94,13 @@ def test_forecast_outputs_are_byte_identical(tmp_path):
     diag = json.loads(da)
     assert "first_step" in diag and "second_step" in diag
     assert diag["window"] == 21
+    # first_step.beta is named by every panel peer, selected or not
+    dropped = {d["peer"] for d in diag["dropped_peers"]}
+    peers = sorted({s.name for s in parse_long(Path(LONG).read_text())}
+                   - dropped - {"Target"})
+    first = diag["first_step"]
+    assert list(first["beta"]) == peers
+    assert first["support"] and set(first["support"]) <= set(peers)
 
 
 def test_forecast_json_payload(tmp_path):
@@ -224,6 +233,24 @@ def test_byte_order_mark_is_ignored(tmp_path, capsys, path, layout):
         assert rc == 0
         outs.append(capsys.readouterr().out)
     assert outs[0] and outs[1] == outs[0]
+
+
+def test_crlf_long_file_is_read_as_bytes(tmp_path, capsys, monkeypatch):
+    # the CLI reads files in text mode, which turns every CRLF into LF,
+    # so a CRLF file never reaches the row-by-row reader of CR text
+    crlf = tmp_path / Path(LONG).name
+    crlf.write_bytes(Path(LONG).read_bytes().replace(b"\n", b"\r\n"))
+    assert main(["ingest-check", "--data-path", LONG,
+                 "--data-format", "long"]) == 0
+    expected = capsys.readouterr().out
+
+    def row_loop(csv_text):
+        raise AssertionError("a CRLF file was read row by row")
+
+    monkeypatch.setattr(align, "_read_long_rows", row_loop)
+    assert main(["ingest-check", "--data-path", str(crlf),
+                 "--data-format", "long"]) == 0
+    assert capsys.readouterr().out == expected
 
 
 def test_downward_revision_is_one_warning_line(tmp_path):
