@@ -31,8 +31,8 @@ JHU_FIXED_COLUMNS = ("Province/State", "Country/Region", "Lat", "Long")
 _MAX_EXACT_COUNT = 2**53
 
 # least number of characters that _lines reads through one io.StringIO,
-# which holds 4 bytes per character, and that parse_long's byte reader
-# encodes into one slab, so that neither copies the whole text
+# which holds 4 bytes per character, and that the byte readers encode
+# into one slab, so that none of them copies the whole text
 _CHUNK_CHARS = 1 << 20
 
 # newlines on each side of a slab, so that a window of up to 15 bytes
@@ -46,6 +46,11 @@ _QUOTE_NEIGHBOURS[[ord(","), ord("\n"), ord('"')]] = True
 
 # _BYTE_MASKS[n] keeps the first n bytes of a little-endian uint64
 _BYTE_MASKS = np.array([(1 << 8 * n) - 1 for n in range(9)], dtype=np.uint64)
+
+# a uint64 of eight ASCII '0's, and the masks of the test for digits
+_ZEROS = np.uint64(0x3030303030303030)
+_HIGH_NIBBLES = np.uint64(0xF0F0F0F0F0F0F0F0)
+_SIXES = np.uint64(0x0606060606060606)
 
 
 @dataclass(frozen=True, eq=False)
@@ -267,15 +272,30 @@ def parse_jhu_wide(csv_text: str) -> list[CountrySeries]:
     The header is ``Province/State,Country/Region,Lat,Long`` followed by
     M/D/YY date columns; province rows are summed per country.  In both
     layouts a leading byte-order mark and all-blank rows are ignored.
+
+    Text is read as ``parse_long`` reads it: from its UTF-8 bytes if it
+    is RFC 4180 text with no carriage return or NUL, and otherwise, or
+    if it has a header or row fault, row by row by ``csv``, which names
+    its first fault.
     """
-    reader = _csv_reader(csv_text)
-    header, first_row = _read_header(reader)
+    names, start, ids, counts = (_read_wide_bytes(csv_text)
+                                 or _read_wide_rows(csv_text))
+    # the country ids count up from 0 in order of first appearance
+    order = np.argsort(ids, kind="stable")
+    firsts = np.flatnonzero(np.diff(ids[order], prepend=-1))
+    totals = np.add.reduceat(counts[order], firsts)
+    out = [CountrySeries(name, start, c) for name, c in zip(names, totals)]
+    _warn_on_revisions(out)
+    return out
+
+
+def _wide_columns(header: list[str]) -> tuple[int, int, date]:
+    """The width of a JHU wide-layout header, the index of its
+    ``Country/Region`` column and the date of its first date column."""
     for col in JHU_FIXED_COLUMNS:
         if col not in header:
             raise DataFormatError(f"malformed header: missing column {col!r}")
-    country_idx = header.index("Country/Region")
-    n_fixed = len(JHU_FIXED_COLUMNS)
-    date_labels = header[n_fixed:]
+    date_labels = header[len(JHU_FIXED_COLUMNS):]
     if not date_labels:
         raise DataFormatError("malformed header: no date columns after 'Long'")
     try:
@@ -284,33 +304,58 @@ def parse_jhu_wide(csv_text: str) -> list[CountrySeries]:
         raise DataFormatError(f"malformed date column header: {exc}") from None
     _require_consecutive(np.array([d.toordinal() for d in dates]),
                          "date column header")
+    return len(header), header.index("Country/Region"), dates[0]
 
-    totals: dict[str, np.ndarray] = {}
+
+def _read_wide_rows(csv_text: str):
+    """Country names in file order, the first date, and each row's
+    country index and counts, read row by row by ``csv``; the first row
+    fault in file order is raised as it is read."""
+    reader = _csv_reader(csv_text)
+    header, first_row = _read_header(reader)
+    width, country_idx, start = _wide_columns(header)
+    n_fixed = len(JHU_FIXED_COLUMNS)
+    date_labels = header[n_fixed:]
+    names: dict[str, int] = {}
+    ids, values = [], []
     for row_no, row in _numbered(reader, first_row):
         if _blank(row):
             continue
-        if len(row) != len(header):
+        if len(row) != width:
             raise DataFormatError(
-                f"row {row_no}: expected {len(header)} cells, found {len(row)}"
+                f"row {row_no}: expected {width} cells, found {len(row)}"
             )
         country = row[country_idx].strip()
         if not country:
             raise DataFormatError(f"row {row_no}: empty country")
         cells = row[n_fixed:]
         try:
-            values = _counts(cells)
+            values.append(_counts(cells))
         except ValueError:
             for label, cell in zip(date_labels, cells):
                 _parse_count(cell, row_no, label)
             raise
-        if country not in totals:
-            totals[country] = values
-        else:
-            totals[country] = totals[country] + values
+        ids.append(names.setdefault(country, len(names)))
+    return (list(names), start, np.array(ids, dtype=np.int64),
+            np.array(values, dtype=np.int64).reshape(len(ids), len(date_labels)))
 
-    out = [CountrySeries(c, dates[0], counts) for c, counts in totals.items()]
-    _warn_on_revisions(out)
-    return out
+
+def _read_wide_bytes(csv_text: str):
+    """What ``_read_wide_rows`` returns, read by ``_byte_rows``, or None
+    for text that it declines or with a count cell that ``_counts``
+    rejects."""
+    names: dict[str, int] = {}
+    parts = []
+    try:
+        for slab, starts, ends, fields, ids, columns in _byte_rows(
+                csv_text, _wide_columns, names):
+            width, _, start = columns
+            cells = fields[:, None] + np.arange(len(JHU_FIXED_COLUMNS), width)
+            parts.append((ids, _count_cells(slab, starts[cells], ends[cells])))
+    except (ValueError, DataFormatError):
+        return None
+    ids, counts = (np.concatenate(p) for p in zip(*parts))
+    return list(names), start, ids, counts
 
 
 def _long_columns(header: list[str]) -> tuple[int, int, int, int]:
@@ -334,8 +379,8 @@ def parse_long(csv_text: str) -> list[CountrySeries]:
 
     Text whose quotes each enclose a whole cell, as RFC 4180 quotes, and
     that holds no carriage return or NUL is read from its UTF-8 bytes,
-    one slab at a time; other text, and text with a row fault, is read
-    row by row by ``csv``, which names its first fault.
+    one slab at a time; other text, and text with a header or row
+    fault, is read row by row by ``csv``, which names its first fault.
 
     A file with several faults is named by its first, in file order.
     Row faults (a wrong cell count, an empty country, a bad date or
@@ -417,33 +462,62 @@ def _read_long_rows(csv_text: str):
 
 
 def _read_long_bytes(csv_text: str):
-    """What ``_read_long_rows`` returns, read from the UTF-8 bytes of the
-    text one slab at a time, or None for text that ``csv`` may read into
-    other rows or cells: text with a carriage return or NUL, a quote
-    that does not enclose a whole cell, or a cell of more bytes than
-    ``csv.field_size_limit()``.  It is None too for text with no header
-    row or with a row fault, which ``_read_long_rows`` then reads row by
-    row to name its first fault; only a repeated country and date is
-    let through, for ``parse_long`` to find."""
-    if "\r" in csv_text or "\0" in csv_text:
-        return None
-    limit = csv.field_size_limit()
-    columns = None
+    """What ``_read_long_rows`` returns, read by ``_byte_rows``, or None
+    for text that it declines or with a date or count cell that
+    ``_days`` or ``_counts`` rejects; only a repeated country and date
+    is let through, for ``parse_long`` to find."""
     names: dict[str, int] = {}
-    # the index in names of each raw country cell read, -1 for a blank one
-    countries: dict[bytes, int] = {}
     ordinals: dict[str, int] = {}
     parts = []
+    try:
+        for slab, starts, ends, fields, ids, columns in _byte_rows(
+                csv_text, _long_columns, names):
+            d, k = fields + columns[2], fields + columns[3]
+            parts.append((ids, _date_cells(slab, starts[d], ends[d], ordinals),
+                          _count_cells(slab, starts[k], ends[k])))
+    except (ValueError, DataFormatError):
+        return None
+    ids, days, counts = (np.concatenate(p) for p in zip(*parts))
+    return list(names), ids, days, counts
+
+
+def _byte_rows(csv_text: str, read_header, names: dict[str, int]):
+    """The rows of the UTF-8 bytes of the text, one slab at a time, for
+    the byte readers of both layouts.
+
+    ``read_header`` reads the stripped cells of the first row that is
+    not all blank, the header, into a tuple that starts with its width
+    and the index of its country column.  From the slab that holds the
+    header on, each slab yields ``(slab, starts, ends, fields, ids,
+    columns)``: field i is ``slab[starts[i]:ends[i]]``, ``columns`` is
+    what ``read_header`` returned, and the rows after the header that
+    are not all blank have their first field at ``fields`` and the index
+    in ``names`` of their country at ``ids``; a new country is added to
+    ``names``.
+
+    It raises ``ValueError`` for text that ``csv`` may read into other
+    rows or cells (text with a carriage return or NUL, a quote that does
+    not enclose a whole cell, or a cell of more bytes than
+    ``csv.field_size_limit()``), for text with no header row, and for a
+    row that is not all blank and has another width than the header or
+    a blank country cell; ``read_header`` raises ``DataFormatError`` for
+    a header it rejects.  The row loops read such text row by row and
+    name its first fault."""
+    if "\r" in csv_text or "\0" in csv_text:
+        raise ValueError("carriage return or NUL")
+    limit = csv.field_size_limit()
+    columns = None
+    # the index in names of each raw country cell read, -1 for a blank one
+    countries: dict[bytes, int] = {}
     for slab in _slabs(csv_text, int(csv_text.startswith("\ufeff"))):
         a = np.frombuffer(slab, np.uint8)
         ends = _separators(a)
         if ends is None:
-            return None
-        # field i is slab[starts[i]:ends[i]]; row r is fields first[r]
-        # to last[r]
+            raise ValueError("a quote does not enclose a whole cell")
+        # row r is fields first[r] to last[r]
         starts = np.concatenate(([_PAD], ends[:-1] + 1))
         if (ends - starts).max() > limit:
-            return None
+            raise ValueError("a cell is past the field size limit")
         last = np.flatnonzero(a[ends] == ord("\n"))
         first = np.concatenate(([0], last[:-1] + 1))
 
@@ -456,35 +530,25 @@ def _read_long_bytes(csv_text: str):
         while columns is None and row < len(first):
             header = cells(row)
             if not _blank(header):
-                columns = _long_columns([h.strip() for h in header])
+                columns = read_header([h.strip() for h in header])
             row += 1
         if columns is None:
             continue
-        width, country_idx, date_idx, count_idx = columns
+        width, country_idx = columns[:2]
         rows = np.arange(row, len(first))
         # a row of another width, or with a blank country cell, must be
         # all blank
         wrong_width = last[rows] - first[rows] + 1 != width
         if not all(_blank(cells(r)) for r in rows[wrong_width]):
-            return None
+            raise ValueError("a row of another width")
         rows = rows[~wrong_width]
         c = first[rows] + country_idx
         ids = _country_ids(slab, starts[c], ends[c], countries, names)
         if not all(_blank(cells(r)) for r in rows[ids < 0]):
-            return None
-        rows, ids = rows[ids >= 0], ids[ids >= 0]
-
-        d, k = first[rows] + date_idx, first[rows] + count_idx
-        try:
-            days = _date_cells(slab, starts[d], ends[d], ordinals)
-            counts = _count_cells(slab, starts[k], ends[k])
-        except ValueError:
-            return None
-        parts.append((ids, days, counts))
+            raise ValueError("a blank country cell")
+        yield slab, starts, ends, first[rows[ids >= 0]], ids[ids >= 0], columns
     if columns is None:
-        return None
-    ids, days, counts = (np.concatenate(p) for p in zip(*parts))
-    return list(names), ids, days, counts
+        raise ValueError("no header row")
 
 
 def _slabs(text: str, start: int):
@@ -508,9 +572,9 @@ def _slabs(text: str, start: int):
 def _separators(a: np.ndarray) -> np.ndarray | None:
     """Positions of the commas and newlines outside quotes in the slab
     ``a``, or None if one of its quotes does not enclose a whole cell."""
-    body = a[_PAD:len(a) - _PAD]
-    seps = np.flatnonzero((body == ord(",")) | (body == ord("\n"))) + _PAD
-    quotes = np.flatnonzero(body == ord('"')) + _PAD
+    # the slice drops the newlines of the pads
+    seps = np.flatnonzero((a == ord(",")) | (a == ord("\n")))[_PAD:-_PAD]
+    quotes = np.flatnonzero(a == ord('"'))
     if not quotes.size:
         return seps
     # quotes alternate between opening and closing a cell: an opening
@@ -519,8 +583,13 @@ def _separators(a: np.ndarray) -> np.ndarray | None:
     if (quotes.size % 2 or not _QUOTE_NEIGHBOURS[a[quotes[::2] - 1]].all()
             or not _QUOTE_NEIGHBOURS[a[quotes[1::2] + 1]].all()):
         return None
-    # a separator is outside quotes after an even number of them
-    return seps[np.searchsorted(quotes, seps) % 2 == 0]
+    # the separators inside the i-th pair of quotes are
+    # seps[opens[i]:closes[i]]; the indices of all pairs' separators are
+    # these ranges laid end to end, numbered by a running sum
+    opens, closes = np.searchsorted(seps, quotes).reshape(-1, 2).T
+    inside = closes - opens
+    return np.delete(seps, np.repeat(closes - np.cumsum(inside), inside)
+                     + np.arange(inside.sum()))
 
 
 def _cell(raw: bytes) -> str:
@@ -600,20 +669,44 @@ def _date_cells(slab: bytes, starts: np.ndarray, ends: np.ndarray,
 
 def _count_cells(slab: bytes, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
     """Count cells as ``_counts`` reads them.  A cell of 1 to 15 ASCII
-    digits is read as an integer directly."""
-    a = np.frombuffer(slab, np.uint8)
+    digits is read as an integer directly, from the 8 bytes that end it
+    and, if it is longer than 8 bytes, the 8 before those."""
+    # the 8 bytes from each position of the slab, as one integer
+    words = np.ndarray((len(slab) - 7,), "<u8", slab, 0, (1,))
     sizes = ends - starts
-    plain = (sizes >= 1) & (sizes <= 15)
-    counts = np.zeros(len(sizes), dtype=np.int64)
-    # Horner's rule over the last j bytes of each cell, the most
-    # significant first; the bytes before a shorter cell read as 0
-    for j in range(int(sizes.max(initial=0, where=plain)), 0, -1):
-        digit = np.where(sizes >= j, a[ends - j] - ord("0"), 0)
-        plain &= digit < 10
-        counts = counts * 10 + digit
-    other = np.flatnonzero(~plain)
+    counts, plain = _eight_digits(words[ends - 8], np.maximum(8 - sizes, 0))
+    plain &= (sizes >= 1) & (sizes <= 15)
+    more = sizes > 8
+    high, digits = _eight_digits(words[ends[more] - 16], 16 - sizes[more])
+    counts[more] += high * 10**8
+    plain[more] &= digits
+    other = ~plain
     counts[other] = _counts(_cells(slab, starts[other], ends[other]))
     return counts
+
+
+def _eight_digits(words: np.ndarray, skip: np.ndarray):
+    """The number that each little-endian word spells in 8 ASCII digits,
+    its first ``skip`` bytes read as '0', as int64, and whether all 8
+    bytes are digits (Langdale & Lemire, "Parsing Gigabytes of JSON per
+    Second", 2019).  ``words`` is overwritten."""
+    # the skipped bytes become 0xFF, then '0'
+    fill = _BYTE_MASKS[skip]
+    words |= fill
+    words ^= fill & ~_ZEROS
+    # a byte is a digit if its high nibble is 3, also after adding 6
+    high = words & _HIGH_NIBBLES
+    digits = high == _ZEROS
+    np.add(words, _SIXES, out=high)
+    high &= _HIGH_NIBBLES
+    digits &= high == _ZEROS
+    # add up neighbouring digits, then pairs of them, then fours
+    for shift, mask in ((8, 0x0F0F0F0F0F0F0F0F), (16, 0x00FF00FF00FF00FF),
+                        (32, 0x0000FFFF0000FFFF)):
+        words &= mask
+        words *= 10 ** (shift // 8) << shift | 1
+        words >>= shift
+    return words.view(np.int64), digits
 
 
 def ingestion_warnings(series_list: list[CountrySeries]) -> list[dict]:

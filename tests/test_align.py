@@ -447,31 +447,38 @@ def test_valid_files_never_take_the_re_read(monkeypatch):
         raise AssertionError("a file of RFC 4180 text was read row by row")
 
     monkeypatch.setattr(align, "_read_long_rows", row_loop)
-    long_fixtures = sorted(FIXTURES.glob("*_long.csv"))
-    assert long_fixtures
-    for path in long_fixtures:
-        assert parse_long(path.read_text(encoding="utf-8"))
+    monkeypatch.setattr(align, "_read_wide_rows", row_loop)
+    fixtures = sorted(FIXTURES.glob("*.csv"))
+    assert [p.name for p in fixtures if p.name.endswith("_long.csv")]
+    for path in fixtures:
+        parse = parse_long if path.name.endswith("_long.csv") else parse_jhu_wide
+        assert parse(path.read_text(encoding="utf-8"))
+    assert parse_jhu_wide(JHU_HEADER + "\n") == []
     # the small panel fits one slab; the large one, perfbench's, takes
-    # several, with quoted names such as "Korea, South"
+    # several, with quoted names such as "Korea, South" and, in the wide
+    # layout, countries split into province rows
     for size in ({"n_countries": 12, "n_days": 120}, {}):
         panel = generate_panel(FIXTURES, seed=1, **size)
-        for text in (panel.long_text, _date_major(panel.long_text)):
-            parsed = parse_long(text)
+        for parse, text in ((parse_long, panel.long_text),
+                            (parse_long, _date_major(panel.long_text)),
+                            (parse_jhu_wide, panel.wide_text)):
+            parsed = parse(text)
             assert [s.name for s in parsed] == panel.names
             for s in parsed:
                 assert s.start == panel.dates[0]
                 np.testing.assert_array_equal(s.counts, panel.counts[s.name])
     assert len(panel.long_text) > 4 * align._CHUNK_CHARS
-    assert '"' in panel.long_text
+    assert len(panel.wide_text) > align._CHUNK_CHARS
+    assert '"' in panel.long_text and '"' in panel.wide_text
 
 
-def _outcome(text: str):
-    """The series and warnings that parse_long gives for text, or the
-    message of its DataFormatError."""
+def _outcome(text: str, parse=parse_long):
+    """The series and warnings that parse gives for text, or the message
+    of its DataFormatError."""
     try:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            series = parse_long(text)
+            series = parse(text)
     except DataFormatError as exc:
         return str(exc)
     return ([(s.name, s.start, s.counts.tolist()) for s in series],
@@ -610,6 +617,154 @@ def test_text_outside_rfc_4180_is_read_row_by_row(monkeypatch, chunk_chars,
     else:
         assert [(s.name, s.start, s.counts.tolist())
                 for s in parse_long(text)] == expected
+
+
+_WIDE_COUNTS = [*_RFC_COUNTS, "0", "00000000", "123456789", "999999999999999"]
+# count cells that only float reads or that it rejects, and a negative
+# count, which is no row fault
+_WIDE_BAD_COUNTS = [*(c for c, _ in COUNT_CELLS), "x", "", "-1", "1e20"]
+# header cells that, in place of another, put a date column out of
+# sequence, make it unreadable, or rename a fixed column
+_WIDE_BAD_HEADER_CELLS = ["1/30/20", "1/32/20", "Region"]
+
+
+@st.composite
+def _wide_texts(draw):
+    """JHU wide-layout RFC 4180 text: a few countries, some split into
+    province rows, their rows shuffled or not, some cells quoted, a few
+    rows faulty, of another width or all blank, and blank rows before
+    and after the header."""
+    labels = [f"1/{22 + i}/20" for i in range(draw(st.integers(1, 4)))]
+    header = [*align.JHU_FIXED_COLUMNS, *labels]
+    if draw(st.integers(0, 19)) == 0:
+        header[draw(st.integers(0, len(header) - 1))] = draw(
+            st.sampled_from(_WIDE_BAD_HEADER_CELLS))
+    rows = []
+    for name in draw(st.lists(st.sampled_from(_RFC_NAMES), min_size=1,
+                              max_size=3, unique=True)):
+        for province in draw(st.sampled_from([[""], ["North", "South"],
+                                              ["a,b", 'q"q', ""]])):
+            row = [province, name, draw(st.sampled_from(["0", "-32.5", ""])),
+                   "0", *(draw(st.sampled_from(_WIDE_COUNTS)) for _ in labels)]
+            if draw(st.integers(0, 19)) == 0:
+                row[1] = draw(st.sampled_from(_BAD_CELLS["country"]))
+            if draw(st.integers(0, 19)) == 0:
+                row[draw(st.integers(4, len(row) - 1))] = draw(
+                    st.sampled_from(_WIDE_BAD_COUNTS))
+            cells = [_quoted(c) if any(ch in c for ch in ',"\n')
+                     or draw(st.integers(0, 5)) == 0 else c for c in row]
+            if draw(st.integers(0, 15)) == 0:
+                cells = draw(st.sampled_from([cells[:-1], [*cells, "1"]]))
+            rows.append(cells)
+    if draw(st.booleans()):
+        rows = draw(st.permutations(rows))
+    blank_rows = [*_BLANK_ROWS, "," * (len(header) - 1)]
+    lines = [[draw(st.sampled_from([c, f" {c} ", _quoted(c)])) for c in header]]
+    for cells in rows:
+        lines.append(cells)
+        if draw(st.integers(0, 7)) == 0:
+            lines.append([draw(st.sampled_from(blank_rows))])
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(0, [draw(st.sampled_from(blank_rows))])
+    text = "\n".join(",".join(cells) for cells in lines)
+    bom = draw(st.sampled_from(["", "\ufeff"]))
+    return bom + text + draw(st.sampled_from(["\n", ""]))
+
+
+# the messages of header faults
+_HEADER_FAULT = re.compile(r"malformed |date column header: |empty file$")
+
+
+@pytest.mark.parametrize("chunk_chars", [1, 7, DEFAULT_CHUNK_CHARS])
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(text=_wide_texts())
+def test_wide_byte_reader_matches_the_row_loop(chunk_chars, text):
+    # as for the long layout: the same outcome with the byte reader and
+    # without it, and a text it declines has a row or header fault
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(align, "_CHUNK_CHARS", chunk_chars)
+        from_bytes = _outcome(text, parse_jhu_wide)
+        columns = align._read_wide_bytes(text)
+        mp.setattr(align, "_read_wide_bytes", lambda csv_text: None)
+        assert _outcome(text, parse_jhu_wide) == from_bytes
+    if columns is None:
+        assert isinstance(from_bytes, str)
+        assert _ROW_FAULT.match(from_bytes) or _HEADER_FAULT.match(from_bytes)
+
+
+WIDE_OUTSIDE_RFC = {
+    "crlf": (f"{JHU_HEADER}\r\n,A,0,0,1,2,3\r\n,B,0,0,4,5,6\r\n",
+             [("A", date(2020, 1, 22), [1, 2, 3]),
+              ("B", date(2020, 1, 22), [4, 5, 6])]),
+    "nul": (f"{JHU_HEADER}\n,A\0,0,0,1,2,3\n",
+            [("A\0", date(2020, 1, 22), [1, 2, 3])]),
+    "mid_cell_quote": (f'{JHU_HEADER}\n,A"B,0,0,1,2,3\n,"C"D,0,0,4,5,6\n',
+                       [('A"B', date(2020, 1, 22), [1, 2, 3]),
+                        ("CD", date(2020, 1, 22), [4, 5, 6])]),
+}
+
+
+@pytest.mark.parametrize("chunk_chars", [1, 7, DEFAULT_CHUNK_CHARS])
+@pytest.mark.parametrize("text,expected", WIDE_OUTSIDE_RFC.values(),
+                         ids=WIDE_OUTSIDE_RFC)
+def test_wide_text_outside_rfc_4180_is_read_row_by_row(monkeypatch, chunk_chars,
+                                                       text, expected):
+    monkeypatch.setattr(align, "_CHUNK_CHARS", chunk_chars)
+    assert align._read_wide_bytes(text) is None
+    assert [(s.name, s.start, s.counts.tolist())
+            for s in parse_jhu_wide(text)] == expected
+
+
+def _fields(line: str):
+    """The slab of one line of text, and the starts and ends of its fields."""
+    [slab] = align._slabs(line, 0)
+    ends = align._separators(np.frombuffer(slab, np.uint8))
+    return slab, np.concatenate(([align._PAD], ends[:-1] + 1)), ends
+
+
+# cells of 1 to 16 bytes, across the 8/9 and 15/16 byte boundaries of
+# the word decoder: digits with and without leading zeros, and the same
+# widths with one byte that is no digit ('/' and ':' stand next to the
+# digits in ASCII), which only float reads or rejects
+_WORD_CELLS = [cell for n in range(1, 17) for cell in (
+    "9" * n, "0" * n, "0" * (n - 1) + "7", "1" + "0" * (n - 1),
+    "1234567890123456"[:n], "9" * (n - 1) + "/", ":" + "9" * (n - 1),
+    " " + "9" * (n - 1), "9" * (n - 1) + ".", "é" + "0" * (n - 1))]
+
+
+def _count_or_reject(cell: str):
+    try:
+        return int(align._counts([cell])[0])
+    except ValueError:
+        return "rejected"
+
+
+@pytest.mark.parametrize("before,k", [("", 0), ('"a,b",', 1), ("7,", 1)],
+                         ids=["after_the_pad", "after_a_quoted_cell", "mid_row"])
+def test_count_cells_decode_every_width_as_counts_does(monkeypatch, before, k):
+    for cell in _WORD_CELLS:
+        slab, starts, ends = _fields(f"{before}{cell},5\n")
+        try:
+            got = int(align._count_cells(slab, starts[k:k + 1], ends[k:k + 1])[0])
+        except ValueError:
+            got = "rejected"
+        assert got == _count_or_reject(cell), cell
+    # cells of every width in one call, where only those that are not 1
+    # to 15 ASCII digits reach the per-cell reader
+    accepted = [c for c in _WORD_CELLS if _count_or_reject(c) != "rejected"]
+    expected = align._counts(accepted)
+    read = []
+    per_cell = align._counts
+
+    def counts(cells):
+        read.extend(cells)
+        return per_cell(cells)
+
+    monkeypatch.setattr(align, "_counts", counts)
+    slab, starts, ends = _fields(before + ",".join(accepted) + "\n")
+    np.testing.assert_array_equal(align._count_cells(slab, starts[k:], ends[k:]),
+                                  expected)
+    assert read == [c for c in accepted if not re.fullmatch("[0-9]{1,15}", c)]
 
 
 LONG_CELL = "x" * 140_000
