@@ -676,7 +676,7 @@ def _count_cells(slab: bytes, starts: np.ndarray, ends: np.ndarray) -> np.ndarra
     sizes = ends - starts
     counts, plain = _eight_digits(words[ends - 8], np.maximum(8 - sizes, 0))
     plain &= (sizes >= 1) & (sizes <= 15)
-    more = sizes > 8
+    more = (sizes > 8) & (sizes <= 15)
     high, digits = _eight_digits(words[ends[more] - 16], 16 - sizes[more])
     counts[more] += high * 10**8
     plain[more] &= digits

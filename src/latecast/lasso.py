@@ -242,14 +242,7 @@ def _grid(prep: _Prepared) -> np.ndarray:
         # response orthogonal to every column: any penalty gives the
         # zero solution, so the grid anchor is arbitrary
         lam_max = 1.0
-    # np.geomspace(lam_max, lam_min, _N_LAMBDAS) by its own arithmetic,
-    # without its cost per call; it too sets both ends to the exact values
-    lam_min = lam_max * _LAMBDA_MIN_RATIO
-    start, stop = np.log10(lam_max), np.log10(lam_min)
-    step = (stop - start) / (_N_LAMBDAS - 1)
-    grid = np.power(10.0, np.arange(_N_LAMBDAS) * step + start)
-    grid[0], grid[-1] = lam_max, lam_min
-    return grid
+    return np.geomspace(lam_max, lam_max * _LAMBDA_MIN_RATIO, _N_LAMBDAS)
 
 
 def bic(y, X, weights, betas) -> np.ndarray:

@@ -496,12 +496,13 @@ _RFC_NAMES = ["A", " A ", "b1", "b2", "a,b", 'q"q', "x\ny", "é", "l\u2028s",
               "Saint Kitts 1", "Saint Kitts 2", "Korea, South"]
 _RFC_DATES = ["{}", " {} ", "{} "]
 _RFC_COUNTS = ["7", "12", "007", "1e3", "12.0", " 5 ", "+3",
-               "9007199254740991"]
+               "9007199254740991", "0" * 29 + "1"]
 # cells that make a row fault (one of them all whitespace to
 # str.strip), and rows that are all blank
 _BAD_CELLS = {"country": [" ", "", "\x1c\u3000"],
               "date": ["2020-01-32", "x", "", "2020-1-05", "2020/01/02"],
-              "cumulative": ["x", "-1", "12.5", "9007199254740992", "1e20", ""]}
+              "cumulative": ["x", "-1", "12.5", "9007199254740992", "1e20", "",
+                             "not available for this date"]}
 _BLANK_ROWS = ["", ",,,", " , ,,", '"",,,']
 
 
@@ -622,7 +623,8 @@ def test_text_outside_rfc_4180_is_read_row_by_row(monkeypatch, chunk_chars,
 _WIDE_COUNTS = [*_RFC_COUNTS, "0", "00000000", "123456789", "999999999999999"]
 # count cells that only float reads or that it rejects, and a negative
 # count, which is no row fault
-_WIDE_BAD_COUNTS = [*(c for c, _ in COUNT_CELLS), "x", "", "-1", "1e20"]
+_WIDE_BAD_COUNTS = [*(c for c, _ in COUNT_CELLS), "x", "", "-1", "1e20",
+                    "not available for this date"]
 # header cells that, in place of another, put a date column out of
 # sequence, make it unreadable, or rename a fixed column
 _WIDE_BAD_HEADER_CELLS = ["1/30/20", "1/32/20", "Region"]
@@ -722,19 +724,22 @@ def _fields(line: str):
     return slab, np.concatenate(([align._PAD], ends[:-1] + 1)), ends
 
 
-# cells of 1 to 16 bytes, across the 8/9 and 15/16 byte boundaries of
-# the word decoder: digits with and without leading zeros, and the same
-# widths with one byte that is no digit ('/' and ':' stand next to the
-# digits in ASCII), which only float reads or rejects
-_WORD_CELLS = [cell for n in range(1, 17) for cell in (
+# cells of 1 to 32 bytes, across the 8/9 and 15/16 byte boundaries of
+# the word decoder and well past its two words: digits with and without
+# leading zeros, and the same widths with one byte that is no digit
+# ('/' and ':' stand next to the digits in ASCII), padding or quotes,
+# which only float reads or rejects
+_WORD_CELLS = [cell for n in range(1, 33) for cell in (
     "9" * n, "0" * n, "0" * (n - 1) + "7", "1" + "0" * (n - 1),
-    "1234567890123456"[:n], "9" * (n - 1) + "/", ":" + "9" * (n - 1),
-    " " + "9" * (n - 1), "9" * (n - 1) + ".", "é" + "0" * (n - 1))]
+    "12345678901234567890123456789012"[:n], "9" * (n - 1) + "/",
+    ":" + "9" * (n - 1), " " + "9" * (n - 1), "9" * (n - 1) + ".",
+    "é" + "0" * (n - 1), f" {'0' * (n - 1)}7 ", _quoted("0" * (n - 1) + "7"),
+    _quoted(f" {'0' * (n - 1)}7 "), "not available for this date"[:n])]
 
 
 def _count_or_reject(cell: str):
     try:
-        return int(align._counts([cell])[0])
+        return int(align._counts([align._cell(cell.encode())])[0])
     except ValueError:
         return "rejected"
 
@@ -752,7 +757,7 @@ def test_count_cells_decode_every_width_as_counts_does(monkeypatch, before, k):
     # cells of every width in one call, where only those that are not 1
     # to 15 ASCII digits reach the per-cell reader
     accepted = [c for c in _WORD_CELLS if _count_or_reject(c) != "rejected"]
-    expected = align._counts(accepted)
+    expected = align._counts([align._cell(c.encode()) for c in accepted])
     read = []
     per_cell = align._counts
 
@@ -764,7 +769,8 @@ def test_count_cells_decode_every_width_as_counts_does(monkeypatch, before, k):
     slab, starts, ends = _fields(before + ",".join(accepted) + "\n")
     np.testing.assert_array_equal(align._count_cells(slab, starts[k:], ends[k:]),
                                   expected)
-    assert read == [c for c in accepted if not re.fullmatch("[0-9]{1,15}", c)]
+    assert read == [align._cell(c.encode()) for c in accepted
+                    if not re.fullmatch("[0-9]{1,15}", c)]
 
 
 LONG_CELL = "x" * 140_000

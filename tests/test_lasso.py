@@ -10,7 +10,6 @@ homotopy (``helpers.solve_at``); the penalty grid is read from
 
 import math
 import warnings
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,9 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import solve_at
 from latecast.errors import EstimationError
-from latecast.lasso import (
-    _grid, _homotopy, _Prepared, bic, kkt_violation, select_by_bic,
-)
+from latecast.lasso import _homotopy, _Prepared, bic, kkt_violation, select_by_bic
 
 
 def orthonormal_design(rng, n, p, w):
@@ -103,20 +100,6 @@ def test_path_anchor_formula():
     path = select_by_bic(y, X, w).path
     assert path[0][0] == pytest.approx(lam_max, rel=1e-12)
     assert path[-1][0] == pytest.approx(lam_max * 1e-4, rel=1e-9)
-
-
-def test_grid_is_geomspace_bit_for_bit():
-    # with K = 2 the anchor 2 |c| / K is c itself, exactly
-    rng = np.random.default_rng(31020)
-    spread = np.geomspace(1e-12, 1e6, 2001) * rng.uniform(0.5, 2.0, 2001)
-    for lam_max in [*spread.tolist(), 1.0, 0.1, math.pi, 2.0**-30]:
-        prep = SimpleNamespace(active=np.array([True]), c=np.array([lam_max]), K=2)
-        expected = np.geomspace(lam_max, lam_max * 1e-4, 100)
-        assert _grid(prep).tobytes() == expected.tobytes(), lam_max
-    # a response orthogonal to every column anchors the grid at 1.0
-    prep = _Prepared(np.array([1.0, 1.0]), np.array([[1.0], [-1.0]]), np.ones(2))
-    assert prep.c.tolist() == [0.0]
-    assert _grid(prep).tobytes() == np.geomspace(1.0, 1e-4, 100).tobytes()
 
 
 def test_path_rejects_all_degenerate_design():
