@@ -180,27 +180,42 @@ def _blank(row: list[str]) -> bool:
     return not any(map(str.strip, row))
 
 
-def _numbered(reader, row_no: int):
-    """The rows of a ``csv`` reader with their numbers from ``row_no``;
-    a ``csv.Error`` becomes a ``DataFormatError`` that names its row."""
-    while True:
-        try:
-            row = next(reader)
-        except StopIteration:
-            return
-        except csv.Error as exc:
-            raise DataFormatError(f"row {row_no}: {exc}") from None
-        yield row_no, row
-        row_no += 1
-
-
-def _read_header(reader) -> tuple[list[str], int]:
-    """Stripped cells of the first row that is not all blank, and the
-    number of the row after it."""
-    for row_no, row in _numbered(reader, 1):
-        if not _blank(row):
-            return [h.strip() for h in row], row_no + 1
-    raise DataFormatError("empty file")
+def _csv_rows(csv_text: str, read_header, names: dict[str, int]):
+    """The rows of the text as ``csv`` reads them, for the row loops:
+    first ``(header, columns)``, the stripped cells of the first row
+    that is not all blank and what ``read_header`` returned for them,
+    then ``(row_no, row, id)`` for each later row that is not all blank,
+    ``id`` being the index in ``names`` of its country.  It raises
+    ``DataFormatError`` for text with no header and, naming the row, for
+    a row of another width or with a blank country cell or a ``csv.Error``."""
+    rows = enumerate(_csv_reader(csv_text), 1)
+    row_no = 0
+    try:
+        for row_no, row in rows:
+            if not _blank(row):
+                header = [h.strip() for h in row]
+                break
+        else:
+            raise DataFormatError("empty file")
+        yield header, (columns := read_header(header))
+        width, country_idx = columns[:2]
+        # the raw country cell last looked up; a row that repeats it is valid
+        key = None
+        for row_no, row in rows:
+            if len(row) != width or row[country_idx] != key:
+                if len(row) == width and (country := row[country_idx].strip()):
+                    key = row[country_idx]
+                    index = names.setdefault(country, len(names))
+                elif _blank(row):
+                    continue
+                elif len(row) != width:
+                    raise DataFormatError(
+                        f"row {row_no}: expected {width} cells, found {len(row)}")
+                else:
+                    raise DataFormatError(f"row {row_no}: empty country")
+            yield row_no, row, index
+    except csv.Error as exc:
+        raise DataFormatError(f"row {row_no + 1}: {exc}") from None
 
 
 def _parse_count(cell: str, row: int, col: str) -> int:
@@ -275,15 +290,14 @@ def parse_jhu_wide(csv_text: str) -> list[CountrySeries]:
 
     Text is read as ``parse_long`` reads it: from its UTF-8 bytes if it
     is RFC 4180 text with no carriage return or NUL, and otherwise, or
-    if it has a header or row fault, row by row by ``csv``, which names
+    if it has a header or row fault, row by row by ``_csv_rows``, naming
     its first fault.
     """
     names, start, ids, counts = (_read_wide_bytes(csv_text)
                                  or _read_wide_rows(csv_text))
-    # the country ids count up from 0 in order of first appearance
-    order = np.argsort(ids, kind="stable")
-    firsts = np.flatnonzero(np.diff(ids[order], prepend=-1))
-    totals = np.add.reduceat(counts[order], firsts)
+    totals = np.zeros((len(names), counts.shape[1]), dtype=np.int64)
+    for i, row in zip(ids.tolist(), counts):
+        totals[i] += row
     out = [CountrySeries(name, start, c) for name, c in zip(names, totals)]
     _warn_on_revisions(out)
     return out
@@ -309,33 +323,22 @@ def _wide_columns(header: list[str]) -> tuple[int, int, date]:
 
 def _read_wide_rows(csv_text: str):
     """Country names in file order, the first date, and each row's
-    country index and counts, read row by row by ``csv``; the first row
-    fault in file order is raised as it is read."""
-    reader = _csv_reader(csv_text)
-    header, first_row = _read_header(reader)
-    width, country_idx, start = _wide_columns(header)
-    n_fixed = len(JHU_FIXED_COLUMNS)
-    date_labels = header[n_fixed:]
+    country index and counts, read row by row by ``_csv_rows``; the
+    first row fault in file order is raised as it is read."""
     names: dict[str, int] = {}
+    rows = _csv_rows(csv_text, _wide_columns, names)
+    header, (_, _, start) = next(rows)
+    date_labels = header[len(JHU_FIXED_COLUMNS):]
     ids, values = [], []
-    for row_no, row in _numbered(reader, first_row):
-        if _blank(row):
-            continue
-        if len(row) != width:
-            raise DataFormatError(
-                f"row {row_no}: expected {width} cells, found {len(row)}"
-            )
-        country = row[country_idx].strip()
-        if not country:
-            raise DataFormatError(f"row {row_no}: empty country")
-        cells = row[n_fixed:]
+    for row_no, row, index in rows:
+        cells = row[len(JHU_FIXED_COLUMNS):]
         try:
             values.append(_counts(cells))
         except ValueError:
             for label, cell in zip(date_labels, cells):
                 _parse_count(cell, row_no, label)
             raise
-        ids.append(names.setdefault(country, len(names)))
+        ids.append(index)
     return (list(names), start, np.array(ids, dtype=np.int64),
             np.array(values, dtype=np.int64).reshape(len(ids), len(date_labels)))
 
@@ -380,7 +383,7 @@ def parse_long(csv_text: str) -> list[CountrySeries]:
     Text whose quotes each enclose a whole cell, as RFC 4180 quotes, and
     that holds no carriage return or NUL is read from its UTF-8 bytes,
     one slab at a time; other text, and text with a header or row
-    fault, is read row by row by ``csv``, which names its first fault.
+    fault, is read row by row by ``_csv_rows``, naming its first fault.
 
     A file with several faults is named by its first, in file order.
     Row faults (a wrong cell count, an empty country, a bad date or
@@ -412,47 +415,28 @@ def parse_long(csv_text: str) -> list[CountrySeries]:
 
 def _read_long_rows(csv_text: str):
     """Country names in file order, and each row's country index, day
-    ordinal and count, read row by row by ``csv``; the first row fault
-    in file order is raised as it is read."""
-    reader = _csv_reader(csv_text)
-    header, first_row = _read_header(reader)
-    width, country_idx, date_idx, count_idx = _long_columns(header)
+    ordinal and count, read row by row by ``_csv_rows``; the first row
+    fault in file order is raised as it is read."""
     names: dict[str, int] = {}
+    rows = _csv_rows(csv_text, _long_columns, names)
+    _, (_, _, date_idx, count_idx) = next(rows)
     # the day ordinals read so far for each country index
     seen: dict[int, set[int]] = {}
     ordinals: dict[str, int] = {}
     ids, days, counts = [], [], []
-    # the raw country cell of the row before, if it named a country
-    key = None
-    for row_no, row in _numbered(reader, first_row):
-        if len(row) != width:
-            if _blank(row):
-                continue
-            raise DataFormatError(
-                f"row {row_no}: expected {width} cells, found {len(row)}"
-            )
-        if row[country_idx] != key:
-            key = None
-            country = row[country_idx].strip()
-            if not country:
-                if _blank(row):
-                    continue
-                raise DataFormatError(f"row {row_no}: empty country")
-            key = row[country_idx]
-            index = names.setdefault(country, len(names))
-            country_days = seen.setdefault(index, set())
+    for row_no, row, index in rows:
         cell = row[date_idx]
         day = ordinals.get(cell)
         if day is None:
             try:
                 day = ordinals[cell] = date.fromisoformat(cell.strip()).toordinal()
             except ValueError:
-                raise DataFormatError(
-                    f"row {row_no}: bad ISO date {cell!r}"
-                ) from None
+                raise DataFormatError(f"row {row_no}: bad ISO date {cell!r}") from None
         counts.append(_parse_count(row[count_idx], row_no, "cumulative"))
+        if not ids or ids[-1] != index:
+            country_days = seen.setdefault(index, set())
         if day in country_days:
-            raise DataFormatError(f"duplicate row for ({country!r}, "
+            raise DataFormatError(f"duplicate row for ({list(names)[index]!r}, "
                                   f"{date.fromordinal(day).isoformat()})")
         country_days.add(day)
         ids.append(index)
@@ -498,11 +482,10 @@ def _byte_rows(csv_text: str, read_header, names: dict[str, int]):
     It raises ``ValueError`` for text that ``csv`` may read into other
     rows or cells (text with a carriage return or NUL, a quote that does
     not enclose a whole cell, or a cell of more bytes than
-    ``csv.field_size_limit()``), for text with no header row, and for a
-    row that is not all blank and has another width than the header or
-    a blank country cell; ``read_header`` raises ``DataFormatError`` for
-    a header it rejects.  The row loops read such text row by row and
-    name its first fault."""
+    ``csv.field_size_limit()``), and for text with no header row or with
+    a row that ``_csv_rows`` rejects; ``read_header`` raises
+    ``DataFormatError`` for a header it rejects.  The row loops read
+    such text row by row by ``_csv_rows`` and name its first fault."""
     if "\r" in csv_text or "\0" in csv_text:
         raise ValueError("carriage return or NUL")
     limit = csv.field_size_limit()

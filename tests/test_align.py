@@ -68,6 +68,18 @@ def test_parse_jhu_missing_country_column():
         parse_jhu_wide(text)
 
 
+def test_parse_jhu_header_ending_at_long_has_no_date_columns():
+    with pytest.raises(DataFormatError, match="^malformed header: no date "
+                       "columns after 'Long'$"):
+        parse_jhu_wide("Province/State,Country/Region,Lat,Long\n,A,0,0\n")
+
+
+def test_parse_long_header_without_date_column():
+    with pytest.raises(DataFormatError, match=re.escape(
+            "malformed header: missing column(s) ['date']")):
+        parse_long("country,day,cumulative\nA,2020-01-01,1\n")
+
+
 def test_parse_jhu_bad_cell_reports_location():
     text = "\n".join([JHU_HEADER, ",Uruguay,-32.5,-55.8,1,x,3"])
     with pytest.raises(DataFormatError) as exc:
@@ -361,6 +373,10 @@ MULTI_FAULT = {
     "bad_count_under_a_quoted_newline": (
         ['"A\nB",2020-01-01,1', '"A\nB",2020-01-02,x'],
         "non-numeric count 'x' at row 3, column 'cumulative'"),
+    # the blank row's country cell must not pass for a looked-up country
+    "empty_country_after_a_blank_row": (
+        ["A,2020-01-01,1", " , ,", " ,2020-01-02,2"],
+        "row 4: empty country"),
 }
 
 DEFAULT_CHUNK_CHARS = align._CHUNK_CHARS
@@ -791,8 +807,10 @@ LONG_HEAD = "country,date,cumulative\n"
      "row 3: field larger than field limit"),
     (parse_jhu_wide, f"{JHU_HEADER}\n,A,0,0,1,2,3\r,B,0,0,1,2,3\n",
      "row 2: new-line character seen in unquoted field"),
+    (parse_jhu_wide, f"\n{LONG_CELL},Country/Region,Lat,Long,1/22/20\n",
+     "row 2: field larger than field limit"),
 ], ids=["long_field", "long_cr", "long_fault_first", "long_header",
-        "wide_field", "wide_cr"])
+        "wide_field", "wide_cr", "wide_header"])
 def test_csv_errors_name_their_row(parse, text, msg):
     with pytest.raises(DataFormatError, match=f"^{re.escape(msg)}"):
         parse(text)

@@ -1,6 +1,7 @@
 """Rolling-origin evaluation: scoring, leakage, skips, and rendering."""
 
 import json
+import re
 import warnings
 from datetime import date, timedelta
 
@@ -9,7 +10,9 @@ import pytest
 
 from helpers import FIXTURES, make_series
 from latecast import backtest
-from latecast.align import CountrySeries, build_panel, parse_long, truncate_series
+from latecast.align import (
+    CountrySeries, build_panel, parse_jhu_wide, parse_long, truncate_series,
+)
 from latecast.backtest import (
     BacktestConfig,
     dumps_report,
@@ -307,6 +310,16 @@ def test_origin_range_without_feasible_origin_names_both_ranges(
     assert err["error"] == "DataFormatError"
     assert f"requested range {requested}" in err["message"]
     assert "feasible origins 2020-04-04 to 2020-04-15" in err["message"]
+
+
+def test_window_longer_than_the_target_has_no_feasible_origin():
+    series = {s.name: s for s in parse_jhu_wide(
+        (FIXTURES / "jhu_confirmed_snapshot_20200415.csv").read_text())}
+    target = series.pop("Brazil")
+    with pytest.raises(DataFormatError, match=re.escape(
+            "no feasible origin: target 'Brazil' needs at least 41 aligned "
+            "observations")):
+        run_backtest(target, list(series.values()), BacktestConfig(window=40))
 
 
 def test_observed_comes_from_untruncated_target():

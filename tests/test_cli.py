@@ -11,6 +11,7 @@ import pytest
 from helpers import FIXTURES, src_env
 from latecast import align
 from latecast.align import parse_long
+from latecast.backtest import BacktestConfig, run_backtest
 from latecast.cli import JHU_FILENAMES, main
 
 LONG = str(FIXTURES / "synthetic_ecm_long.csv")
@@ -416,6 +417,60 @@ def test_backtest_cli_origin_bounds(capsys):
     assert rc == 0
     header = capsys.readouterr().out.splitlines()[0].split(",")
     assert header[2:] == ["2020-04-02", "2020-04-03", "2020-04-04"]
+
+
+def test_backtest_skipped_origins_are_json_lines(tmp_path, capsys):
+    # peers cut to 40 days lack the lead that the last origins need
+    seen: dict[str, int] = {}
+    kept = []
+    for line in Path(LONG).read_text(encoding="utf-8").splitlines():
+        country = line.split(",")[0]
+        seen[country] = seen.get(country, 0) + 1
+        if country == "Target" or seen[country] <= 40:
+            kept.append(line)
+    f = tmp_path / "short_peers.csv"
+    f.write_text("\n".join(kept) + "\n")
+    rc = main(["backtest", "--data-path", str(f), "--data-format", "long",
+               "--target", "Target", "--seed", "0", "--k", "21", "--h", "5"])
+    assert rc == 0
+    skips = [p for p in stderr_payloads(capsys)
+             if p.get("info") == "origin_skipped"]
+    series = {s.name: s for s in parse_long(f.read_text())}
+    target = series.pop("Target")
+    report = run_backtest(target, list(series.values()),
+                          BacktestConfig(window=21, horizon=5))
+    assert report.skipped
+    assert skips == [{"info": "origin_skipped", **s} for s in report.skipped]
+
+
+def test_named_peers_bound_the_selection(tmp_path):
+    out = tmp_path / "f.json"
+    rc = main(["forecast", "--data-path", JHU_CASES, "--target", "Brazil",
+               "--peers", "Italy", "Spain", "--seed", "1",
+               "--format", "json", "--output", str(out)])
+    assert rc == 0
+    selected = json.loads(out.read_text())["selected_peers"]
+    assert selected and set(selected) <= {"Italy", "Spain"}
+
+
+@pytest.mark.parametrize("peers,msg", [
+    (["Italy", "Atlantis"], "peer(s) not found: Atlantis"),
+    (["Brazil"], "no peers to select from"),
+], ids=["unknown_peer", "only_the_target"])
+def test_bad_peer_list_is_data_error(capsys, peers, msg):
+    rc = main(["forecast", "--data-path", JHU_CASES, "--target", "Brazil",
+               "--peers", *peers, "--seed", "1"])
+    assert rc == 2
+    assert stderr_payloads(capsys)[-1] == {"error": "DataFormatError",
+                                           "message": msg}
+
+
+def test_directory_without_the_metric_file_is_data_error(tmp_path, capsys):
+    rc = main(["forecast", "--data-path", str(tmp_path), "--target", "Brazil",
+               "--seed", "1"])
+    assert rc == 2
+    assert stderr_payloads(capsys)[-1]["message"] == (
+        f"directory {tmp_path} has no {JHU_FILENAMES['cases']}")
 
 
 def _jhu_dir(tmp_path):
