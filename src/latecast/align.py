@@ -52,6 +52,25 @@ _ZEROS = np.uint64(0x3030303030303030)
 _HIGH_NIBBLES = np.uint64(0xF0F0F0F0F0F0F0F0)
 _SIXES = np.uint64(0x0606060606060606)
 
+# the bytes of a YYYY-MM-DD cell that hold its dashes, in the word of its
+# first 8 bytes, and those dashes
+_DASH_BYTES = np.uint64(0xFF0000FF00000000)
+_DASHES = np.uint64(0x2D00002D00000000)
+
+# for each year 0 to 9999 of the proleptic Gregorian calendar, whether
+# it is a leap year, and the days from January 1 of year 1, which
+# date.toordinal numbers 1, to its January 1 (year 0 is no date's year)
+_LEAP = np.zeros(10_000, dtype=bool)
+_LEAP[::4] = True
+_LEAP[::100] = False
+_LEAP[::400] = True
+_YEAR_DAYS = np.concatenate(([0, 0], np.cumsum(365 + _LEAP[1:-1])))
+# for each number m up to 99, the length of month m in a year that is not
+# a leap year, 0 for a number that is no month, and the days before it
+_MONTH_DAYS = np.zeros(100, dtype=np.int64)
+_MONTH_DAYS[1:13] = [31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31]
+_MONTH_START = np.cumsum(_MONTH_DAYS) - _MONTH_DAYS
+
 
 @dataclass(frozen=True, eq=False)
 class CountrySeries:
@@ -378,7 +397,9 @@ def parse_long(csv_text: str) -> list[CountrySeries]:
     The columns may come in any order, and other columns are ignored;
     header cells are stripped, as in the wide layout, and every row that
     is not all blank must have as many cells as the header.  Date cells
-    are read as ``datetime.date.fromisoformat`` reads them.
+    are read as ``datetime.date.fromisoformat`` reads them: cells of
+    YYYY-MM-DD shape are decoded by arithmetic (``_date_cells``), and
+    only other cells reach ``fromisoformat``.
 
     Text whose quotes each enclose a whole cell, as RFC 4180 quotes, and
     that holds no carriage return or NUL is read from its UTF-8 bytes,
@@ -389,7 +410,10 @@ def parse_long(csv_text: str) -> list[CountrySeries]:
     Row faults (a wrong cell count, an empty country, a bad date or
     count cell, a repeated country and date) come first; a gap in a
     country's dates or a negative count is raised only for a file with
-    no row fault, for the first country in the file that has one.
+    no row fault, for the first country in the file that has one, and
+    for a country with both, the gap is named.  Both are found in one
+    pass over the rows sorted by country and date; only that country's
+    own checks run, to name its fault.
     """
     names, ids, days, counts = (_read_long_bytes(csv_text)
                                 or _read_long_rows(csv_text))
@@ -398,17 +422,23 @@ def parse_long(csv_text: str) -> list[CountrySeries]:
     order = np.argsort(ids * span + (days - first_day), kind="stable")
     ids, days, counts = ids[order], days[order], counts[order]
     same_country = np.diff(ids) == 0
+    steps = np.diff(days)
     # a zero step between one country's sorted days is a repeated date,
     # which only the byte reader lets through; the row loop names it
-    if (same_country & (np.diff(days) == 0)).any():
+    if (same_country & (steps == 0)).any():
         _read_long_rows(csv_text)
         raise RuntimeError("internal error: the row loop found no repeated date")
     bounds = [0, *(np.flatnonzero(~same_country) + 1).tolist(), len(ids)]
-    out = []
-    for name, lo, hi in zip(names, bounds, bounds[1:]):
-        _require_consecutive(days[lo:hi], repr(name))
-        out.append(CountrySeries(name, date.fromordinal(int(days[lo])),
-                                 counts[lo:hi]))
+    # the rows with a negative count or a gap before them in their country
+    faulty = counts < 0
+    faulty[1:] |= same_country & (steps != 1)
+    if faulty.any():
+        # the first country in the file with a fault names a gap here
+        # and a negative count when its series is built below
+        i = ids[faulty.argmax()]
+        _require_consecutive(days[bounds[i]:bounds[i + 1]], repr(names[i]))
+    out = [CountrySeries(name, date.fromordinal(int(days[lo])), counts[lo:hi])
+           for name, lo, hi in zip(names, bounds, bounds[1:])]
     _warn_on_revisions(out)
     return out
 
@@ -605,46 +635,67 @@ def _country_ids(slab: bytes, starts: np.ndarray, ends: np.ndarray,
 
 def _new_cells(slab: bytes, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
     """True for each cell whose bytes differ from the cell before it,
-    and for the first cell; cells are compared 8 bytes at a time."""
+    and for the first cell.
+
+    Neighbouring cells are compared by size, by a head word of their
+    first 8 bytes and by a tail word of their last 8 bytes (zero for a
+    cell under 8 bytes, which its head holds whole); only a pair of
+    equal cells by these and of more than 16 bytes compares the words
+    between its head and tail, 8 bytes at a time."""
     # the 8 bytes from each position of the slab, as one integer
     words = np.ndarray((len(slab) - 7,), "<u8", slab, 0, (1,))
     sizes = ends - starts
+    head = words[starts] & _BYTE_MASKS[np.minimum(sizes, 8)]
+    tail = words[ends - 8]
+    tail[sizes < 8] = 0
     new = np.ones(len(sizes), dtype=bool)
-    # the cells of the same size as the cell before them, while their
-    # bytes so far are the same and more are left
-    pairs = np.flatnonzero(sizes[1:] == sizes[:-1]) + 1
-    new[pairs] = False
-    k = 0
+    new[1:] = ((sizes[1:] != sizes[:-1]) | (head[1:] != head[:-1])
+               | (tail[1:] != tail[:-1]))
+    # the equal pairs so far with a word left between head and tail
+    k = 8
+    pairs = np.flatnonzero(~new[1:] & (sizes[1:] > k + 8)) + 1
     while pairs.size:
-        differ = words[starts[pairs] + k] ^ words[starts[pairs - 1] + k]
-        differ &= _BYTE_MASKS[np.minimum(sizes[pairs] - k, 8)]
-        new[pairs[differ != 0]] = True
+        differ = words[starts[pairs] + k] != words[starts[pairs - 1] + k]
+        new[pairs[differ]] = True
         k += 8
-        pairs = pairs[(differ == 0) & (sizes[pairs] > k)]
+        pairs = pairs[~differ & (sizes[pairs] > k + 8)]
     return new
 
 
 def _date_cells(slab: bytes, starts: np.ndarray, ends: np.ndarray,
                 memo: dict[str, int]) -> np.ndarray:
-    """Date cells as ``_days`` reads them.  A cell of YYYY-MM-DD shape is
-    keyed by its eight digits, so that each distinct key is read once."""
-    a = np.frombuffer(slab, np.uint8)
-    iso = ends - starts == 10
-    keys = np.zeros(len(starts), dtype=np.int64)
-    for j in range(10):
-        byte = a[starts + j]
-        if j in (4, 7):
-            iso &= byte == ord("-")
-        else:
-            digit = byte - ord("0")
-            iso &= digit < 10
-            keys = keys * 10 + digit
-    _, at, inverse = np.unique(keys[iso], return_index=True,
-                               return_inverse=True)
-    # each distinct key's cell where it is first seen
-    at = starts[iso][at]
-    days = np.empty(len(starts), dtype=np.int64)
-    days[iso] = _days(_cells(slab, at, at + 10), memo)[inverse]
+    """Date cells as ``_days`` reads them.
+
+    A cell of 10 bytes, YYYY-MM-DD with ASCII digits, that names a day
+    of the calendar (year 1 or later) is read by arithmetic, never by
+    ``date.fromisoformat``: its eight digits are gathered from the words
+    of its bytes 0-7 and 8-15, one multiply-shift in ``_digit_pairs``
+    reads them as the numbers YY, YY, MM and DD, and the day is checked
+    against the length of its month and counted from tables.  Every
+    other cell (padded, quoted, another ISO form, or no day of the
+    calendar) goes to ``_days``, which reads it through ``memo`` or
+    rejects it."""
+    # bytes 0-15 of each cell, gathered at once, as two little-endian
+    # words (the pad keeps them inside the slab)
+    cells16 = np.ndarray((len(slab) - 15,), "V16", slab, 0, (1,))[starts]
+    head, tail = cells16.view("<u8").reshape(-1, 2).T
+    # the digits of YYYY-MM-DD laid end to end: YYYY from bytes 0-3 and MM
+    # from bytes 5-6 of the head, DD from bytes 0-1 of the tail
+    pairs = (head & np.uint64(0xFFFFFFFF)) | (tail << np.uint64(48))
+    pairs |= (head >> np.uint64(8)) & np.uint64(0xFFFF << 32)
+    iso = _digit_pairs(pairs)
+    iso &= (ends - starts == 10) & ((head & _DASH_BYTES) == _DASHES)
+    # rejected cells read as 0000-00-00, so that every lookup stays inside
+    # its table; year 0 and day 0 are rejected below
+    pairs[~iso] = 0
+    lanes = pairs.view(np.int64)
+    year = (lanes & 0xFF) * 100 + (lanes >> 16 & 0xFF)
+    month, day = lanes >> 32 & 0xFF, lanes >> 48
+    leap = _LEAP[year]
+    # a number that is no month has length 0, which rejects every day
+    iso &= (year >= 1) & (day >= 1) & (
+        day <= _MONTH_DAYS[month] + (leap & (month == 2)))
+    days = _YEAR_DAYS[year] + _MONTH_START[month] + (leap & (month > 2)) + day
     other = np.flatnonzero(~iso)
     days[other] = _days(_cells(slab, starts[other], ends[other]), memo)
     return days
@@ -677,36 +728,60 @@ def _eight_digits(words: np.ndarray, skip: np.ndarray):
     fill = _BYTE_MASKS[skip]
     words |= fill
     words ^= fill & ~_ZEROS
-    # a byte is a digit if its high nibble is 3, also after adding 6
-    high = words & _HIGH_NIBBLES
-    digits = high == _ZEROS
-    np.add(words, _SIXES, out=high)
-    high &= _HIGH_NIBBLES
-    digits &= high == _ZEROS
-    # add up neighbouring digits, then pairs of them, then fours
-    for shift, mask in ((8, 0x0F0F0F0F0F0F0F0F), (16, 0x00FF00FF00FF00FF),
-                        (32, 0x0000FFFF0000FFFF)):
+    digits = _digit_pairs(words)
+    # add up neighbouring pairs of digits, then fours
+    for shift, mask in ((16, 0x00FF00FF00FF00FF), (32, 0x0000FFFF0000FFFF)):
         words &= mask
         words *= 10 ** (shift // 8) << shift | 1
         words >>= shift
     return words.view(np.int64), digits
 
 
+def _digit_pairs(words: np.ndarray) -> np.ndarray:
+    """Whether each little-endian word is 8 ASCII digits.  ``words`` is
+    overwritten: byte k of each word becomes ten times its digit k plus
+    its digit k + 1, so that bytes 0, 2, 4 and 6 hold the numbers of its
+    four pairs of digits."""
+    # a byte is a digit if its high nibble is 3, also after adding 6
+    high = words & _HIGH_NIBBLES
+    digits = high == _ZEROS
+    np.add(words, _SIXES, out=high)
+    high &= _HIGH_NIBBLES
+    digits &= high == _ZEROS
+    words &= 0x0F0F0F0F0F0F0F0F
+    words *= 10 << 8 | 1
+    words >>= 8
+    return digits
+
+
 def ingestion_warnings(series_list: list[CountrySeries]) -> list[dict]:
-    """Non-fatal data oddities: downward revisions in cumulative counts."""
+    """Non-fatal data oddities: downward revisions in cumulative counts,
+    by series in list order and by date within a series.
+
+    The counts of all series are scanned in one pass, laid end to end."""
+    if not series_list:
+        return []
+    c = np.concatenate([s.counts for s in series_list])
+    # the index in c after each series' last count
+    ends = np.cumsum([len(s.counts) for s in series_list])
+    falls = c[1:] < c[:-1]
+    # no step from one series' last count to the next series' first
+    falls[ends[:-1] - 1] = False
     warns = []
-    for s in series_list:
-        c = s.counts
-        for i in np.flatnonzero(c[1:] < c[:-1]) + 1:
-            warns.append(
-                {
-                    "country": s.name,
-                    "date": s.date_at(i).isoformat(),
-                    "kind": "downward_revision",
-                    "from": int(c[i - 1]),
-                    "to": int(c[i]),
-                }
-            )
+    for j in (np.flatnonzero(falls) + 1).tolist():
+        k = int(np.searchsorted(ends, j, side="right"))
+        s = series_list[k]
+        # the index in s.counts of c[j]
+        i = j - int(ends[k]) + len(s.counts)
+        warns.append(
+            {
+                "country": s.name,
+                "date": s.date_at(i).isoformat(),
+                "kind": "downward_revision",
+                "from": int(s.counts[i - 1]),
+                "to": int(s.counts[i]),
+            }
+        )
     return warns
 
 

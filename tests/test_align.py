@@ -1,5 +1,6 @@
 """Ingestion, epidemic-age alignment, and panel construction."""
 
+import calendar
 import csv
 import io
 import math
@@ -246,11 +247,20 @@ def test_parse_long_date_gap_errors():
 # single cells, each read or rejected as date.fromisoformat reads it on
 # the running Python; a good row of another country comes first, so a
 # rejected cell is still named by its own row, and cells with its digits
-# in other shapes are not taken for it
+# in other shapes are not taken for it; among them are the calendar's
+# edges for the arithmetic reader of YYYY-MM-DD cells: leap days,
+# impossible days and months, the first and last day of its range, and
+# bytes that are no digit where one belongs ('/' and ':' stand next to
+# the digits in ASCII, and a two-byte letter keeps the cell at 10 bytes)
 @pytest.mark.parametrize("cell", [
     "20200102", "2020-W01-1", "0000-01-01", "-200-01-01", "+200-01-01",
     "today", "NaT", "2021-02-29", " 2020-03-01 ", "2020/01/01", "2020-01_01",
     "２０２０-01-01",
+    "2000-02-29", "2020-02-29", "2100-02-29", "1900-02-29",
+    "2020-04-31", "2020-01-00", "2020-01-32", "2020-00-10", "2020-13-01",
+    "0001-01-01", "9999-12-31",
+    "/020-01-01", "202:-01-01", "2020-/1-01", "2020-0:-01", "2020-01-/1",
+    "2020-01-0:", "é20-01-01", "20é-01-01",
 ])
 def test_date_cell_parity_with_fromisoformat(cell):
     text = f"country,date,cumulative\nA,2020-01-01,5\nB,{cell},7\n"
@@ -266,9 +276,10 @@ def test_date_cell_parity_with_fromisoformat(cell):
 
 
 def test_date_cells_shared_across_countries_are_read_once(monkeypatch):
-    # one memo serves the whole parse: a cell is read on its first
-    # sighting in any country, bare and padded copies of a date are two
-    # cells, and a bad cell after good ones is named by its own row
+    # bare YYYY-MM-DD cells are read by arithmetic and never reach
+    # fromisoformat; one memo serves the whole parse for other cells, so
+    # each padded copy of a date is read once, on its first sighting in
+    # any country; a bad cell after good ones is named by its own row
     reads = []
 
     class CountingDate(date):
@@ -284,11 +295,26 @@ def test_date_cells_shared_across_countries_are_read_once(monkeypatch):
     a, b = parse_long(text)
     assert (a.name, a.start, a.counts.tolist()) == ("A", date(2020, 1, 1), [1, 2])
     assert (b.name, b.start, b.counts.tolist()) == ("B", date(2020, 1, 1), [3, 4, 5])
-    assert sorted(reads) == ["2020-01-01", "2020-01-01", "2020-01-02", "2020-01-03"]
+    assert sorted(reads) == ["2020-01-01", "2020-01-03"]
 
     bad = text + "C,2020-01-01,6\nC, 2020-01-02 ,7\nC,2020-01-32,8\n"
     with pytest.raises(DataFormatError, match=r"^row 9: bad ISO date '2020-01-32'$"):
         parse_long(bad)
+
+
+def test_date_tables_and_every_day_of_two_years():
+    years = range(1, 10_000)
+    assert align._YEAR_DAYS[1:].tolist() == [
+        date(y, 1, 1).toordinal() - 1 for y in years]
+    assert align._LEAP[1:].tolist() == [calendar.isleap(y) for y in years]
+    # every day of a leap year and of the year after, read by arithmetic
+    # alone: no cell reaches the memo of the per-cell reader
+    days = [date(2020, 1, 1) + timedelta(days=i) for i in range(366 + 365)]
+    slab, starts, ends = _fields(",".join(d.isoformat() for d in days) + "\n")
+    memo = {}
+    assert align._date_cells(slab, starts, ends, memo).tolist() == [
+        d.toordinal() for d in days]
+    assert memo == {}
 
 
 # the values and messages of the per-cell count parser, pinned in both
@@ -377,6 +403,17 @@ MULTI_FAULT = {
     "empty_country_after_a_blank_row": (
         ["A,2020-01-01,1", " , ,", " ,2020-01-02,2"],
         "row 4: empty country"),
+    # gaps and negative counts are named by country in file order, not by
+    # row, and in one country the gap is named even after a negative
+    "later_row_gap_of_the_first_country": (
+        ["A,2020-01-01,1", "B,2020-01-01,-1", "A,2020-01-03,2"],
+        "'A': dates must be consecutive days, found gap 2020-01-01 -> 2020-01-03"),
+    "later_row_negative_of_the_first_country": (
+        ["A,2020-01-01,1", "B,2020-01-01,1", "B,2020-01-03,2", "A,2020-01-02,-5"],
+        "'A': negative count -5 on 2020-01-02"),
+    "negative_then_gap_in_one_country": (
+        ["A,2020-01-01,1", "B,2020-01-01,-1", "B,2020-01-02,1", "B,2020-01-04,2"],
+        "'B': dates must be consecutive days, found gap 2020-01-02 -> 2020-01-04"),
 }
 
 DEFAULT_CHUNK_CHARS = align._CHUNK_CHARS
@@ -787,6 +824,55 @@ def test_count_cells_decode_every_width_as_counts_does(monkeypatch, before, k):
                                   expected)
     assert read == [align._cell(c.encode()) for c in accepted
                     if not re.fullmatch("[0-9]{1,15}", c)]
+
+
+def _new_by_bytes(slab, starts, ends) -> list[bool]:
+    """Whether each cell's bytes differ from the cell's before it."""
+    cells = [slab[s:e] for s, e in zip(starts.tolist(), ends.tolist())]
+    return [i == 0 or c != cells[i - 1] for i, c in enumerate(cells)]
+
+
+def _new_cells_lines() -> dict[str, str]:
+    """Lines of cells that _new_cells must tell apart or match: cells of
+    0 to 40 bytes, each after an equal cell and after cells of its size
+    that differ from it only at byte 0, 7, 8, 15, 16 or its last byte
+    (across its head, middle and tail words), after its prefixes one
+    byte shorter and longer, quoted cells, and, first on a line, cells
+    of under 8 bytes right after the slab's pad."""
+    letters = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMN"
+    cells = []
+    for n in range(41):
+        cell = letters[:n]
+        cells += [cell, cell, letters[:n + 1], cell, letters[:max(n - 1, 0)], cell]
+        for k in sorted({0, 7, 8, 15, 16, n - 1}):
+            if 0 <= k < n:
+                other = cell[:k] + "#" + cell[k + 1:]
+                cells += [cell, other, other, cell]
+    quoted = [_quoted("a,b"), _quoted("a,b"), _quoted("a,c"), _quoted('x"y'),
+              _quoted('x"y'), _quoted(letters), _quoted(letters), _quoted("")]
+    lines = {"sizes_0_to_40": ",".join(cells), "quoted": ",".join(quoted)}
+    for name, c in {"empty": "", "1": "a", "2": "ab", "3": "abc", "7": "abcdefg",
+                    "2_non_ascii": "é"}.items():
+        lines[f"after_the_pad_{name}"] = f"{c},{c},{c}x,{c}x"
+    return lines
+
+
+NEW_CELLS_LINES = _new_cells_lines()
+
+
+@pytest.mark.parametrize("line", NEW_CELLS_LINES.values(), ids=NEW_CELLS_LINES)
+def test_new_cells_match_bytes_equality(line):
+    slab, starts, ends = _fields(line + "\n")
+    assert align._new_cells(slab, starts, ends).tolist() == _new_by_bytes(
+        slab, starts, ends)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(cells=st.lists(st.text(alphabet="ab", max_size=40), max_size=30))
+def test_new_cells_match_bytes_equality_on_random_cells(cells):
+    slab, starts, ends = _fields(",".join(cells) + "\n")
+    assert align._new_cells(slab, starts, ends).tolist() == _new_by_bytes(
+        slab, starts, ends)
 
 
 LONG_CELL = "x" * 140_000
