@@ -32,6 +32,8 @@ from .lasso import LassoFit
 
 DEFAULT_N_SIMS = 10000
 DEFAULT_CONFIDENCE = 0.95
+# paths drawn per normal call by simulate_bands
+DRAW_BLOCK = 512
 
 
 @dataclass
@@ -303,17 +305,20 @@ def forecast_log(fit: EcmFit, panel: AlignedPanel, H: int) -> np.ndarray:
     return out
 
 
+def _level_overflow(worst: float) -> ForecastError:
+    return ForecastError(
+        f"level forecast overflows: log value {worst:.2f} exceeds "
+        f"the representable range"
+    )
+
+
 def forecast_levels(fit: EcmFit, y_hat) -> np.ndarray:
     """Bias-corrected level forecasts alpha * exp(y_hat)."""
     y_hat = np.asarray(y_hat, dtype=float)
     with np.errstate(over="ignore"):
         levels = fit.alpha * np.exp(y_hat)
     if not np.all(np.isfinite(levels)):
-        worst = float(np.max(y_hat))
-        raise ForecastError(
-            f"level forecast overflows: log value {worst:.2f} exceeds "
-            f"the representable range"
-        )
+        raise _level_overflow(float(np.max(y_hat)))
     return levels
 
 
@@ -350,10 +355,14 @@ def simulate_bands(fit: EcmFit, panel: AlignedPanel, H: int,
     day's level (anchored at the last observed level).
 
     Bands are per-horizon empirical quantiles at (1-c)/2 and 1-(1-c)/2,
-    plus the level median.  The paths are held one row per horizon, each
-    row is sorted once, and every edge is read from the sorted row by
-    numpy's ``linear`` rule, so the bands equal ``np.quantile`` of the
-    paths bit for bit.
+    plus the level median.  The paths live in one ``(H, n_sims)``
+    float64 buffer, one row per horizon: drawn into it a block of paths
+    at a time, turned into levels in place and sorted in place.  The
+    daily-new and growth-rate values of one horizon at a time fill one
+    reused row.  Each row is sorted once and every edge is read from it
+    by numpy's ``linear`` rule, so the bands equal ``np.quantile`` of
+    the full path arrays bit for bit.  An ``n_sims`` whose buffer
+    cannot be allocated raises ``EstimationError``.
     """
     if not 0.0 < confidence < 1.0:
         raise ValueError("confidence must be in (0, 1)")
@@ -366,37 +375,55 @@ def simulate_bands(fit: EcmFit, panel: AlignedPanel, H: int,
             "shock variance is zero; bands collapse to the point path",
             RuntimeWarning, stacklevel=2,
         )
+    try:
+        paths = np.empty((H, n_sims))
+    except (MemoryError, ValueError):
+        raise EstimationError(
+            f"n_sims={n_sims} paths over H={H} horizons do not fit in "
+            f"memory as one {H} x {n_sims} float64 array"
+        ) from None
+    row = np.empty(n_sims)
     rng = np.random.default_rng(seed)
-    # drawn (n_sims, H), which fixes the path each seed gives; held one
-    # row per horizon, so each recursion step and each sort runs on
-    # contiguous memory
+    # drawn as (n_sims, H), which fixes the paths each seed gives: a
+    # Generator keeps no state between calls, so consecutive blocks of
+    # paths are the one draw's consecutive rows
     sd = math.sqrt(max(fit.sigma2, 0.0))
-    log_paths = rng.normal(0.0, sd, size=(n_sims, H)).T.copy()
+    for start in range(0, n_sims, DRAW_BLOCK):
+        stop = min(start + DRAW_BLOCK, n_sims)
+        paths[:, start:stop] = rng.normal(0.0, sd, size=(stop - start, H)).T
     for h in range(1, H):
-        log_paths[h] += (1.0 + fit.gamma) * log_paths[h - 1]
-    log_paths += y_hat[:, None]
-    level_paths = forecast_levels(fit, log_paths)
+        paths[h] += np.multiply(paths[h - 1], 1.0 + fit.gamma, out=row)
+    paths += y_hat[:, None]
+    # the largest log value names an overflow, as forecast_levels does;
+    # min and max are finite exactly when every level is (NaN propagates)
+    worst = float(np.max(paths))
+    with np.errstate(over="ignore"):
+        np.exp(paths, out=paths)
+        paths *= fit.alpha
+    if not (math.isfinite(paths.min()) and math.isfinite(paths.max())):
+        raise _level_overflow(worst)
 
+    lo_q = (1.0 - confidence) / 2.0
+    hi_q = 1.0 - lo_q
+    new_lower, new_upper, rate_lower, rate_upper = (np.empty(H) for _ in range(4))
     anchor = float(np.exp(panel.y[panel.tau_len - 1]))
-    new_paths = np.empty_like(level_paths)
-    rate_paths = np.empty_like(level_paths)
-    new_paths[0] = level_paths[0] - anchor
-    rate_paths[0] = level_paths[0] / anchor - 1.0
-    np.subtract(level_paths[1:], level_paths[:-1], out=new_paths[1:])
-    np.divide(level_paths[1:], level_paths[:-1], out=rate_paths[1:])
-    rate_paths[1:] -= 1.0
+    prev = anchor
+    for h in range(H):
+        # one horizon's daily-new, then growth-rate, values in ``row``
+        np.subtract(paths[h], prev, out=row)
+        row.sort()
+        new_lower[h:h + 1], new_upper[h:h + 1] = _sorted_quantiles(row[None], (lo_q, hi_q))
+        np.divide(paths[h], prev, out=row)
+        row -= 1.0
+        row.sort()
+        rate_lower[h:h + 1], rate_upper[h:h + 1] = _sorted_quantiles(row[None], (lo_q, hi_q))
+        prev = paths[h]
+    paths.sort(axis=1)
+    lower, level_median, upper = _sorted_quantiles(paths, (lo_q, 0.5, hi_q))
 
     prev_point = np.concatenate([[anchor], level_hat[:-1]])
     new_hat = level_hat - prev_point
     rate_hat = level_hat / prev_point - 1.0
-
-    lo_q = (1.0 - confidence) / 2.0
-    hi_q = 1.0 - lo_q
-    for paths in (level_paths, new_paths, rate_paths):
-        paths.sort(axis=1)
-    lower, level_median, upper = _sorted_quantiles(level_paths, (lo_q, 0.5, hi_q))
-    new_lower, new_upper = _sorted_quantiles(new_paths, (lo_q, hi_q))
-    rate_lower, rate_upper = _sorted_quantiles(rate_paths, (lo_q, hi_q))
 
     return ForecastPath(
         horizons=np.arange(1, H + 1),

@@ -378,6 +378,25 @@ def test_estimation_failure_is_exit_3(tmp_path, capsys):
     assert payloads[-1]["error"] == "EstimationError"
 
 
+# numpy refuses an (H, 2**62) float64 shape before it allocates anything
+@pytest.mark.parametrize("argv", [
+    ["forecast", "--data-path", JHU_CASES],
+    ["report", "--data-path", JHU_CASES, "--deaths-path", JHU_DEATHS],
+], ids=["forecast", "report"])
+def test_n_sims_too_large_to_hold_is_exit_3(argv, capsys):
+    rc = main([*argv, "--target", "Brazil", "--seed", "1", "--h", "7",
+               "--n-sims", str(2**62)])
+    assert rc == 3
+    lines = capsys.readouterr().err.splitlines()
+    payloads = [json.loads(line) for line in lines]
+    assert payloads[-1] == {
+        "error": "EstimationError",
+        "message": f"n_sims={2**62} paths over H=7 horizons do not fit in "
+                   f"memory as one 7 x {2**62} float64 array",
+    }
+    assert all("error" not in p for p in payloads[:-1])
+
+
 def test_backtest_cli_summary_and_csv(capsys):
     rc = main(["backtest", "--data-path", LONG, "--data-format", "long",
                "--target", "Target", "--seed", "0", "--k", "21", "--h", "5"])

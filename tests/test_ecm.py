@@ -2,6 +2,7 @@
 
 import math
 import re
+import tracemalloc
 import warnings
 from statistics import NormalDist
 
@@ -11,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import gen_ecm_panel, lasso_with_beta, make_panel
 from latecast.ecm import (
+    DRAW_BLOCK,
     EcmFit,
     _sorted_quantiles,
     fit_ecm,
@@ -373,30 +375,70 @@ def assert_bands_equal_reference(path, ref):
         assert got.tobytes() == expected.tobytes(), name
 
 
-@pytest.mark.parametrize("n_sims", [1, 2, 999, 10_000])
+# paths are drawn DRAW_BLOCK at a time: around one block the last block
+# is short, full, or a single path
+N_SIMS_CASES = [1, 2, DRAW_BLOCK - 1, DRAW_BLOCK, DRAW_BLOCK + 1, 999, 10_000]
+
+
+@pytest.mark.parametrize("n_sims", N_SIMS_CASES)
 @pytest.mark.parametrize("confidence", [0.5, 0.9, 0.95, 0.999])
 def test_bands_equal_the_reference_algorithm(n_sims, confidence):
     rng = np.random.default_rng(41018)
     panel, _ = gen_ecm_panel(rng, n=30, p=3, sigma=0.03, horizon=9)
     fit = fit_ecm(panel, lasso_with_beta([0.7, 0.3, 0.0]))
-    for seed in (0, 7, 19):
-        path = simulate_bands(fit, panel, 9, n_sims=n_sims, seed=seed,
-                              confidence=confidence)
-        assert (path.n_sims, path.seed, path.confidence) == (n_sims, seed, confidence)
-        assert_bands_equal_reference(
-            path, reference_bands(fit, panel, 9, n_sims, seed, confidence))
+    for H in (9, 1):
+        for seed in (0, 7, 19):
+            path = simulate_bands(fit, panel, H, n_sims=n_sims, seed=seed,
+                                  confidence=confidence)
+            assert (path.n_sims, path.seed, path.confidence) == (n_sims, seed, confidence)
+            assert_bands_equal_reference(
+                path, reference_bands(fit, panel, H, n_sims, seed, confidence))
 
 
-@pytest.mark.parametrize("n_sims", [1, 2, 999, 10_000])
+@pytest.mark.parametrize("n_sims", N_SIMS_CASES)
 def test_zero_variance_bands_equal_the_reference_algorithm(n_sims):
     # the hand fit of test_zero_variance_bands_collapse
     y = np.linspace(4.0, 5.0, 8)
     x = np.linspace(4.5, 6.0, 14)
     panel = make_panel(y, x[:, None])
     fit = hand_fit(beta=(0.8,), pi=(0.4,), gamma=-0.3, sigma2=0.0, alpha=1.0)
-    with pytest.warns(RuntimeWarning, match="collapse"):
-        path = simulate_bands(fit, panel, 5, n_sims=n_sims, seed=1)
-    assert_bands_equal_reference(path, reference_bands(fit, panel, 5, n_sims, 1, 0.95))
+    for H in (5, 1):
+        with pytest.warns(RuntimeWarning, match="collapse"):
+            path = simulate_bands(fit, panel, H, n_sims=n_sims, seed=1)
+        assert_bands_equal_reference(path, reference_bands(fit, panel, H, n_sims, 1, 0.95))
+
+
+@pytest.mark.parametrize("alpha", [1.0, -1.0])
+def test_overflowing_paths_raise_the_reference_message(alpha):
+    # the point path stays near e^5, but shocks of sd 300 carry some
+    # simulated log levels past the largest finite exp; no fit gives a
+    # negative alpha, but one turns the overflow into -inf levels
+    y = np.linspace(4.0, 5.0, 8)
+    x = np.linspace(4.5, 6.0, 14)
+    panel = make_panel(y, x[:, None])
+    fit = hand_fit(beta=(0.8,), pi=(0.4,), gamma=-0.3, sigma2=9e4, alpha=alpha)
+    with pytest.raises(ForecastError) as expected:
+        reference_bands(fit, panel, 5, 1000, 3, 0.95)
+    with pytest.raises(ForecastError) as got:
+        simulate_bands(fit, panel, 5, n_sims=1000, seed=3)
+    assert str(got.value) == str(expected.value)
+    assert re.fullmatch(r"level forecast overflows: log value \d+\.\d\d exceeds "
+                        r"the representable range", str(got.value))
+
+
+def test_bands_hold_one_path_buffer():
+    # the (H, n_sims) paths are the only array of their size, so the
+    # peak stays within a quarter of one buffer above it
+    rng = np.random.default_rng(41019)
+    panel, _ = gen_ecm_panel(rng, n=30, p=3, sigma=0.03, horizon=14)
+    fit = fit_ecm(panel, lasso_with_beta([0.7, 0.3, 0.0]))
+    tracemalloc.start()
+    try:
+        simulate_bands(fit, panel, 14, n_sims=10_000, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * 14 * 10_000 * 8
 
 
 # integer values give ties, and -0.0 against 0.0 ties that compare equal
