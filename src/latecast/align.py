@@ -283,21 +283,35 @@ def _header_dates(labels: list[str]) -> list[date]:
     """The dates of M/D/YY header labels, as ``datetime.strptime`` reads
     each; raises its ``ValueError`` at the first label it rejects.
 
-    Labels that spell consecutive days as the JHU files do (``1/22/20``)
-    are checked against the first label's date instead of read one by
-    one.  That is exact: ``%y`` reads 69-99 as 19xx and 00-68 as 20xx,
-    and every day between the first and last label's dates is within
-    that range."""
+    A label of ASCII digits of widths 1-2, 1-2 and 2 that names a real
+    day is read by integer arithmetic, with ``%y``'s pivot: 69-99 are
+    19xx and 00-68 are 20xx.  Any other label goes to ``strptime``, so
+    the error is its own.  Labels that spell consecutive days as the JHU
+    files do (``1/22/20``) are checked against the first label's date
+    instead of read one by one.  That is exact: every day between the
+    first and last label's dates is within the pivot's range."""
+    def read(label: str) -> date:
+        m, _, rest = label.partition("/")
+        d, _, y = rest.partition("/")
+        digits = m + d + y
+        if (0 < len(m) <= 2 and 0 < len(d) <= 2 and len(y) == 2
+                and digits.isascii() and digits.isdigit()):
+            year = int(y)
+            try:
+                return date(year + (1900 if year >= 69 else 2000), int(m), int(d))
+            except ValueError:
+                pass
+        return datetime.strptime(label, "%m/%d/%y").date()
+
     try:
-        first, last = (datetime.strptime(labels[i], "%m/%d/%y").date()
-                       for i in (0, -1))
+        first, last = (read(labels[i]) for i in (0, -1))
         days = [first + timedelta(days=i) for i in range(len(labels))]
         if days[-1] == last and labels == [
                 f"{d.month}/{d.day}/{d.year % 100:02d}" for d in days]:
             return days
     except (ValueError, OverflowError):
         pass
-    return [datetime.strptime(lbl, "%m/%d/%y").date() for lbl in labels]
+    return [read(lbl) for lbl in labels]
 
 
 def parse_jhu_wide(csv_text: str) -> list[CountrySeries]:

@@ -32,7 +32,7 @@ from .lasso import LassoFit
 
 DEFAULT_N_SIMS = 10000
 DEFAULT_CONFIDENCE = 0.95
-# paths drawn per normal call by simulate_bands
+# paths drawn per standard_normal call by simulate_bands
 DRAW_BLOCK = 512
 
 
@@ -322,24 +322,55 @@ def forecast_levels(fit: EcmFit, y_hat) -> np.ndarray:
     return levels
 
 
+def _neighbours(n: int, q: float) -> tuple[int, int, float]:
+    """The two indices numpy's ``linear`` rule reads at quantile ``q`` of
+    ``n`` sorted values, and the weight of the second."""
+    v = (n - 1) * q
+    # at or past the last index numpy takes the last value twice and
+    # weighs it by v - (-1), which keeps the sign of -0.0 at n == 1
+    lo, hi = (math.floor(v), math.floor(v) + 1) if v < n - 1 else (-1, -1)
+    return lo, hi, v - lo
+
+
+def _lerp(a, b, t):
+    """numpy's ``linear`` interpolation between neighbours, rounded as
+    ``np.quantile`` rounds it; on floats or on arrays."""
+    return a + (b - a) * t if t < 0.5 else b - (b - a) * (1.0 - t)
+
+
 def _sorted_quantiles(rows: np.ndarray, qs) -> list[np.ndarray]:
     """``np.quantile(rows, qs, axis=1)`` of ``rows`` already sorted along
     axis 1, by numpy's linear rule: the same neighbours, weights and
     arithmetic, so the result is bit-identical, NaN rows included."""
-    n = rows.shape[1]
     out = []
     for q in qs:
-        v = (n - 1) * q
-        # at or past the last index numpy takes the last value twice and
-        # weighs it by v - (-1), which keeps the sign of -0.0 at n == 1
-        lo, hi = (math.floor(v), math.floor(v) + 1) if v < n - 1 else (-1, -1)
-        a, b, t = rows[:, lo], rows[:, hi], v - lo
-        out.append(a + (b - a) * t if t < 0.5 else b - (b - a) * (1.0 - t))
+        lo, hi, t = _neighbours(rows.shape[1], q)
+        out.append(_lerp(rows[:, lo], rows[:, hi], t))
     # NaN sorts last; numpy then returns that last value
     nan_rows = np.isnan(rows[:, -1])
     for edge in out:
         np.copyto(edge, rows[:, -1], where=nan_rows)
     return out
+
+
+def _sorted_edge(row: np.ndarray, q: float, f=None) -> float:
+    """``np.quantile(f(row), q)`` of the sorted 1-d ``row``, for an ``f``
+    that maps floats to floats monotonically and yields no -0.0.
+
+    Such an ``f`` keeps the sorted order, so it is applied to the two
+    neighbours and the last value only.  The interpolation runs on
+    Python floats; a result that is not finite is taken again through
+    numpy's arithmetic, so its overflow and invalid-value warnings fire
+    as they would on the whole row."""
+    lo, hi, t = _neighbours(row.size, q)
+    a, b, last = row.item(lo), row.item(hi), row.item(-1)
+    if f is not None:
+        a, b, last = f(a), f(b), f(last)
+    edge = _lerp(a, b, t)
+    if not math.isfinite(edge):
+        edge = _lerp(np.array([a]), np.array([b]), t).item()
+    # NaN sorts last; numpy then returns that last value
+    return last if math.isnan(last) else edge
 
 
 def simulate_bands(fit: EcmFit, panel: AlignedPanel, H: int,
@@ -358,11 +389,23 @@ def simulate_bands(fit: EcmFit, panel: AlignedPanel, H: int,
     plus the level median.  The paths live in one ``(H, n_sims)``
     float64 buffer, one row per horizon: drawn into it a block of paths
     at a time, turned into levels in place and sorted in place.  The
-    daily-new and growth-rate values of one horizon at a time fill one
-    reused row.  Each row is sorted once and every edge is read from it
-    by numpy's ``linear`` rule, so the bands equal ``np.quantile`` of
-    the full path arrays bit for bit.  An ``n_sims`` whose buffer
-    cannot be allocated raises ``EstimationError``.
+    daily-new values and the level ratios of one horizon at a time fill
+    one reused row.  Every edge is read from two neighbours in a sorted
+    row by numpy's ``linear`` rule, so the bands equal ``np.quantile``
+    of the full path arrays bit for bit.  Of the 3H rows, 3H - 2 are
+    sorted, 40 at H = 14:
+
+    - A growth rate is a level ratio minus 1, which keeps the ratios'
+      order, so the ratio row is sorted and 1 is subtracted from the
+      neighbours only, before they are interpolated, as numpy would.
+    - On day one the previous level is the observed anchor, so the
+      daily-new and growth values are monotone maps of the day-one
+      levels: one sort of a copy of that row gives its three bands, and
+      the final level sort covers days 2 to H.  (An anchor that is 0 or
+      not finite is handled like any other day, with 3H sorts.)
+
+    An ``n_sims`` whose buffer cannot be allocated raises
+    ``EstimationError``.
     """
     if not 0.0 < confidence < 1.0:
         raise ValueError("confidence must be in (0, 1)")
@@ -383,14 +426,20 @@ def simulate_bands(fit: EcmFit, panel: AlignedPanel, H: int,
             f"memory as one {H} x {n_sims} float64 array"
         ) from None
     row = np.empty(n_sims)
+    block = np.empty((min(DRAW_BLOCK, n_sims), H))
     rng = np.random.default_rng(seed)
     # drawn as (n_sims, H), which fixes the paths each seed gives: a
     # Generator keeps no state between calls, so consecutive blocks of
-    # paths are the one draw's consecutive rows
+    # paths are the one draw's consecutive rows.  The paths are
+    # rng.normal(0, sd)'s, which is 0.0 + sd * z over the same stream:
+    # the 0.0 only turns a -0.0 (sd == 0) into +0.0, which += y_hat
+    # makes alike
     sd = math.sqrt(max(fit.sigma2, 0.0))
     for start in range(0, n_sims, DRAW_BLOCK):
-        stop = min(start + DRAW_BLOCK, n_sims)
-        paths[:, start:stop] = rng.normal(0.0, sd, size=(stop - start, H)).T
+        z = rng.standard_normal(out=block[:n_sims - start])
+        z *= sd
+        paths[:, start:start + len(z)] = z.T
+    del block, z  # so that the day-one copy below takes its place
     for h in range(1, H):
         paths[h] += np.multiply(paths[h - 1], 1.0 + fit.gamma, out=row)
     paths += y_hat[:, None]
@@ -407,18 +456,37 @@ def simulate_bands(fit: EcmFit, panel: AlignedPanel, H: int,
     hi_q = 1.0 - lo_q
     new_lower, new_upper, rate_lower, rate_upper = (np.empty(H) for _ in range(4))
     anchor = float(np.exp(panel.y[panel.tau_len - 1]))
-    prev = anchor
-    for h in range(H):
-        # one horizon's daily-new, then growth-rate, values in ``row``
+    first = 0
+    if 0.0 < anchor < math.inf:
+        # against a positive finite anchor, x - anchor and x / anchor - 1
+        # are monotone maps of the levels with no NaN and no -0.0, so the
+        # sorted day-one levels give the day-one daily-new and growth bands
+        day_one = np.sort(paths[0])
+        # over the whole row each map could only warn of an overflow,
+        # which happens at an end of the sorted row if anywhere
+        ends = day_one[[0, -1]]
+        np.subtract(ends, anchor)
+        new_lower[0], new_upper[0] = (
+            _sorted_edge(day_one, q, lambda x: x - anchor) for q in (lo_q, hi_q))
+        np.divide(ends, anchor)
+        rate_lower[0], rate_upper[0] = (
+            _sorted_edge(day_one, q, lambda x: x / anchor - 1.0) for q in (lo_q, hi_q))
+        first = 1
+    prev = paths[0] if first else anchor
+    for h in range(first, H):
         np.subtract(paths[h], prev, out=row)
         row.sort()
-        new_lower[h:h + 1], new_upper[h:h + 1] = _sorted_quantiles(row[None], (lo_q, hi_q))
+        new_lower[h], new_upper[h] = (_sorted_edge(row, q) for q in (lo_q, hi_q))
+        # the ratios sort as the growth rates do, since x - 1 keeps order
+        # and yields no -0.0; the edges subtract 1 before interpolating
         np.divide(paths[h], prev, out=row)
-        row -= 1.0
         row.sort()
-        rate_lower[h:h + 1], rate_upper[h:h + 1] = _sorted_quantiles(row[None], (lo_q, hi_q))
+        rate_lower[h], rate_upper[h] = (
+            _sorted_edge(row, q, lambda x: x - 1.0) for q in (lo_q, hi_q))
         prev = paths[h]
-    paths.sort(axis=1)
+    paths[first:].sort(axis=1)
+    if first:
+        paths[0] = day_one
     lower, level_median, upper = _sorted_quantiles(paths, (lo_q, 0.5, hi_q))
 
     prev_point = np.concatenate([[anchor], level_hat[:-1]])

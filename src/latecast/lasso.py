@@ -140,12 +140,20 @@ def _homotopy(prep: _Prepared, lams) -> tuple[np.ndarray, int]:
     none can join.  Second, a column that just left may not re-enter
     with its old sign on the very next step, where that event would
     have zero length.
+
+    The ``lstsq`` calls and the matrix products (``A_S @ beta_S``,
+    ``A_S @ v`` and the Gram-Schmidt steps) fix the path's bits.  The
+    rest is bookkeeping on Python floats, which round as float64 does:
+    the exit times and their first minimum (a NaN first, as
+    ``np.argmin`` takes it) and the grid scan.  The join times fill
+    arrays made once per call.
     """
     A = prep.G / prep.K
     b = prep.c / prep.K
     Xw = prep.Xs * np.sqrt(prep.w)[:, None]
     norm2 = np.einsum("tj,tj->j", Xw, Xw)
     mus = np.asarray(lams, dtype=float) / 2.0
+    mu_list = mus.tolist()
     K, p = prep.K, prep.p
     betas = np.zeros((len(mus), p))
     beta = np.zeros(p)
@@ -156,10 +164,13 @@ def _homotopy(prep: _Prepared, lams) -> tuple[np.ndarray, int]:
     # (mu - rho_j) / (1 - a_j), and -mu, (mu + rho_j) / (1 + a_j): flat
     # index 2j joins column j with sign +1 and 2j + 1 with sign -1
     flip = np.array([-1.0, 1.0])
+    times, gap, rate = np.empty((3, p, 2))
+    flat = times.reshape(-1)
+    joinable = np.empty((p, 2), dtype=bool)
     mu = float(np.max(np.abs(b[prep.active]), initial=0.0))
     i = knots = 0
     blocked = -1  # flat join-time index of the zero-length re-entry
-    S = np.flatnonzero(sign)
+    S = sign.nonzero()[0]
     while True:
         A_S = A[:, S]
         A_SS = A_S[S]
@@ -168,26 +179,35 @@ def _homotopy(prep: _Prepared, lams) -> tuple[np.ndarray, int]:
         t_out = t_in = math.inf
         if S.size:
             v = np.linalg.lstsq(A_SS, sign_S, rcond=None)[0]
-            to_zero = np.divide(-beta_S, v, out=np.full(S.size, np.inf), where=v != 0.0)
-            to_zero[to_zero <= 0.0] = np.inf
-            k_out = int(np.argmin(to_zero))
-            t_out = to_zero[k_out]
+            # the first positive -beta_k / v_k, as np.argmin takes it: a
+            # NaN wins, else the first of equal minima
+            k_out = 0
+            for k, (beta_k, v_k) in enumerate(zip(beta_S.tolist(), v.tolist())):
+                t = -beta_k / v_k if v_k != 0.0 else math.inf
+                if t <= 0.0:
+                    t = math.inf
+                if t < t_out or (math.isnan(t) and not math.isnan(t_out)):
+                    k_out, t_out = k, t
         else:
             v = np.zeros(0)
         if S.size < K:
-            rho = (b - A_S @ beta_S)[:, None]
-            a = (A_S @ v)[:, None]
-            rate = 1.0 + a * flip
-            times = np.divide(np.maximum(mu + rho * flip, 0.0), rate,
-                              out=np.full((p, 2), np.inf),
-                              where=(rate > 0.0) & free[:, None])
-            flat = times.reshape(-1)
+            rho = b - A_S @ beta_S
+            a = A_S @ v
+            np.multiply(a[:, None], flip, out=rate)
+            rate += 1.0
+            np.multiply(rho[:, None], flip, out=gap)
+            gap += mu
+            np.maximum(gap, 0.0, out=gap)
+            np.greater(rate, 0.0, out=joinable)
+            joinable &= free[:, None]
+            times.fill(np.inf)
+            np.divide(gap, rate, out=times, where=joinable)
             if blocked >= 0:
                 flat[blocked] = np.inf
             Q = basis[:S.size]
             while True:
                 f = int(np.argmin(flat))
-                t_in = flat[f]
+                t_in = flat.item(f)
                 if not t_in < t_out:
                     break
                 x = Xw[:, f >> 1]
@@ -201,7 +221,7 @@ def _homotopy(prep: _Prepared, lams) -> tuple[np.ndarray, int]:
         step = t_in if joins else t_out
 
         n = i
-        while n < len(mus) and mu - mus[n] <= step:
+        while n < len(mu_list) and mu - mu_list[n] <= step:
             n += 1
         if S.size and n > i:
             # column k is the right-hand side at mus[i + k]
@@ -220,13 +240,13 @@ def _homotopy(prep: _Prepared, lams) -> tuple[np.ndarray, int]:
             sign[j] = -1.0 if f & 1 else 1.0
             free[j] = False
             basis[S.size] = resid / math.sqrt(rr)
-            S = np.flatnonzero(sign)
+            S = sign.nonzero()[0]
         else:
             j = int(S[k_out])
             blocked = 2 * j + int(sign[j] < 0.0)
             beta[j] = sign[j] = 0.0
             free[j] = True
-            S = np.flatnonzero(sign)
+            S = sign.nonzero()[0]
             if S.size:
                 basis[:S.size] = np.linalg.qr(Xw[:, S])[0].T
 

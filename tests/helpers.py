@@ -6,6 +6,7 @@ so estimator tests are not polluted by integer rounding of counts.
 
 from __future__ import annotations
 
+import math
 import os
 from datetime import date, timedelta
 from pathlib import Path
@@ -13,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from latecast.align import AlignedPanel, CountrySeries
-from latecast.lasso import LassoFit, _homotopy, _Prepared
+from latecast.lasso import _SPAN_TOL, LassoFit, _homotopy, _Prepared
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
@@ -82,6 +83,102 @@ def solve_at(y, X, w, lam):
     prep = _Prepared(y, X, w)
     betas, knots = _homotopy(prep, [lam])
     return prep.to_original(betas[0]), knots
+
+
+def reference_homotopy(prep: _Prepared, lams) -> tuple[np.ndarray, int]:
+    """``lasso._homotopy`` in its plain numpy form, frozen as the oracle
+    of the solver's path: exit and join times as arrays with a fresh
+    ``np.full`` per knot, ``np.argmin`` over them, and the grid scan on
+    numpy scalars.  Its ``lstsq`` calls and matrix products are the
+    solver's, on the same inputs, so the two paths agree bit for bit."""
+    A = prep.G / prep.K
+    b = prep.c / prep.K
+    Xw = prep.Xs * np.sqrt(prep.w)[:, None]
+    norm2 = np.einsum("tj,tj->j", Xw, Xw)
+    mus = np.asarray(lams, dtype=float) / 2.0
+    K, p = prep.K, prep.p
+    betas = np.zeros((len(mus), p))
+    beta = np.zeros(p)
+    sign = np.zeros(p)  # +-1 on the active set, 0 elsewhere
+    free = prep.active.copy()  # columns that may join
+    basis = np.empty((K, K))  # rows [:S.size]: orthonormal, spanning Xw[:, S]
+    # row j of the join times holds the steps at which rho_j reaches +mu,
+    # (mu - rho_j) / (1 - a_j), and -mu, (mu + rho_j) / (1 + a_j): flat
+    # index 2j joins column j with sign +1 and 2j + 1 with sign -1
+    flip = np.array([-1.0, 1.0])
+    mu = float(np.max(np.abs(b[prep.active]), initial=0.0))
+    i = knots = 0
+    blocked = -1  # flat join-time index of the zero-length re-entry
+    S = np.flatnonzero(sign)
+    while True:
+        A_S = A[:, S]
+        A_SS = A_S[S]
+        beta_S = beta[S]
+        sign_S = sign[S]
+        t_out = t_in = math.inf
+        if S.size:
+            v = np.linalg.lstsq(A_SS, sign_S, rcond=None)[0]
+            to_zero = np.divide(-beta_S, v, out=np.full(S.size, np.inf), where=v != 0.0)
+            to_zero[to_zero <= 0.0] = np.inf
+            k_out = int(np.argmin(to_zero))
+            t_out = to_zero[k_out]
+        else:
+            v = np.zeros(0)
+        if S.size < K:
+            rho = (b - A_S @ beta_S)[:, None]
+            a = (A_S @ v)[:, None]
+            rate = 1.0 + a * flip
+            times = np.divide(np.maximum(mu + rho * flip, 0.0), rate,
+                              out=np.full((p, 2), np.inf),
+                              where=(rate > 0.0) & free[:, None])
+            flat = times.reshape(-1)
+            if blocked >= 0:
+                flat[blocked] = np.inf
+            Q = basis[:S.size]
+            while True:
+                f = int(np.argmin(flat))
+                t_in = flat[f]
+                if not t_in < t_out:
+                    break
+                x = Xw[:, f >> 1]
+                resid = x - (Q @ x) @ Q
+                resid -= (Q @ resid) @ Q
+                rr = resid @ resid
+                if rr > _SPAN_TOL * norm2[f >> 1]:
+                    break
+                times[f >> 1] = np.inf
+        joins = t_in < t_out
+        step = t_in if joins else t_out
+
+        n = i
+        while n < len(mus) and mu - mus[n] <= step:
+            n += 1
+        if S.size and n > i:
+            # column k is the right-hand side at mus[i + k]
+            rhs = b[S][:, None] - sign_S[:, None] * mus[i:n]
+            betas[i:n, S] = np.linalg.lstsq(A_SS, rhs, rcond=None)[0].T
+        i = n
+        if i == len(mus):
+            return betas, knots
+
+        beta[S] += step * v
+        mu -= step
+        knots += 1
+        if joins:
+            blocked = -1
+            j = f >> 1
+            sign[j] = -1.0 if f & 1 else 1.0
+            free[j] = False
+            basis[S.size] = resid / math.sqrt(rr)
+            S = np.flatnonzero(sign)
+        else:
+            j = int(S[k_out])
+            blocked = 2 * j + int(sign[j] < 0.0)
+            beta[j] = sign[j] = 0.0
+            free[j] = True
+            S = np.flatnonzero(sign)
+            if S.size:
+                basis[:S.size] = np.linalg.qr(Xw[:, S])[0].T
 
 
 def _row_dots(A: np.ndarray, v: np.ndarray) -> list[float]:

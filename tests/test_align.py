@@ -5,6 +5,8 @@ import csv
 import io
 import math
 import re
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from datetime import date, datetime, timedelta
@@ -13,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import FIXTURES, make_series
+from helpers import FIXTURES, make_series, src_env
 from latecast import align
 from latecast.align import (
     build_panel,
@@ -936,6 +938,38 @@ def test_header_dates_keep_their_faults(labels, msg):
     text = f"Province/State,Country/Region,Lat,Long,{labels}\n,A,0,0,1,2,3\n"
     with pytest.raises(DataFormatError, match=f"^{re.escape(msg)}$"):
         parse_jhu_wide(text)
+
+
+def test_every_header_label_reads_as_strptime_reads_it():
+    # every day %y can name, written the JHU way and zero-padded
+    day, days = date(1969, 1, 1), []
+    while day <= date(2068, 12, 31):
+        days.append(day)
+        day += timedelta(days=1)
+    for labels in (_jhu_labels(days), [d.strftime("%m/%d/%y") for d in days]):
+        assert [datetime.strptime(lbl, "%m/%d/%y").date() for lbl in labels] == days
+        # backwards, the labels are no run of days, so each is read alone
+        assert align._header_dates(labels[::-1]) == days[::-1]
+
+
+@pytest.mark.parametrize("label", ["0/1/20", "13/1/20", "2/30/20", "1/1/2020", " 1/1/20"])
+def test_header_labels_strptime_rejects_keep_its_message(label):
+    with pytest.raises(ValueError) as expected:
+        datetime.strptime(label, "%m/%d/%y")
+    with pytest.raises(ValueError) as got:
+        align._header_dates([label])
+    assert str(got.value) == str(expected.value)
+
+
+def test_parsing_the_snapshot_imports_no_strptime():
+    path = FIXTURES / "jhu_confirmed_snapshot_20200415.csv"
+    code = ("import sys\n"
+            "from latecast.align import parse_jhu_wide\n"
+            f"assert parse_jhu_wide(open({str(path)!r}).read())\n"
+            "print('_strptime' in sys.modules)\n")
+    out = subprocess.run([sys.executable, "-c", code], env=src_env(),
+                         capture_output=True, text=True, check=True)
+    assert out.stdout == "False\n"
 
 
 _NAMES = st.text(alphabet="ab ,\"", min_size=1, max_size=5).map(str.strip)

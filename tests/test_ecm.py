@@ -14,6 +14,7 @@ from helpers import gen_ecm_panel, lasso_with_beta, make_panel
 from latecast.ecm import (
     DRAW_BLOCK,
     EcmFit,
+    _sorted_edge,
     _sorted_quantiles,
     fit_ecm,
     forecast_levels,
@@ -426,6 +427,49 @@ def test_overflowing_paths_raise_the_reference_message(alpha):
                         r"the representable range", str(got.value))
 
 
+DIV_ZERO = "divide by zero encountered in divide"
+DIV_INVALID = "invalid value encountered in divide"
+DIV_OVERFLOW = "overflow encountered in divide"
+SUB_INVALID = "invalid value encountered in subtract"
+
+
+@pytest.mark.parametrize("y_last,peer,expected", [
+    # levels of about e^-745 with shocks of sd 1 underflow to exactly 0
+    # on many paths; from day two on the growth rows divide by them, so
+    # they hold x / 0 = inf and 0 / 0 = NaN
+    (-744.0, -745.0, [DIV_ZERO, DIV_INVALID] * 4),
+    # the anchor underflows too: day one divides by zero, its rate edges
+    # meet inf - inf, and so does the point growth rate
+    (-800.0, -745.0, [DIV_ZERO, DIV_INVALID, SUB_INVALID]
+     + [DIV_ZERO, DIV_INVALID] * 4 + [DIV_ZERO]),
+    # levels near e^10 over an anchor of e^-700: day one's ratios overflow
+    (-700.0, 10.0, [DIV_OVERFLOW, SUB_INVALID, DIV_OVERFLOW]),
+    # the anchor overflows: day one's daily-new values are all -inf
+    (710.0, 10.0, ["overflow encountered in exp", SUB_INVALID, SUB_INVALID]),
+])
+def test_degenerate_levels_equal_the_reference_algorithm(y_last, peer, expected):
+    # gamma = -1 makes the point path the peer's log values, whatever the
+    # target's last value, which sets the day-one anchor alone
+    H = 5
+    panel = make_panel(np.linspace(y_last - 1.0, y_last, 8), np.full((8 + H, 1), peer))
+    fit = hand_fit(beta=(1.0,), pi=(0.0,), gamma=-1.0, sigma2=1.0, alpha=1.0)
+    for n_sims, seed in ((1000, 1), (DRAW_BLOCK + 1, 2), (2, 3)):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            path = simulate_bands(fit, panel, H, n_sims=n_sims, seed=seed)
+        if n_sims == 1000:
+            assert [str(w.message) for w in caught] == expected
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            ref = reference_bands(fit, panel, H, n_sims, seed, 0.95)
+        # NaN edges by position: a sort writes the NaNs it moves to the end
+        # as numpy's NaN, while np.quantile keeps the sign 0 / 0 gave them
+        for name, want in ref.items():
+            got, nan = getattr(path, name), np.isnan(want)
+            assert np.array_equal(np.isnan(got), nan), name
+            assert got[~nan].tobytes() == want[~nan].tobytes(), name
+
+
 def test_bands_hold_one_path_buffer():
     # the (H, n_sims) paths are the only array of their size, so the
     # peak stays within a quarter of one buffer above it
@@ -462,6 +506,39 @@ def test_sorted_quantiles_equal_np_quantile(n, H, confidence, seed, nan_column):
         expected = np.quantile(x, qs, axis=0)
         got = _sorted_quantiles(np.sort(x.T, axis=1), qs)
     assert np.array_equal(np.array(got), expected, equal_nan=True)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(n=st.integers(1, 60), confidence=st.floats(0.001, 0.999),
+       seed=st.integers(0, 2**32 - 1), nan=st.booleans(),
+       c=st.sampled_from([1.0, 0.5, 3.0, 1e-300, 1e300]))
+def test_sorted_edge_equals_np_quantile(n, confidence, seed, nan, c):
+    # the row itself and the two maps simulate_bands reads through, on
+    # the cells of test_sorted_quantiles_equal_np_quantile
+    rng = np.random.default_rng(seed)
+    x = rng.choice(QUANTILE_CELLS, size=n)
+    if nan:
+        x[rng.integers(n)] = math.nan
+    lo_q = (1.0 - confidence) / 2.0
+    row = np.sort(x)
+    maps = [(None, x), (lambda v: v - c, x - c), (lambda v: v / c - 1.0, x / c - 1.0)]
+    with np.errstate(invalid="ignore", over="ignore"):
+        for f, mapped in maps:
+            for q in (lo_q, 0.5, 1.0 - lo_q):
+                expected = np.quantile(mapped, q)
+                got = _sorted_edge(row, q, f)
+                assert type(got) is float
+                assert np.array_equal(got, expected, equal_nan=True)
+
+
+def test_sorted_edge_warns_as_numpy_does():
+    # inf - inf between the neighbours is numpy's arithmetic and warning
+    row = np.array([1.0, 2.0, math.inf])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert math.isnan(_sorted_edge(row, 0.9))
+        assert _sorted_edge(row, 0.25) == 1.5
+    assert [str(w.message) for w in caught] == ["invalid value encountered in subtract"]
 
 
 def test_sorted_quantiles_keep_the_sign_of_a_single_zero():

@@ -15,9 +15,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import solve_at
-from latecast.errors import EstimationError
-from latecast.lasso import _homotopy, _Prepared, bic, kkt_violation, select_by_bic
+from helpers import FIXTURES, reference_homotopy, solve_at
+from latecast.align import build_panel, parse_jhu_wide
+from latecast.errors import EstimationError, LatecastError
+from latecast.lasso import _grid, _homotopy, _Prepared, bic, kkt_violation, select_by_bic
 
 
 def orthonormal_design(rng, n, p, w):
@@ -332,3 +333,68 @@ def test_path_entries_equal_single_point_solves(K, p, seed, scale):
     for lam, b, _ in fit.path:
         ref = prep.to_original(_homotopy(prep, [lam])[0][0])
         assert np.max(np.abs(b - ref)) <= 1e-12 * np.max(np.abs(ref), initial=0.0)
+
+
+def assert_path_equals_reference(y, X, w):
+    # the whole grid, and one grid point alone as solve_at runs it
+    prep = _Prepared(y, X, w)
+    lams = _grid(prep)
+    for grid in (lams, lams[-1:]):
+        betas, knots = _homotopy(prep, grid)
+        ref_betas, ref_knots = reference_homotopy(prep, grid)
+        assert betas.tobytes() == ref_betas.tobytes()
+        assert knots == ref_knots
+
+
+def test_homotopy_equals_the_reference_on_the_kkt_family():
+    # the KKT test's designs: p > K allowed, an exact twin of column 0, a
+    # scaled twin of column 1, and in every other design a zero column
+    rng = np.random.default_rng(31017)
+    for i in range(100):
+        K, p = int(rng.integers(6, 31)), int(rng.integers(2, 41))
+        X = rng.normal(size=(K, p)) + rng.normal(size=(1, p))
+        X[:, -1] = X[:, 0]
+        if p >= 3:
+            X[:, -2] = rng.choice([-1.0, 1.0]) * rng.uniform(1e-2, 50.0) * X[:, 1]
+        if p >= 4 and i % 2:
+            X[:, 2] = 0.0
+        beta = np.zeros(p)
+        nz = rng.choice(p, size=min(3, p), replace=False)
+        beta[nz] = rng.normal(scale=1.5, size=nz.size)
+        y = X @ beta + rng.normal(scale=0.2, size=K)
+        assert_path_equals_reference(y, X, rng.uniform(0.5, 4.0, size=K))
+
+
+def test_homotopy_equals_the_reference_on_full_rank_twin_designs():
+    # the designs of test_full_rank_path_never_takes_a_twin
+    for seed in (0, 1, 3):
+        rng = np.random.default_rng(seed)
+        K, p = 8, 20
+        X = rng.normal(size=(K, p))
+        X[:, p - 1] = X[:, 0]
+        X[:, p - 2] = -2.5 * X[:, 0]
+        y = 3.0 * X[:, 0] + X[:, 1:6] @ rng.normal(size=5) + 0.1 * rng.normal(size=K)
+        assert_path_equals_reference(y, X, rng.uniform(0.5, 4.0, K))
+
+
+@pytest.mark.parametrize("snapshot,threshold", [
+    ("jhu_confirmed_snapshot_20200415.csv", 100),
+    ("jhu_deaths_snapshot_20200415.csv", 10),
+])
+def test_homotopy_equals_the_reference_on_snapshot_forecasts(snapshot, threshold):
+    # every target of the snapshot that a 14-day forecast on a 21-day
+    # window can be fitted for
+    series = parse_jhu_wide((FIXTURES / snapshot).read_text())
+    fitted = 0
+    for target in series:
+        peers = [s for s in series if s is not target]
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                panel = build_panel(target, peers, threshold=threshold,
+                                    max_horizon=14, window=21)
+        except LatecastError:
+            continue
+        assert_path_equals_reference(panel.window_y, panel.window_X, panel.window_weights)
+        fitted += 1
+    assert fitted >= 20
