@@ -32,8 +32,11 @@ _MAX_EXACT_COUNT = 2**53
 
 # least number of characters that _lines reads through one io.StringIO,
 # which holds 4 bytes per character, and that the byte readers encode
-# into one slab, so that none of them copies the whole text
-_CHUNK_CHARS = 1 << 20
+# into one slab, so that none of them copies the whole text; at this
+# size a StringIO holds a megabyte, and each of a slab's per-cell int64
+# arrays (starts, ends, words, masks) under half a megabyte on the
+# large panels that perfbench generates
+_CHUNK_CHARS = 1 << 18
 
 # newlines on each side of a slab, so that a window of up to 15 bytes
 # before or after any of its cells stays inside it
@@ -331,6 +334,7 @@ def parse_jhu_wide(csv_text: str) -> list[CountrySeries]:
     totals = np.zeros((len(names), counts.shape[1]), dtype=np.int64)
     for i, row in zip(ids.tolist(), counts):
         totals[i] += row
+    del ids, counts
     out = [CountrySeries(name, start, c) for name, c in zip(names, totals)]
     _warn_on_revisions(out)
     return out
@@ -381,17 +385,25 @@ def _read_wide_bytes(csv_text: str):
     for text that it declines or with a count cell that ``_counts``
     rejects."""
     names: dict[str, int] = {}
-    parts = []
+    ids = counts = None
+    n = 0
     try:
-        for slab, starts, ends, fields, ids, columns in _byte_rows(
+        for slab, starts, ends, fields, slab_ids, columns in _byte_rows(
                 csv_text, _wide_columns, names):
             width, _, start = columns
+            if ids is None:
+                size = _max_rows(csv_text)
+                ids = np.empty(size, dtype=np.int64)
+                counts = np.empty((size, width - len(JHU_FIXED_COLUMNS)),
+                                  dtype=np.int64)
             cells = fields[:, None] + np.arange(len(JHU_FIXED_COLUMNS), width)
-            parts.append((ids, _count_cells(slab, starts[cells], ends[cells])))
+            rows = slice(n, n + len(fields))
+            ids[rows] = slab_ids
+            counts[rows] = _count_cells(slab, starts[cells], ends[cells])
+            n = rows.stop
     except (ValueError, DataFormatError):
         return None
-    ids, counts = (np.concatenate(p) for p in zip(*parts))
-    return list(names), start, ids, counts
+    return list(names), start, ids[:n], counts[:n]
 
 
 def _long_columns(header: list[str]) -> tuple[int, int, int, int]:
@@ -426,33 +438,48 @@ def parse_long(csv_text: str) -> list[CountrySeries]:
     country's dates or a negative count is raised only for a file with
     no row fault, for the first country in the file that has one, and
     for a country with both, the gap is named.  Both are found in one
-    pass over the rows sorted by country and date; only that country's
-    own checks run, to name its fault.
+    pass over the rows in country and date order; they are sorted into
+    it only if they are not in it already, as country-major text is.
+    Only the faulty country's own checks run, to name its fault.
     """
     names, ids, days, counts = (_read_long_bytes(csv_text)
                                 or _read_long_rows(csv_text))
-    first_day = days.min(initial=0)
-    span = days.max(initial=0) - first_day + 1
-    order = np.argsort(ids * span + (days - first_day), kind="stable")
-    ids, days, counts = ids[order], days[order], counts[order]
-    same_country = np.diff(ids) == 0
-    steps = np.diff(days)
+    if (ids[1:] < ids[:-1]).any() or (
+            (ids[1:] == ids[:-1]) & (days[1:] < days[:-1])).any():
+        first_day = days.min()
+        key = ids * (days.max() - first_day + 1)
+        key += days
+        key -= first_day
+        order = np.argsort(key, kind="stable")
+        del key
+        # one column at a time, so that each unsorted column is freed
+        # before the next is gathered
+        ids = ids[order]
+        days = days[order]
+        counts = counts[order]
+        del order
+    same_country, day_steps = ids[1:] == ids[:-1], np.diff(days)
     # a zero step between one country's sorted days is a repeated date,
     # which only the byte reader lets through; the row loop names it
-    if (same_country & (steps == 0)).any():
+    if (same_country & (day_steps == 0)).any():
         _read_long_rows(csv_text)
         raise RuntimeError("internal error: the row loop found no repeated date")
     bounds = [0, *(np.flatnonzero(~same_country) + 1).tolist(), len(ids)]
     # the rows with a negative count or a gap before them in their country
     faulty = counts < 0
-    faulty[1:] |= same_country & (steps != 1)
+    faulty[1:] |= same_country & (day_steps != 1)
     if faulty.any():
         # the first country in the file with a fault names a gap here
         # and a negative count when its series is built below
         i = ids[faulty.argmax()]
         _require_consecutive(days[bounds[i]:bounds[i + 1]], repr(names[i]))
-    out = [CountrySeries(name, date.fromordinal(int(days[lo])), counts[lo:hi])
-           for name, lo, hi in zip(names, bounds, bounds[1:])]
+    starts = [date.fromordinal(int(days[lo])) for _, lo in zip(names, bounds)]
+    # each series copies its counts: only the counts column stays beside
+    # the copies, and none of the columns beside the revision scan
+    del ids, days, day_steps, same_country, faulty
+    out = [CountrySeries(name, start, counts[lo:hi])
+           for name, start, lo, hi in zip(names, starts, bounds, bounds[1:])]
+    del counts
     _warn_on_revisions(out)
     return out
 
@@ -496,17 +523,33 @@ def _read_long_bytes(csv_text: str):
     is let through, for ``parse_long`` to find."""
     names: dict[str, int] = {}
     ordinals: dict[str, int] = {}
-    parts = []
+    ids = days = counts = None
+    n = 0
     try:
-        for slab, starts, ends, fields, ids, columns in _byte_rows(
+        for slab, starts, ends, fields, slab_ids, columns in _byte_rows(
                 csv_text, _long_columns, names):
+            if ids is None:
+                # three buffers, so that parse_long can release each on its own
+                size = _max_rows(csv_text)
+                ids, days, counts = (np.empty(size, dtype=np.int64)
+                                     for _ in range(3))
             d, k = fields + columns[2], fields + columns[3]
-            parts.append((ids, _date_cells(slab, starts[d], ends[d], ordinals),
-                          _count_cells(slab, starts[k], ends[k])))
+            rows = slice(n, n + len(fields))
+            ids[rows] = slab_ids
+            days[rows] = _date_cells(slab, starts[d], ends[d], ordinals)
+            counts[rows] = _count_cells(slab, starts[k], ends[k])
+            n = rows.stop
     except (ValueError, DataFormatError):
         return None
-    ids, days, counts = (np.concatenate(p) for p in zip(*parts))
-    return list(names), ids, days, counts
+    return list(names), ids[:n], days[:n], counts[:n]
+
+
+def _max_rows(csv_text: str) -> int:
+    """A bound on the rows that ``_byte_rows`` yields for the text: its
+    lines, of which a newline inside quotes only joins two into a row.
+    The byte readers count them only once ``_byte_rows`` has yielded its
+    first slab, so that text it declines at once costs no count."""
+    return csv_text.count("\n") + 1
 
 
 def _byte_rows(csv_text: str, read_header, names: dict[str, int]):

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 import os
+import tracemalloc
 from datetime import date, timedelta
 from pathlib import Path
 
@@ -28,6 +29,17 @@ def src_env() -> dict:
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
     return env
+
+
+def traced_peak(fn, *args) -> int:
+    """The most bytes that ``tracemalloc`` saw allocated at once during
+    ``fn(*args)``, counted from the call on."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def make_series(name: str, start: date, counts) -> CountrySeries:

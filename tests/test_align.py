@@ -7,7 +7,6 @@ import math
 import re
 import subprocess
 import sys
-import tracemalloc
 import warnings
 from datetime import date, datetime, timedelta
 
@@ -15,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import FIXTURES, make_series, src_env
+from helpers import FIXTURES, make_series, src_env, traced_peak
 from latecast import align
 from latecast.align import (
     build_panel,
@@ -413,15 +412,23 @@ MULTI_FAULT = {
     "later_row_negative_of_the_first_country": (
         ["A,2020-01-01,1", "B,2020-01-01,1", "B,2020-01-03,2", "A,2020-01-02,-5"],
         "'A': negative count -5 on 2020-01-02"),
+    # rows already in country and date order, whose only fault is a
+    # repeated date
+    "ordered_rows_repeat_a_date": (
+        ["A,2020-01-01,1", "A,2020-01-02,2", "A,2020-01-02,3",
+         "B,2020-01-01,1"],
+        "duplicate row for ('A', 2020-01-02)"),
     "negative_then_gap_in_one_country": (
         ["A,2020-01-01,1", "B,2020-01-01,-1", "B,2020-01-02,1", "B,2020-01-04,2"],
         "'B': dates must be consecutive days, found gap 2020-01-02 -> 2020-01-04"),
 }
 
-DEFAULT_CHUNK_CHARS = align._CHUNK_CHARS
+# a chunk size past the length of every text written out in these tests,
+# so that each is read in one slab, as at the default _CHUNK_CHARS
+ONE_SLAB = 1 << 20
 
 
-@pytest.mark.parametrize("chunk_chars", [1, 7, DEFAULT_CHUNK_CHARS])
+@pytest.mark.parametrize("chunk_chars", [1, 7, ONE_SLAB])
 @pytest.mark.parametrize("rows,msg", MULTI_FAULT.values(), ids=MULTI_FAULT)
 def test_parse_long_names_the_first_fault(monkeypatch, chunk_chars, rows, msg):
     # small chunks cut these files, and quoted cells, between StringIOs
@@ -451,18 +458,13 @@ def test_byte_order_mark_costs_no_copy_of_the_text(monkeypatch, parse, layout):
                  for n in names for i, d in enumerate(days)]
     plain = "\n".join(rows) + "\n"
     marked = "\ufeff" + plain
-    peaks = []
-    for text in (plain, marked):
-        tracemalloc.start()
-        try:
-            # the parse's own peak comes after the reader is done, so the
-            # reader is measured alone
-            for _ in align._csv_reader(text):
-                pass
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-    assert peaks[1] - peaks[0] < len(plain) / 8
+    def read(text):
+        for _ in align._csv_reader(text):
+            pass
+
+    # the parse's own peak comes after the reader is done, so the reader
+    # is measured alone
+    assert traced_peak(read, marked) - traced_peak(read, plain) < len(plain) / 8
     assert ([(s.name, s.start, s.counts.tolist()) for s in parse(marked)]
             == [(s.name, s.start, s.counts.tolist()) for s in parse(plain)])
 
@@ -476,7 +478,7 @@ LINES_TEXTS = {
 }
 
 
-@pytest.mark.parametrize("chunk_chars", [1, 7, DEFAULT_CHUNK_CHARS])
+@pytest.mark.parametrize("chunk_chars", [1, 7, ONE_SLAB])
 @pytest.mark.parametrize("layout", ["long", "wide"])
 def test_lines_match_one_stringio(monkeypatch, layout, chunk_chars):
     text = LINES_TEXTS[layout]
@@ -525,6 +527,22 @@ def test_valid_files_never_take_the_re_read(monkeypatch):
     assert len(panel.long_text) > 4 * align._CHUNK_CHARS
     assert len(panel.wide_text) > align._CHUNK_CHARS
     assert '"' in panel.long_text and '"' in panel.wide_text
+
+
+def test_a_parse_holds_its_output_once():
+    # above the series it returns, a parse of perfbench's large panel
+    # holds its output columns once and one slab's temporaries; the long
+    # text's three int64 columns alone are three times the series, and a
+    # second copy of them, or the temporaries of slabs four times the
+    # size, pass the bound
+    panel = generate_panel(FIXTURES, seed=1)
+    series_bytes = sum(c.nbytes for c in panel.counts.values())
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        for parse, text in ((parse_long, panel.long_text),
+                            (parse_long, _date_major(panel.long_text)),
+                            (parse_jhu_wide, panel.wide_text)):
+            assert traced_peak(parse, text) - series_bytes < 5 * series_bytes
 
 
 def _outcome(text: str, parse=parse_long):
@@ -604,7 +622,7 @@ def _rfc_texts(draw):
     return bom + text + draw(st.sampled_from(["\n", ""]))
 
 
-@pytest.mark.parametrize("chunk_chars", [1, 7, DEFAULT_CHUNK_CHARS])
+@pytest.mark.parametrize("chunk_chars", [1, 7, ONE_SLAB])
 @settings(max_examples=120, deadline=None, derandomize=True)
 @given(text=_rfc_texts())
 def test_byte_reader_matches_the_row_loop(chunk_chars, text):
@@ -660,7 +678,7 @@ OUTSIDE_RFC = {
 }
 
 
-@pytest.mark.parametrize("chunk_chars", [1, 7, DEFAULT_CHUNK_CHARS])
+@pytest.mark.parametrize("chunk_chars", [1, 7, ONE_SLAB])
 @pytest.mark.parametrize("text,expected", OUTSIDE_RFC.values(),
                          ids=OUTSIDE_RFC)
 def test_text_outside_rfc_4180_is_read_row_by_row(monkeypatch, chunk_chars,
@@ -732,7 +750,7 @@ def _wide_texts(draw):
 _HEADER_FAULT = re.compile(r"malformed |date column header: |empty file$")
 
 
-@pytest.mark.parametrize("chunk_chars", [1, 7, DEFAULT_CHUNK_CHARS])
+@pytest.mark.parametrize("chunk_chars", [1, 7, ONE_SLAB])
 @settings(max_examples=120, deadline=None, derandomize=True)
 @given(text=_wide_texts())
 def test_wide_byte_reader_matches_the_row_loop(chunk_chars, text):
@@ -761,7 +779,7 @@ WIDE_OUTSIDE_RFC = {
 }
 
 
-@pytest.mark.parametrize("chunk_chars", [1, 7, DEFAULT_CHUNK_CHARS])
+@pytest.mark.parametrize("chunk_chars", [1, 7, ONE_SLAB])
 @pytest.mark.parametrize("text,expected", WIDE_OUTSIDE_RFC.values(),
                          ids=WIDE_OUTSIDE_RFC)
 def test_wide_text_outside_rfc_4180_is_read_row_by_row(monkeypatch, chunk_chars,
@@ -1041,6 +1059,42 @@ def test_both_layouts_parse_to_the_same_series(panel, data):
     assert [s.name for s in from_wide] == [name for name, _ in series]
     assert [s.name for s in from_long] == list(dict.fromkeys(
         name for name, _, _ in long_rows))
+
+
+@pytest.mark.parametrize("chunk_chars", [1, 7, align._CHUNK_CHARS])
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_row_order_does_not_change_the_series(chunk_chars, data):
+    # rows country by country, which parse_long reads without sorting
+    # them, date by date or shuffled give the same series, listed in the
+    # order of each country's first row, and the same warnings
+    names = data.draw(st.lists(_NAMES.filter(bool), min_size=1, max_size=4,
+                               unique=True), "names")
+    expected, rows = {}, []
+    for name in names:
+        first = date(2020, 2, 26) + timedelta(days=data.draw(st.integers(0, 4)))
+        counts = data.draw(st.lists(st.integers(0, 10**6), min_size=1,
+                                    max_size=6), name)
+        expected[name] = make_series(name, first, counts)
+        rows += [[name, (first + timedelta(days=i)).isoformat(), c]
+                 for i, c in enumerate(counts)]
+    orders = {"country_major": rows,
+              "date_major": sorted(rows, key=lambda row: row[1]),
+              "shuffled": data.draw(st.permutations(rows), "shuffled")}
+    pad = data.draw(st.booleans(), "pad")
+    bom = data.draw(st.booleans(), "bom")
+    for order, order_rows in orders.items():
+        long = [["country", "date", "cumulative"], *order_rows]
+        blank_at = data.draw(st.sets(st.integers(0, len(long) - 1)),
+                             f"{order} blanks")
+        with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
+            mp.setattr(align, "_CHUNK_CHARS", chunk_chars)
+            warnings.simplefilter("ignore", RuntimeWarning)
+            series = parse_long(_csv_text(long, pad, blank_at, bom))
+        want = [expected[name] for name in dict.fromkeys(r[0] for r in order_rows)]
+        assert ([(s.name, s.start, s.counts.tolist()) for s in series]
+                == [(s.name, s.start, s.counts.tolist()) for s in want])
+        assert ingestion_warnings(series) == ingestion_warnings(want)
 
 
 def test_to_tau_starts_at_first_crossing():

@@ -2,7 +2,6 @@
 
 import math
 import re
-import tracemalloc
 import warnings
 from statistics import NormalDist
 
@@ -10,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import gen_ecm_panel, lasso_with_beta, make_panel
+from helpers import gen_ecm_panel, lasso_with_beta, make_panel, traced_peak
 from latecast.ecm import (
     DRAW_BLOCK,
     EcmFit,
@@ -476,12 +475,7 @@ def test_bands_hold_one_path_buffer():
     rng = np.random.default_rng(41019)
     panel, _ = gen_ecm_panel(rng, n=30, p=3, sigma=0.03, horizon=14)
     fit = fit_ecm(panel, lasso_with_beta([0.7, 0.3, 0.0]))
-    tracemalloc.start()
-    try:
-        simulate_bands(fit, panel, 14, n_sims=10_000, seed=1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(lambda: simulate_bands(fit, panel, 14, n_sims=10_000, seed=1))
     assert peak <= 1.25 * 14 * 10_000 * 8
 
 
