@@ -1,9 +1,11 @@
 """Score the method by refitting at every origin and walking forward.
 
-Replays April 2020 for Brazil: at each origin date the pipeline sees
-only data up to that day, refits both steps, forecasts 14 days ahead,
-and the realized counts grade the result. Prints the error summary and
-a corner of the forecast matrix.
+Replays April 2020 for Brazil: at each origin date Brazil's series is
+cut at that day while the peers keep their full series (a selected
+peer that supplies values dated after the origin is listed in the
+report's flags), both steps are refit, 14 days are forecast, and the
+realized counts grade the result. Prints the error summary and a
+corner of the forecast matrix.
 
 Run from the repository root:
 

@@ -1,9 +1,10 @@
 """Rolling-origin evaluation of the two-step pipeline.
 
-Each origin date replays an operational daily run: the panel is rebuilt
-from the target's data observable on that date, both estimation steps
-are refit, and level forecasts one to H days out are stored.  Forecast
-cells with a realized observation are scored by absolute percentage
+At each origin only the target is cut: the peers enter with their full
+series, and a selected peer that supplies values dated after the origin
+is listed in ``calendar_flags``.  ``ecm.fit_origin`` refits both steps
+as ``forecast`` does, and level forecasts one to H days out are stored.
+Cells with a realized observation are scored by absolute percentage
 error; aggregates are the mean over all scored cells, the worst single
 cell, and the mean per forecasting horizon.
 """
@@ -27,9 +28,8 @@ from .align import (
     _assemble_panel,
     to_tau,
 )
-from .ecm import fit_ecm, forecast_levels, forecast_log
+from .ecm import fit_origin, forecast_levels
 from .errors import DataFormatError, LatecastError
-from .lasso import select_by_bic
 
 @dataclass
 class BacktestConfig:
@@ -168,11 +168,7 @@ def run_backtest(target: CountrySeries, peers: list[CountrySeries],
                 target.name, y[:(origin - start_date).days + 1], start_date,
                 aligned, config.horizon, config.window,
             )
-            lasso = select_by_bic(
-                panel.window_y, panel.window_X, panel.window_weights
-            )
-            fit = fit_ecm(panel, lasso)
-            y_hat = forecast_log(fit, panel, config.horizon)
+            lasso, fit, y_hat = fit_origin(panel)
             levels = forecast_levels(fit, y_hat)
         except LatecastError as exc:
             skipped.append({"origin": origin.isoformat(), "reason": str(exc)})

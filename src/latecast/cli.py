@@ -44,11 +44,10 @@ from .ecm import (
     DEFAULT_CONFIDENCE,
     DEFAULT_N_SIMS,
     ForecastPath,
-    fit_ecm,
+    fit_origin,
     simulate_bands,
 )
 from .errors import DataFormatError, EstimationError, LatecastError
-from .lasso import select_by_bic
 
 JHU_FILENAMES = {
     "cases": "time_series_covid19_confirmed_global.csv",
@@ -123,7 +122,8 @@ def _split_target_peers(
         missing = [p for p in peers_spec if p not in by_name]
         if missing:
             raise DataFormatError(f"peer(s) not found: {', '.join(missing)}")
-        peers = [by_name[p] for p in peers_spec if p != target_name]
+        peers = [by_name[p] for p in dict.fromkeys(peers_spec)
+                 if p != target_name]
     if not peers:
         raise DataFormatError("no peers to select from")
     return target, peers
@@ -140,10 +140,7 @@ def _fit_once(args: argparse.Namespace, target: CountrySeries,
     )
     for entry in panel.drop_log:
         _info({"info": "peer_dropped", **entry})
-    lasso_fit = select_by_bic(
-        panel.window_y, panel.window_X, panel.window_weights
-    )
-    fit = fit_ecm(panel, lasso_fit)
+    lasso_fit, fit, _ = fit_origin(panel)
     _info({
         "info": "selected_peers",
         "peers": list(fit.peer_names),

@@ -28,7 +28,7 @@ import numpy as np
 
 from .align import AlignedPanel
 from .errors import EstimationError, ForecastError
-from .lasso import LassoFit
+from .lasso import LassoFit, select_by_bic
 
 DEFAULT_N_SIMS = 10000
 DEFAULT_CONFIDENCE = 0.95
@@ -303,6 +303,14 @@ def forecast_log(fit: EcmFit, panel: AlignedPanel, H: int) -> np.ndarray:
         prev = float(dx @ fit.pi) - fit.gamma * float(long_run) + (1.0 + fit.gamma) * prev
         out[h - 1] = prev
     return out
+
+
+def fit_origin(panel: AlignedPanel) -> tuple[LassoFit, EcmFit, np.ndarray]:
+    """Both estimation steps and the log forecasts over ``panel.horizon``:
+    the one step that ``forecast``, ``report`` and each backtest origin run."""
+    lasso = select_by_bic(panel.window_y, panel.window_X, panel.window_weights)
+    fit = fit_ecm(panel, lasso)
+    return lasso, fit, forecast_log(fit, panel, panel.horizon)
 
 
 def _level_overflow(worst: float) -> ForecastError:

@@ -273,7 +273,8 @@ def test_08_backtest_ignores_post_origin_data():
                 assert other.matrix[origin] == base.matrix[origin]
                 checked += 1
         note["msg"] = (
-            f"perturbed all data after {pivot.isoformat()}; forecasts at "
+            f"perturbed the target's data after {pivot.isoformat()} (peers "
+            f"enter whole, see calendar_flags); forecasts at "
             f"{checked} origins at or before it are bit-identical"
         )
         assert checked >= 1

@@ -22,7 +22,9 @@ from latecast.backtest import (
     score,
 )
 from latecast.cli import main
+from latecast.ecm import fit_ecm, simulate_bands
 from latecast.errors import DataFormatError
+from latecast.lasso import select_by_bic
 
 
 def load_fixture(stem):
@@ -195,8 +197,9 @@ def test_failed_origins_are_skipped_not_fatal():
 
 def test_each_origin_panel_equals_build_panel(monkeypatch):
     # every series is aligned once per backtest; every origin's panel,
-    # drop log and warnings must still be what build_panel gives on
-    # the target truncated to that origin
+    # drop log, warnings and forecasts must still be what build_panel and
+    # the forecast command's steps give on the target truncated to that
+    # origin
     target, peers = load_fixture("synthetic_ecm_noiseless_long")
     peers = [head(peers[0], 32)] + peers[1:] + [
         make_series("Low", target.start, [5] * 40),
@@ -218,6 +221,7 @@ def test_each_origin_panel_equals_build_panel(monkeypatch):
     # one panel per origin, each ending on its origin
     assert [panel.end_date for panel in seen] == report.origins
     reasons = set()
+    fits = []
     with warnings.catch_warnings(record=True) as panel_warnings:
         warnings.simplefilter("always")
         for panel in seen:
@@ -233,10 +237,16 @@ def test_each_origin_panel_equals_build_panel(monkeypatch):
             np.testing.assert_array_equal(panel.X, ref.X)
             np.testing.assert_array_equal(panel.y, ref.y)
             reasons |= {d["reason"] for d in panel.drop_log}
+            lasso = select_by_bic(ref.window_y, ref.window_X, ref.window_weights)
+            fits.append((fit_ecm(ref, lasso), ref))
     # every origin has window + 1 observations, so neither side shrinks
-    # its window; the backtest must not warn where build_panel does not
+    # its window; the backtest must not warn where the reference does not
     assert ([str(w.message) for w in panel_warnings]
             == [str(w.message) for w in backtest_warnings])
+    # each column is the Total that forecast prints on that origin's panel
+    for origin, (fit, ref) in zip(report.origins, fits, strict=True):
+        path = simulate_bands(fit, ref, cfg.horizon, n_sims=16)
+        assert list(report.matrix[origin].values()) == path.level_hat.tolist()
     assert len(seen) > 1
     assert reasons == {"is_target", "below_threshold", "too_short"}
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from helpers import FIXTURES, ROOT
 from latecast import align
-from latecast.backtest import BacktestConfig
+from latecast.backtest import BacktestConfig, run_backtest
 from perfbench import checks, workloads
 from perfbench.tracer import Tracer
 
@@ -34,6 +34,22 @@ def test_perfbench_reads_what_the_package_exposes():
     config = BacktestConfig(threshold=threshold, window=workloads.WINDOW,
                             horizon=workloads.HORIZON)
     assert checks.rerun_origin(target, peers, config, date(2020, 4, 10)) == "fitted"
+
+
+def test_traced_backtest_records_each_step_once_per_origin():
+    # backtest_sweep's per-layer metrics see the one-origin step only
+    # while it calls the traced functions by their module-global names
+    series = workloads.load_snapshots(ROOT)
+    _, threshold = workloads.SNAPSHOTS["cases"]
+    target, peers = workloads.split(series["cases"], "Brazil")
+    config = BacktestConfig(threshold=threshold, window=workloads.WINDOW,
+                            horizon=workloads.HORIZON)
+    with Tracer() as tracer:
+        report = run_backtest(target, peers, config)
+    assert not report.skipped and len(report.origins) > 1
+    names = [span[0] for span in tracer.spans]
+    for name in ("lasso.select_by_bic", "ecm.fit_ecm", "ecm.forecast_log"):
+        assert names.count(name) == len(report.origins), name
 
 
 def test_lasso_path_tuples_equal_the_path_arrays():

@@ -472,6 +472,20 @@ def test_named_peers_bound_the_selection(tmp_path):
     assert selected and set(selected) <= {"Italy", "Spain"}
 
 
+def test_a_peer_named_twice_counts_once(tmp_path, capsys):
+    # twin columns let the second twin's zero overwrite the first's
+    # coefficient in the sidecar's first step
+    outputs = []
+    for peers in (["Italy", "Spain", "Italy"], ["Italy", "Spain"]):
+        out = tmp_path / f"{len(peers)}.csv"
+        rc = main(["forecast", "--data-path", JHU_CASES, "--target", "Brazil",
+                   "--peers", *peers, "--seed", "1", "--output", str(out)])
+        assert rc == 0
+        sidecar = Path(f"{out}.diagnostics.json").read_text()
+        outputs.append((out.read_text(), capsys.readouterr().err, sidecar))
+    assert outputs[0] == outputs[1]
+
+
 @pytest.mark.parametrize("peers,msg", [
     (["Italy", "Atlantis"], "peer(s) not found: Atlantis"),
     (["Brazil"], "no peers to select from"),
@@ -559,11 +573,15 @@ def test_console_entrypoint_runs():
     assert json.loads(proc.stdout)["n_countries"] == 24
 
 
-@pytest.mark.parametrize("extra, source", [
-    (["--target", "Japan"], "RuntimeWarning"),
-    (["--target", "Brazil", "--k", "60"], "RuntimeWarning"),
+@pytest.mark.parametrize("extra, source, kinds", [
+    # the panel's drop log, then the fit's gamma warning, then its peers
+    (["--target", "Japan"], "RuntimeWarning",
+     ["peer_dropped", "RuntimeWarning", "selected_peers"]),
+    # the panel shrinks its window before its drop log is written
+    (["--target", "Brazil", "--k", "60"], "RuntimeWarning",
+     ["RuntimeWarning", "peer_dropped", "selected_peers"]),
 ], ids=["unstable_gamma", "shrunk_window"])
-def test_warnings_keep_stderr_json_lines(extra, source):
+def test_warnings_keep_stderr_json_lines(extra, source, kinds):
     proc = subprocess.run(
         [sys.executable, "-m", "latecast", "forecast",
          "--data-path", JHU_CASES, "--seed", "11", *extra],
@@ -572,6 +590,9 @@ def test_warnings_keep_stderr_json_lines(extra, source):
     assert proc.returncode == 0
     payloads = [json.loads(line) for line in proc.stderr.splitlines()]
     assert [p["warning"] for p in payloads if "warning" in p] == [source]
+    # each run of equal kinds collapsed to one entry
+    seq = [p.get("info") or p["warning"] for p in payloads]
+    assert [k for i, k in enumerate(seq) if i == 0 or k != seq[i - 1]] == kinds
 
 
 def test_import_does_not_load_scipy():
