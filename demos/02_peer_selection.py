@@ -13,7 +13,8 @@ from pathlib import Path
 
 import numpy as np
 
-from latecast.align import build_panel, parse_jhu_wide
+from latecast.align import build_panel
+from latecast.ingest import parse_jhu_wide
 from latecast.lasso import select_by_bic
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"

@@ -13,8 +13,9 @@ Run from the repository root:
 from datetime import timedelta
 from pathlib import Path
 
-from latecast.align import build_panel, parse_jhu_wide
+from latecast.align import build_panel
 from latecast.ecm import fit_ecm, simulate_bands
+from latecast.ingest import parse_jhu_wide
 from latecast.lasso import select_by_bic
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"

@@ -17,8 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
-from latecast.align import parse_jhu_wide
 from latecast.backtest import BacktestConfig, run_backtest
+from latecast.ingest import parse_jhu_wide
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 

@@ -11,12 +11,9 @@ bands.
 
 from .align import (
     AlignedPanel,
-    CountrySeries,
     DEFAULT_CASE_THRESHOLD,
     DEFAULT_DEATH_THRESHOLD,
     build_panel,
-    parse_jhu_wide,
-    parse_long,
 )
 from .backtest import BacktestConfig, BacktestReport, run_backtest
 from .ecm import EcmFit, ForecastPath, fit_ecm, simulate_bands
@@ -27,6 +24,7 @@ from .errors import (
     LatecastError,
     NotLatecomerError,
 )
+from .ingest import CountrySeries, parse_jhu_wide, parse_long
 from .lasso import LassoFit, select_by_bic
 
 __version__ = "0.1.0"

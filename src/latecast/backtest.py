@@ -23,13 +23,13 @@ from .align import (
     DEFAULT_CASE_THRESHOLD,
     DEFAULT_HORIZON,
     DEFAULT_WINDOW,
-    CountrySeries,
     _align_peers,
     _assemble_panel,
     to_tau,
 )
 from .ecm import fit_origin, forecast_levels
 from .errors import DataFormatError, LatecastError
+from .ingest import CountrySeries
 
 @dataclass
 class BacktestConfig:

@@ -32,11 +32,7 @@ from .align import (
     DEFAULT_DEATH_THRESHOLD,
     DEFAULT_HORIZON,
     DEFAULT_WINDOW,
-    CountrySeries,
     build_panel,
-    ingestion_warnings,
-    parse_jhu_wide,
-    parse_long,
     threshold_crossing,
 )
 from .backtest import BacktestConfig, dumps_report, report_to_csv, run_backtest
@@ -48,6 +44,7 @@ from .ecm import (
     simulate_bands,
 )
 from .errors import DataFormatError, EstimationError, LatecastError
+from .ingest import CountrySeries, ingestion_warnings, parse_jhu_wide, parse_long
 
 JHU_FILENAMES = {
     "cases": "time_series_covid19_confirmed_global.csv",

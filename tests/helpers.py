@@ -14,7 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
-from latecast.align import AlignedPanel, CountrySeries
+from latecast.align import AlignedPanel
+from latecast.ingest import CountrySeries
 from latecast.lasso import _SPAN_TOL, LassoFit, _homotopy, _Prepared
 
 ROOT = Path(__file__).resolve().parent.parent

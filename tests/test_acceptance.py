@@ -13,7 +13,7 @@ from datetime import date
 import numpy as np
 
 from helpers import FIXTURES, gen_ecm_panel, lasso_with_beta, make_panel, solve_at
-from latecast.align import CountrySeries, parse_jhu_wide, parse_long
+from latecast.ingest import CountrySeries, parse_jhu_wide, parse_long
 from latecast.backtest import BacktestConfig, run_backtest
 from latecast.cli import main
 from latecast.ecm import EcmFit, fit_ecm, forecast_log, simulate_bands

@@ -1,4 +1,5 @@
-"""Ingestion, epidemic-age alignment, and panel construction."""
+"""Ingestion (``latecast.ingest``), epidemic-age alignment and panel
+construction (``latecast.align``)."""
 
 import calendar
 import csv
@@ -15,17 +16,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import FIXTURES, make_series, src_env, traced_peak
-from latecast import align
+from latecast import ingest
 from latecast.align import (
     build_panel,
     inflation_weights,
-    ingestion_warnings,
-    parse_jhu_wide,
-    parse_long,
     threshold_crossing,
     to_tau,
     truncate_series,
 )
+from latecast.ingest import ingestion_warnings, parse_jhu_wide, parse_long
 from latecast.errors import DataFormatError, NotLatecomerError
 from perfbench.panelgen import generate_panel
 
@@ -289,7 +288,7 @@ def test_date_cells_shared_across_countries_are_read_once(monkeypatch):
             reads.append(cell)
             return date.fromisoformat(cell)
 
-    monkeypatch.setattr(align, "date", CountingDate)
+    monkeypatch.setattr(ingest, "date", CountingDate)
     text = ("country,date,cumulative\n"
             "A,2020-01-01,1\nA,2020-01-02,2\n"
             "B, 2020-01-01 ,3\nB,2020-01-02,4\nB,2020-01-03 ,5\n")
@@ -305,15 +304,15 @@ def test_date_cells_shared_across_countries_are_read_once(monkeypatch):
 
 def test_date_tables_and_every_day_of_two_years():
     years = range(1, 10_000)
-    assert align._YEAR_DAYS[1:].tolist() == [
+    assert ingest._YEAR_DAYS[1:].tolist() == [
         date(y, 1, 1).toordinal() - 1 for y in years]
-    assert align._LEAP[1:].tolist() == [calendar.isleap(y) for y in years]
+    assert ingest._LEAP[1:].tolist() == [calendar.isleap(y) for y in years]
     # every day of a leap year and of the year after, read by arithmetic
     # alone: no cell reaches the memo of the per-cell reader
     days = [date(2020, 1, 1) + timedelta(days=i) for i in range(366 + 365)]
     slab, starts, ends = _fields(",".join(d.isoformat() for d in days) + "\n")
     memo = {}
-    assert align._date_cells(slab, starts, ends, memo).tolist() == [
+    assert ingest._date_cells(slab, starts, ends, memo).tolist() == [
         d.toordinal() for d in days]
     assert memo == {}
 
@@ -432,7 +431,7 @@ ONE_SLAB = 1 << 20
 @pytest.mark.parametrize("rows,msg", MULTI_FAULT.values(), ids=MULTI_FAULT)
 def test_parse_long_names_the_first_fault(monkeypatch, chunk_chars, rows, msg):
     # small chunks cut these files, and quoted cells, between StringIOs
-    monkeypatch.setattr(align, "_CHUNK_CHARS", chunk_chars)
+    monkeypatch.setattr(ingest, "_CHUNK_CHARS", chunk_chars)
     text = "\n".join(["country,date,cumulative", *rows]) + "\n"
     with pytest.raises(DataFormatError, match=f"^{re.escape(msg)}$"):
         parse_long(text)
@@ -444,7 +443,7 @@ def test_parse_long_names_the_first_fault(monkeypatch, chunk_chars, rows, msg):
 def test_byte_order_mark_costs_no_copy_of_the_text(monkeypatch, parse, layout):
     # chunks far shorter than the text, so that a whole-text copy stands
     # out against the one chunk the reader holds at a time
-    monkeypatch.setattr(align, "_CHUNK_CHARS", 1 << 12)
+    monkeypatch.setattr(ingest, "_CHUNK_CHARS", 1 << 12)
     days = [date(2020, 1, 22) + timedelta(days=i) for i in range(400)]
     names = [f"C{k}" for k in range(40)]
     if layout == "wide":
@@ -459,7 +458,7 @@ def test_byte_order_mark_costs_no_copy_of_the_text(monkeypatch, parse, layout):
     plain = "\n".join(rows) + "\n"
     marked = "\ufeff" + plain
     def read(text):
-        for _ in align._csv_reader(text):
+        for _ in ingest._csv_reader(text):
             pass
 
     # the parse's own peak comes after the reader is done, so the reader
@@ -484,9 +483,9 @@ def test_lines_match_one_stringio(monkeypatch, layout, chunk_chars):
     text = LINES_TEXTS[layout]
     parse = parse_long if layout == "long" else parse_jhu_wide
     expected = [(s.name, s.start, s.counts.tolist()) for s in parse(text)]
-    monkeypatch.setattr(align, "_CHUNK_CHARS", chunk_chars)
-    assert list(align._lines(text)) == list(io.StringIO(text))
-    assert list(align._lines(text, 1)) == list(io.StringIO(text[1:]))
+    monkeypatch.setattr(ingest, "_CHUNK_CHARS", chunk_chars)
+    assert list(ingest._lines(text)) == list(io.StringIO(text))
+    assert list(ingest._lines(text, 1)) == list(io.StringIO(text[1:]))
     assert [(s.name, s.start, s.counts.tolist())
             for s in parse(text)] == expected
     assert expected[0][0] == "Saint\nKitts"
@@ -503,8 +502,8 @@ def test_valid_files_never_take_the_re_read(monkeypatch):
     def row_loop(csv_text):
         raise AssertionError("a file of RFC 4180 text was read row by row")
 
-    monkeypatch.setattr(align, "_read_long_rows", row_loop)
-    monkeypatch.setattr(align, "_read_wide_rows", row_loop)
+    monkeypatch.setattr(ingest, "_read_long_rows", row_loop)
+    monkeypatch.setattr(ingest, "_read_wide_rows", row_loop)
     fixtures = sorted(FIXTURES.glob("*.csv"))
     assert [p.name for p in fixtures if p.name.endswith("_long.csv")]
     for path in fixtures:
@@ -524,8 +523,8 @@ def test_valid_files_never_take_the_re_read(monkeypatch):
             for s in parsed:
                 assert s.start == panel.dates[0]
                 np.testing.assert_array_equal(s.counts, panel.counts[s.name])
-    assert len(panel.long_text) > 4 * align._CHUNK_CHARS
-    assert len(panel.wide_text) > align._CHUNK_CHARS
+    assert len(panel.long_text) > 4 * ingest._CHUNK_CHARS
+    assert len(panel.wide_text) > ingest._CHUNK_CHARS
     assert '"' in panel.long_text and '"' in panel.wide_text
 
 
@@ -630,10 +629,10 @@ def test_byte_reader_matches_the_row_loop(chunk_chars, text):
     # reader and without it; it declines RFC 4180 text only for a row
     # fault, which the row loop names
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(align, "_CHUNK_CHARS", chunk_chars)
+        mp.setattr(ingest, "_CHUNK_CHARS", chunk_chars)
         from_bytes = _outcome(text)
-        columns = align._read_long_bytes(text)
-        mp.setattr(align, "_read_long_bytes", lambda csv_text: None)
+        columns = ingest._read_long_bytes(text)
+        mp.setattr(ingest, "_read_long_bytes", lambda csv_text: None)
         assert _outcome(text) == from_bytes
     if columns is None:
         assert isinstance(from_bytes, str) and _ROW_FAULT.match(from_bytes)
@@ -683,8 +682,8 @@ OUTSIDE_RFC = {
                          ids=OUTSIDE_RFC)
 def test_text_outside_rfc_4180_is_read_row_by_row(monkeypatch, chunk_chars,
                                                   text, expected):
-    monkeypatch.setattr(align, "_CHUNK_CHARS", chunk_chars)
-    assert align._read_long_bytes(text) is None
+    monkeypatch.setattr(ingest, "_CHUNK_CHARS", chunk_chars)
+    assert ingest._read_long_bytes(text) is None
     if isinstance(expected, str):
         with pytest.raises(DataFormatError, match=f"^{re.escape(expected)}"):
             parse_long(text)
@@ -710,7 +709,7 @@ def _wide_texts(draw):
     rows faulty, of another width or all blank, and blank rows before
     and after the header."""
     labels = [f"1/{22 + i}/20" for i in range(draw(st.integers(1, 4)))]
-    header = [*align.JHU_FIXED_COLUMNS, *labels]
+    header = [*ingest.JHU_FIXED_COLUMNS, *labels]
     if draw(st.integers(0, 19)) == 0:
         header[draw(st.integers(0, len(header) - 1))] = draw(
             st.sampled_from(_WIDE_BAD_HEADER_CELLS))
@@ -757,10 +756,10 @@ def test_wide_byte_reader_matches_the_row_loop(chunk_chars, text):
     # as for the long layout: the same outcome with the byte reader and
     # without it, and a text it declines has a row or header fault
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(align, "_CHUNK_CHARS", chunk_chars)
+        mp.setattr(ingest, "_CHUNK_CHARS", chunk_chars)
         from_bytes = _outcome(text, parse_jhu_wide)
-        columns = align._read_wide_bytes(text)
-        mp.setattr(align, "_read_wide_bytes", lambda csv_text: None)
+        columns = ingest._read_wide_bytes(text)
+        mp.setattr(ingest, "_read_wide_bytes", lambda csv_text: None)
         assert _outcome(text, parse_jhu_wide) == from_bytes
     if columns is None:
         assert isinstance(from_bytes, str)
@@ -784,17 +783,17 @@ WIDE_OUTSIDE_RFC = {
                          ids=WIDE_OUTSIDE_RFC)
 def test_wide_text_outside_rfc_4180_is_read_row_by_row(monkeypatch, chunk_chars,
                                                        text, expected):
-    monkeypatch.setattr(align, "_CHUNK_CHARS", chunk_chars)
-    assert align._read_wide_bytes(text) is None
+    monkeypatch.setattr(ingest, "_CHUNK_CHARS", chunk_chars)
+    assert ingest._read_wide_bytes(text) is None
     assert [(s.name, s.start, s.counts.tolist())
             for s in parse_jhu_wide(text)] == expected
 
 
 def _fields(line: str):
     """The slab of one line of text, and the starts and ends of its fields."""
-    [slab] = align._slabs(line, 0)
-    ends = align._separators(np.frombuffer(slab, np.uint8))
-    return slab, np.concatenate(([align._PAD], ends[:-1] + 1)), ends
+    [slab] = ingest._slabs(line, 0)
+    ends = ingest._separators(np.frombuffer(slab, np.uint8))
+    return slab, np.concatenate(([ingest._PAD], ends[:-1] + 1)), ends
 
 
 # cells of 1 to 32 bytes, across the 8/9 and 15/16 byte boundaries of
@@ -812,7 +811,7 @@ _WORD_CELLS = [cell for n in range(1, 33) for cell in (
 
 def _count_or_reject(cell: str):
     try:
-        return int(align._counts([align._cell(cell.encode())])[0])
+        return int(ingest._counts([ingest._cell(cell.encode())])[0])
     except ValueError:
         return "rejected"
 
@@ -823,26 +822,26 @@ def test_count_cells_decode_every_width_as_counts_does(monkeypatch, before, k):
     for cell in _WORD_CELLS:
         slab, starts, ends = _fields(f"{before}{cell},5\n")
         try:
-            got = int(align._count_cells(slab, starts[k:k + 1], ends[k:k + 1])[0])
+            got = int(ingest._count_cells(slab, starts[k:k + 1], ends[k:k + 1])[0])
         except ValueError:
             got = "rejected"
         assert got == _count_or_reject(cell), cell
     # cells of every width in one call, where only those that are not 1
     # to 15 ASCII digits reach the per-cell reader
     accepted = [c for c in _WORD_CELLS if _count_or_reject(c) != "rejected"]
-    expected = align._counts([align._cell(c.encode()) for c in accepted])
+    expected = ingest._counts([ingest._cell(c.encode()) for c in accepted])
     read = []
-    per_cell = align._counts
+    per_cell = ingest._counts
 
     def counts(cells):
         read.extend(cells)
         return per_cell(cells)
 
-    monkeypatch.setattr(align, "_counts", counts)
+    monkeypatch.setattr(ingest, "_counts", counts)
     slab, starts, ends = _fields(before + ",".join(accepted) + "\n")
-    np.testing.assert_array_equal(align._count_cells(slab, starts[k:], ends[k:]),
+    np.testing.assert_array_equal(ingest._count_cells(slab, starts[k:], ends[k:]),
                                   expected)
-    assert read == [align._cell(c.encode()) for c in accepted
+    assert read == [ingest._cell(c.encode()) for c in accepted
                     if not re.fullmatch("[0-9]{1,15}", c)]
 
 
@@ -883,7 +882,7 @@ NEW_CELLS_LINES = _new_cells_lines()
 @pytest.mark.parametrize("line", NEW_CELLS_LINES.values(), ids=NEW_CELLS_LINES)
 def test_new_cells_match_bytes_equality(line):
     slab, starts, ends = _fields(line + "\n")
-    assert align._new_cells(slab, starts, ends).tolist() == _new_by_bytes(
+    assert ingest._new_cells(slab, starts, ends).tolist() == _new_by_bytes(
         slab, starts, ends)
 
 
@@ -891,7 +890,7 @@ def test_new_cells_match_bytes_equality(line):
 @given(cells=st.lists(st.text(alphabet="ab", max_size=40), max_size=30))
 def test_new_cells_match_bytes_equality_on_random_cells(cells):
     slab, starts, ends = _fields(",".join(cells) + "\n")
-    assert align._new_cells(slab, starts, ends).tolist() == _new_by_bytes(
+    assert ingest._new_cells(slab, starts, ends).tolist() == _new_by_bytes(
         slab, starts, ends)
 
 
@@ -936,7 +935,7 @@ def test_header_dates_as_strptime_reads_them(labels):
     header = "Province/State,Country/Region,Lat,Long," + ",".join(labels)
     [series] = parse_jhu_wide(f"{header}\n,A,0,0," + ",".join(["1"] * len(labels)))
     assert series.start == datetime.strptime(labels[0], "%m/%d/%y").date()
-    assert align._header_dates(labels) == [
+    assert ingest._header_dates(labels) == [
         datetime.strptime(lbl, "%m/%d/%y").date() for lbl in labels]
 
 
@@ -966,8 +965,8 @@ def test_every_header_label_reads_as_strptime_reads_it():
         day += timedelta(days=1)
     for labels in (_jhu_labels(days), [d.strftime("%m/%d/%y") for d in days]):
         assert [datetime.strptime(lbl, "%m/%d/%y").date() for lbl in labels] == days
-        # backwards, the labels are no run of days, so each is read alone
-        assert align._header_dates(labels[::-1]) == days[::-1]
+        # each label is read on its own, so backwards as well
+        assert ingest._header_dates(labels[::-1]) == days[::-1]
 
 
 @pytest.mark.parametrize("label", ["0/1/20", "13/1/20", "2/30/20", "1/1/2020", " 1/1/20"])
@@ -975,14 +974,14 @@ def test_header_labels_strptime_rejects_keep_its_message(label):
     with pytest.raises(ValueError) as expected:
         datetime.strptime(label, "%m/%d/%y")
     with pytest.raises(ValueError) as got:
-        align._header_dates([label])
+        ingest._header_dates([label])
     assert str(got.value) == str(expected.value)
 
 
 def test_parsing_the_snapshot_imports_no_strptime():
     path = FIXTURES / "jhu_confirmed_snapshot_20200415.csv"
     code = ("import sys\n"
-            "from latecast.align import parse_jhu_wide\n"
+            "from latecast.ingest import parse_jhu_wide\n"
             f"assert parse_jhu_wide(open({str(path)!r}).read())\n"
             "print('_strptime' in sys.modules)\n")
     out = subprocess.run([sys.executable, "-c", code], env=src_env(),
@@ -1061,7 +1060,7 @@ def test_both_layouts_parse_to_the_same_series(panel, data):
         name for name, _, _ in long_rows))
 
 
-@pytest.mark.parametrize("chunk_chars", [1, 7, align._CHUNK_CHARS])
+@pytest.mark.parametrize("chunk_chars", [1, 7, ingest._CHUNK_CHARS])
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_row_order_does_not_change_the_series(chunk_chars, data):
@@ -1088,7 +1087,7 @@ def test_row_order_does_not_change_the_series(chunk_chars, data):
         blank_at = data.draw(st.sets(st.integers(0, len(long) - 1)),
                              f"{order} blanks")
         with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
-            mp.setattr(align, "_CHUNK_CHARS", chunk_chars)
+            mp.setattr(ingest, "_CHUNK_CHARS", chunk_chars)
             warnings.simplefilter("ignore", RuntimeWarning)
             series = parse_long(_csv_text(long, pad, blank_at, bom))
         want = [expected[name] for name in dict.fromkeys(r[0] for r in order_rows)]

@@ -10,9 +10,7 @@ import pytest
 
 from helpers import FIXTURES, make_series
 from latecast import backtest
-from latecast.align import (
-    CountrySeries, build_panel, parse_jhu_wide, parse_long, truncate_series,
-)
+from latecast.align import build_panel, truncate_series
 from latecast.backtest import (
     BacktestConfig,
     dumps_report,
@@ -24,6 +22,7 @@ from latecast.backtest import (
 from latecast.cli import main
 from latecast.ecm import fit_ecm, simulate_bands
 from latecast.errors import DataFormatError
+from latecast.ingest import CountrySeries, parse_jhu_wide, parse_long
 from latecast.lasso import select_by_bic
 
 

@@ -11,9 +11,10 @@ the benchmark runs.
 from datetime import date
 
 import numpy as np
+import pytest
 
 from helpers import FIXTURES, ROOT
-from latecast import align
+from latecast import align, cli, ingest
 from latecast.backtest import BacktestConfig, run_backtest
 from perfbench import checks, workloads
 from perfbench.tracer import Tracer
@@ -81,3 +82,21 @@ def test_perfbench_counts_the_rows_each_parser_reads():
         tracer.drain()
     assert tracer.counters["align.parse_jhu_wide.rows"] > 0
     assert tracer.counters["align.parse_long.rows"] > 0
+
+
+@pytest.mark.parametrize("name,data_format,span", [
+    ("jhu_confirmed_snapshot_20200415.csv", "jhu-wide", "align.parse_jhu_wide"),
+    ("synthetic_ecm_long.csv", "long", "align.parse_long"),
+], ids=["wide", "long"])
+def test_cli_parses_are_traced(capsys, name, data_format, span):
+    # the tracer rebinds the parsers in align and cli only, so the CLI
+    # must call the names it imported, not ingest.parse_* by attribute
+    assert align.parse_jhu_wide is ingest.parse_jhu_wide
+    assert align.parse_long is ingest.parse_long
+    with Tracer() as tracer:
+        code = cli.main(["ingest-check", "--data-path", str(FIXTURES / name),
+                         "--data-format", data_format])
+    capsys.readouterr()
+    assert code == 0
+    names = [s[0] for s in tracer.spans]
+    assert [n for n in names if n.startswith("align.parse_")] == [span]

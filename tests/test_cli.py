@@ -9,8 +9,8 @@ from pathlib import Path
 import pytest
 
 from helpers import FIXTURES, src_env
-from latecast import align
-from latecast.align import parse_long
+from latecast import ingest
+from latecast.ingest import parse_long
 from latecast.backtest import BacktestConfig, run_backtest
 from latecast.cli import JHU_FILENAMES, main
 
@@ -248,7 +248,7 @@ def test_crlf_long_file_is_read_as_bytes(tmp_path, capsys, monkeypatch):
     def row_loop(csv_text):
         raise AssertionError("a CRLF file was read row by row")
 
-    monkeypatch.setattr(align, "_read_long_rows", row_loop)
+    monkeypatch.setattr(ingest, "_read_long_rows", row_loop)
     assert main(["ingest-check", "--data-path", str(crlf),
                  "--data-format", "long"]) == 0
     assert capsys.readouterr().out == expected

@@ -16,8 +16,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import FIXTURES, reference_homotopy, solve_at
-from latecast.align import build_panel, parse_jhu_wide
+from latecast.align import build_panel
 from latecast.errors import EstimationError, LatecastError
+from latecast.ingest import parse_jhu_wide
 from latecast.lasso import _grid, _homotopy, _Prepared, bic, kkt_violation, select_by_bic
 
 

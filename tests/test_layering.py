@@ -1,0 +1,43 @@
+"""The split between ingestion and the epidemic-age model holds.
+
+``ingest`` reads CSV text and needs nothing of the package but its
+errors; ``align`` holds the model and takes from ``ingest`` only the
+series type and the two parsers, which it re-exports for perfbench.
+"""
+
+import ast
+
+from helpers import ROOT
+
+SRC = ROOT / "src" / "latecast"
+
+
+def _imports(module: str):
+    """The top-level modules that ``module`` imports absolutely, and the
+    names it imports from each module of the package."""
+    tree = ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8"))
+    absolute, package = set(), {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            absolute |= {a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level:
+            names = {a.name for a in node.names}
+            if node.module:
+                package.setdefault(node.module, set()).update(names)
+            else:  # from . import module
+                package.update({name: set() for name in names})
+        elif isinstance(node, ast.ImportFrom):
+            absolute.add(node.module.split(".")[0])
+    return absolute, package
+
+
+def test_ingest_imports_only_errors_from_the_package():
+    absolute, package = _imports("ingest")
+    assert "latecast" not in absolute
+    assert set(package) == {"errors"}
+
+
+def test_align_reads_no_text_and_takes_only_the_parsers_from_ingest():
+    absolute, package = _imports("align")
+    assert not absolute & {"csv", "io"}
+    assert package["ingest"] == {"CountrySeries", "parse_jhu_wide", "parse_long"}
