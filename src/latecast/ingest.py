@@ -308,7 +308,9 @@ def _read_wide_rows(csv_text: str):
 def _read_wide_bytes(csv_text: str):
     """What ``_read_wide_rows`` returns, read by ``_byte_rows``, or None
     for text that it declines or with a count cell that ``_counts``
-    rejects."""
+    rejects.  The columns are allocated once, on the first slab, for
+    ``_max_rows`` rows, and each slab's rows are written into the next
+    rows of them."""
     names: dict[str, int] = {}
     ids = counts = None
     n = 0
@@ -445,7 +447,8 @@ def _read_long_bytes(csv_text: str):
     """What ``_read_long_rows`` returns, read by ``_byte_rows``, or None
     for text that it declines or with a date or count cell that
     ``_days`` or ``_counts`` rejects; only a repeated country and date
-    is let through, for ``parse_long`` to find."""
+    is let through, for ``parse_long`` to find.  The columns are sized
+    and written as ``_read_wide_bytes`` sizes and writes its own."""
     names: dict[str, int] = {}
     ordinals: dict[str, int] = {}
     ids = days = counts = None
@@ -472,9 +475,13 @@ def _read_long_bytes(csv_text: str):
 def _max_rows(csv_text: str) -> int:
     """A bound on the rows that ``_byte_rows`` yields for the text: its
     lines, of which a newline inside quotes only joins two into a row.
-    The byte readers count them only once ``_byte_rows`` has yielded its
-    first slab, so that text it declines at once costs no count."""
-    return csv_text.count("\n") + 1
+    Numpy counts the newlines on the UTF-8 bytes of one chunk of
+    ``_CHUNK_CHARS`` characters at a time, not ``str.count``, which reads
+    one character at a time.  The byte readers count them only once
+    ``_byte_rows`` has yielded its first slab, so that text it declines
+    at once costs no count."""
+    return 1 + sum(_byte_count(_utf8(csv_text[i:i + _CHUNK_CHARS]), "\n")
+                   for i in range(0, len(csv_text), _CHUNK_CHARS))
 
 
 def _byte_rows(csv_text: str, read_header, names: dict[str, int]):
@@ -550,18 +557,46 @@ def _slabs(text: str, start: int):
     """The UTF-8 bytes of ``text[start:]`` in slabs of at least
     ``_CHUNK_CHARS`` characters, each cut after a newline that an even
     number of quotes precede and ending in a newline, padded by ``_PAD``
-    newlines on both sides (the last slab may be shorter)."""
+    newlines on both sides (the last slab may be shorter).
+
+    The quotes are counted on the bytes of the slab, as UTF-8 writes a
+    quote as the one byte 0x22, which no other character's bytes hold; a
+    slab with an odd count takes the lines up to the next cut that an
+    even number precede."""
     pad = b"\n" * _PAD
     while start < len(text):
         end = text.find("\n", start + _CHUNK_CHARS - 1) + 1 or len(text)
-        quotes = text.count('"', start, end)
-        while quotes % 2 and end < len(text):
-            cut = text.find("\n", end) + 1 or len(text)
-            quotes += text.count('"', end, cut)
+        body = _utf8(text[start:end])
+        if _byte_count(body, '"') % 2 and end < len(text):
+            cut = _odd_quotes_line_end(text, end)
+            body += _utf8(text[end:cut])
             end = cut
-        body = text[start:end].encode("utf-8", "surrogatepass")
-        yield pad + body + (b"" if body.endswith(b"\n") else b"\n") + pad
+        yield b"".join((pad, body, b"" if body.endswith(b"\n") else b"\n", pad))
         start = end
+
+
+def _odd_quotes_line_end(text: str, pos: int) -> int:
+    """The end of the first line after ``pos`` that an odd number of the
+    quotes from ``pos`` on precede, or the length of the text if no line
+    does; found from quote to quote, so a line with no quote costs no step."""
+    while (quote := text.find('"', pos)) >= 0:
+        # an odd number of quotes precede quote + 1, and so the end of its
+        # line unless another quote comes first
+        end = text.find("\n", quote + 1) + 1 or len(text)
+        pos = text.find('"', quote + 1, end) + 1
+        if not pos:
+            return end
+    return len(text)
+
+
+def _utf8(text: str) -> bytes:
+    """The UTF-8 bytes of the text, a lone surrogate included."""
+    return text.encode("utf-8", "surrogatepass")
+
+
+def _byte_count(data: bytes, char: str) -> int:
+    """The bytes of ``data`` that are the ASCII character ``char``."""
+    return int(np.count_nonzero(np.frombuffer(data, np.uint8) == ord(char)))
 
 
 def _separators(a: np.ndarray) -> np.ndarray | None:

@@ -544,6 +544,104 @@ def test_a_parse_holds_its_output_once():
             assert traced_peak(parse, text) - series_bytes < 5 * series_bytes
 
 
+def test_a_parse_makes_no_str_count_pass(monkeypatch):
+    # str.count runs a scalar loop over the characters it counts; the
+    # byte readers count newlines and quotes with numpy on encoded bytes
+    def row_loop(csv_text):
+        raise AssertionError("a file of RFC 4180 text was read row by row")
+
+    monkeypatch.setattr(ingest, "_read_long_rows", row_loop)
+    monkeypatch.setattr(ingest, "_read_wide_rows", row_loop)
+    panel = generate_panel(FIXTURES, seed=1)
+    counted = []
+
+    def profile(frame, event, arg):
+        if event == "c_call" and getattr(arg, "__qualname__", "") == "str.count":
+            counted.append(len(arg.__self__))
+
+    previous = sys.getprofile()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        sys.setprofile(profile)
+        try:
+            parse_long(panel.long_text)
+            parse_jhu_wide(panel.wide_text)
+        finally:
+            sys.setprofile(previous)
+    assert counted == []
+
+
+@pytest.mark.parametrize("layout", ["long", "wide"])
+def test_columns_hold_every_row_when_the_first_slab_has_few(monkeypatch, layout):
+    # the first slabs hold long quoted, padded names and the later ones
+    # short rows, so that the first slab's rows per character are a
+    # small part of the text's; the columns are sized once, for all rows
+    names = [f'"  {k} {"é" * 60},\n  "' for k in range(4)] + [f"C{k}" for k in range(40)]
+    days = [date(2020, 1, 22) + timedelta(days=i) for i in range(6)]
+    if layout == "wide":
+        parse, read, rows = parse_jhu_wide, "_read_wide", [
+            "Province/State,Country/Region,Lat,Long,"
+            + ",".join(f"{d.month}/{d.day}/{d.year % 100}" for d in days)]
+        rows += [f",{n},0,0," + ",".join(str(i) for i in range(len(days)))
+                 for n in names]
+    else:
+        parse, read, rows = parse_long, "_read_long", ["country,date,cumulative"]
+        rows += [f"{n},{d.isoformat()},{i}" for n in names for i, d in enumerate(days)]
+    text = "\n".join(rows) + "\n"
+    expected = _outcome(text, parse)
+    monkeypatch.setattr(ingest, "_CHUNK_CHARS", 256)
+    sizes, bound = [], ingest._max_rows
+
+    def max_rows(csv_text):
+        sizes.append(bound(csv_text))
+        return sizes[-1]
+
+    monkeypatch.setattr(ingest, "_max_rows", max_rows)
+    assert getattr(ingest, read + "_bytes")(text) is not None
+    assert len(sizes) == 1 and sizes[0] >= len(rows)
+    assert _outcome(text, parse) == expected
+    monkeypatch.setattr(ingest, read + "_bytes", lambda csv_text: None)
+    assert _outcome(text, parse) == expected
+    assert len(expected[0]) == len(names)
+
+
+def test_quote_parity_holds_across_a_cut_after_non_ascii_names(monkeypatch):
+    # the names before the quoted newline take more bytes than characters,
+    # so that a count of quotes that mixed character and byte offsets
+    # would cut the slab inside the quoted cell
+    rows = ["country,date,cumulative"]
+    for name in ["Côte d'Ivoire", "日本", "Ελλάδα", "l\u2028s"]:
+        rows += [f"{name},2020-01-0{d},{d}" for d in (1, 2)]
+    rows += [f'"Saint\nKitts",2020-01-0{d},{d}' for d in (1, 2, 3)]
+    rows += [f"Z,2020-01-0{d},{d}" for d in (1, 2)]
+    text = "\n".join(rows) + "\n"
+    quoted = text.index("Saint\n") + len("Saint")
+    assert len(text[:quoted].encode()) > quoted
+    expected: dict[str, list[int]] = {}
+    for name, _, count in list(csv.reader(io.StringIO(text)))[1:]:
+        expected.setdefault(name, []).append(int(count))
+
+    def row_loop(csv_text):
+        raise AssertionError("the byte reader declined the text")
+
+    monkeypatch.setattr(ingest, "_read_long_rows", row_loop)
+    # quoted + 1 puts the first cut candidate at the quoted newline
+    for chunk_chars in [quoted + 1, *range(1, len(text) + 1, 3)]:
+        monkeypatch.setattr(ingest, "_CHUNK_CHARS", chunk_chars)
+        assert [(s.name, s.counts.tolist()) for s in parse_long(text)] == list(
+            expected.items())
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(text=st.text(alphabet='"\nab', max_size=30), pos=st.integers(0, 30))
+def test_odd_quotes_line_end_is_the_first_line_end_past_odd_quotes(text, pos):
+    # the reference counts the quotes before each line end in turn
+    pos = min(pos, len(text))
+    ends = [i + 1 for i in range(pos, len(text)) if text[i] == "\n"]
+    expected = next((c for c in ends if text.count('"', pos, c) % 2), len(text))
+    assert ingest._odd_quotes_line_end(text, pos) == expected
+
+
 def _outcome(text: str, parse=parse_long):
     """The series and warnings that parse gives for text, or the message
     of its DataFormatError."""
