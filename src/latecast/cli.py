@@ -434,9 +434,9 @@ def build_parser() -> argparse.ArgumentParser:
                             "(default %(default)s)")
     model.add_argument("--h", type=_at_least(1), default=DEFAULT_HORIZON,
                        help="forecast horizon in days (default %(default)s)")
-    model.add_argument("--seed", type=_at_least(0), required=True)
 
     sims = _Parser(add_help=False)
+    sims.add_argument("--seed", type=_at_least(0), required=True)
     sims.add_argument("--n-sims", type=_at_least(1), default=DEFAULT_N_SIMS)
     sims.add_argument("--confidence", default=DEFAULT_CONFIDENCE,
                       type=_checked(float, lambda v: 0.0 < v < 1.0,
@@ -462,6 +462,9 @@ def build_parser() -> argparse.ArgumentParser:
                         default=None)
     p_back.add_argument("--origin-end", type=date.fromisoformat,
                         default=None)
+    p_back.add_argument("--seed", type=_at_least(0), default=None,
+                        help="accepted and ignored: the backtest scores "
+                             "point forecasts only")
 
     p_report = sub.add_parser("report", parents=[data, model, sims, out],
                               help="combined cases and deaths table")

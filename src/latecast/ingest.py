@@ -3,8 +3,9 @@
 Two layouts are read: the JHU wide layout (``parse_jhu_wide``), one row
 per country or province with one column per date, and the long layout
 (``parse_long``), one ``country,date,cumulative`` row per country and
-day.  Plain RFC 4180 text is read from its UTF-8 bytes one slab at a
-time; any other text is read row by row through ``csv``.  Both readers
+day.  RFC 4180 text whose rows are one line each, with no CR or NUL, is
+read from its UTF-8 bytes one slab at a time; any other text, a quoted
+line break included, is read row by row through ``csv``.  Both readers
 give the same series and name the same first fault.
 """
 
@@ -157,20 +158,16 @@ def _csv_rows(csv_text: str, read_header, names: dict[str, int]):
             raise DataFormatError("empty file")
         yield header, (columns := read_header(header))
         width, country_idx = columns[:2]
-        # the raw country cell last looked up; a row that repeats it is valid
-        key = None
         for row_no, row in rows:
-            if len(row) != width or row[country_idx] != key:
-                if len(row) == width and (country := row[country_idx].strip()):
-                    key = row[country_idx]
-                    index = names.setdefault(country, len(names))
-                elif _blank(row):
-                    continue
-                elif len(row) != width:
-                    raise DataFormatError(
-                        f"row {row_no}: expected {width} cells, found {len(row)}")
-                else:
-                    raise DataFormatError(f"row {row_no}: empty country")
+            if len(row) == width and (country := row[country_idx].strip()):
+                index = names.setdefault(country, len(names))
+            elif _blank(row):
+                continue
+            elif len(row) != width:
+                raise DataFormatError(
+                    f"row {row_no}: expected {width} cells, found {len(row)}")
+            else:
+                raise DataFormatError(f"row {row_no}: empty country")
             yield row_no, row, index
     except csv.Error as exc:
         raise DataFormatError(f"row {row_no + 1}: {exc}") from None
@@ -250,9 +247,9 @@ def parse_jhu_wide(csv_text: str) -> list[CountrySeries]:
     layouts a leading byte-order mark and all-blank rows are ignored.
 
     Text is read as ``parse_long`` reads it: from its UTF-8 bytes if it
-    is RFC 4180 text with no carriage return or NUL, and otherwise, or
-    if it has a header or row fault, row by row by ``_csv_rows``, naming
-    its first fault.
+    is RFC 4180 text whose rows are one line each, with no CR or NUL,
+    and otherwise, or if it has a header or row fault, row by row by
+    ``_csv_rows``, naming its first fault.
     """
     names, start, ids, counts = (_read_wide_bytes(csv_text)
                                  or _read_wide_rows(csv_text))
@@ -354,10 +351,10 @@ def parse_long(csv_text: str) -> list[CountrySeries]:
     YYYY-MM-DD shape are decoded by arithmetic (``_date_cells``), and
     only other cells reach ``fromisoformat``.
 
-    Text whose quotes each enclose a whole cell, as RFC 4180 quotes, and
-    that holds no carriage return or NUL is read from its UTF-8 bytes,
-    one slab at a time; other text, and text with a header or row
-    fault, is read row by row by ``_csv_rows``, naming its first fault.
+    RFC 4180 text whose rows are one line each, with no CR or NUL, is
+    read from its UTF-8 bytes, one slab at a time; other text, a quoted
+    line break included, and text with a header or row fault, is read
+    row by row by ``_csv_rows``, naming its first fault.
 
     A file with several faults is named by its first, in file order.
     Row faults (a wrong cell count, an empty country, a bad date or
@@ -420,16 +417,13 @@ def _read_long_rows(csv_text: str):
     _, (_, _, date_idx, count_idx) = next(rows)
     # the day ordinals read so far for each country index
     seen: dict[int, set[int]] = {}
-    ordinals: dict[str, int] = {}
     ids, days, counts = [], [], []
     for row_no, row, index in rows:
         cell = row[date_idx]
-        day = ordinals.get(cell)
-        if day is None:
-            try:
-                day = ordinals[cell] = date.fromisoformat(cell.strip()).toordinal()
-            except ValueError:
-                raise DataFormatError(f"row {row_no}: bad ISO date {cell!r}") from None
+        try:
+            day = date.fromisoformat(cell.strip()).toordinal()
+        except ValueError:
+            raise DataFormatError(f"row {row_no}: bad ISO date {cell!r}") from None
         counts.append(_parse_count(row[count_idx], row_no, "cumulative"))
         if not ids or ids[-1] != index:
             country_days = seen.setdefault(index, set())
@@ -474,14 +468,16 @@ def _read_long_bytes(csv_text: str):
 
 def _max_rows(csv_text: str) -> int:
     """A bound on the rows that ``_byte_rows`` yields for the text: its
-    lines, of which a newline inside quotes only joins two into a row.
-    Numpy counts the newlines on the UTF-8 bytes of one chunk of
-    ``_CHUNK_CHARS`` characters at a time, not ``str.count``, which reads
-    one character at a time.  The byte readers count them only once
-    ``_byte_rows`` has yielded its first slab, so that text it declines
-    at once costs no count."""
-    return 1 + sum(_byte_count(_utf8(csv_text[i:i + _CHUNK_CHARS]), "\n")
-                   for i in range(0, len(csv_text), _CHUNK_CHARS))
+    lines, each of which is one row at most.  Numpy counts the newlines
+    on the UTF-8 bytes of one chunk of ``_CHUNK_CHARS`` characters at a
+    time, not ``str.count``, which reads one character at a time.  The
+    byte readers count them only once ``_byte_rows`` has yielded its
+    first slab, so that text it declines at once costs no count."""
+    rows = 1
+    for i in range(0, len(csv_text), _CHUNK_CHARS):
+        chunk = np.frombuffer(_utf8(csv_text[i:i + _CHUNK_CHARS]), np.uint8)
+        rows += int(np.count_nonzero(chunk == ord("\n")))
+    return rows
 
 
 def _byte_rows(csv_text: str, read_header, names: dict[str, int]):
@@ -498,11 +494,12 @@ def _byte_rows(csv_text: str, read_header, names: dict[str, int]):
     in ``names`` of their country at ``ids``; a new country is added to
     ``names``.
 
-    It raises ``ValueError`` for text that ``csv`` may read into other
-    rows or cells (text with a carriage return or NUL, a quote that does
-    not enclose a whole cell, or a cell of more bytes than
-    ``csv.field_size_limit()``), and for text with no header row or with
-    a row that ``_csv_rows`` rejects; ``read_header`` raises
+    It reads RFC 4180 text whose rows are one line each, with no CR or
+    NUL.  It raises ``ValueError`` for any other text, which ``csv`` may
+    read into other rows or cells (a carriage return or NUL, a quote
+    that does not enclose a whole cell of one line, or a cell of more
+    bytes than ``csv.field_size_limit()``), and for text with no header
+    row or with a row that ``_csv_rows`` rejects; ``read_header`` raises
     ``DataFormatError`` for a header it rejects.  The row loops read
     such text row by row by ``_csv_rows`` and name its first fault."""
     if "\r" in csv_text or "\0" in csv_text:
@@ -515,7 +512,7 @@ def _byte_rows(csv_text: str, read_header, names: dict[str, int]):
         a = np.frombuffer(slab, np.uint8)
         ends = _separators(a)
         if ends is None:
-            raise ValueError("a quote does not enclose a whole cell")
+            raise ValueError("a quote does not enclose a whole cell of one line")
         # row r is fields first[r] to last[r]
         starts = np.concatenate(([_PAD], ends[:-1] + 1))
         if (ends - starts).max() > limit:
@@ -555,38 +552,15 @@ def _byte_rows(csv_text: str, read_header, names: dict[str, int]):
 
 def _slabs(text: str, start: int):
     """The UTF-8 bytes of ``text[start:]`` in slabs of at least
-    ``_CHUNK_CHARS`` characters, each cut after a newline that an even
-    number of quotes precede and ending in a newline, padded by ``_PAD``
-    newlines on both sides (the last slab may be shorter).
-
-    The quotes are counted on the bytes of the slab, as UTF-8 writes a
-    quote as the one byte 0x22, which no other character's bytes hold; a
-    slab with an odd count takes the lines up to the next cut that an
-    even number precede."""
+    ``_CHUNK_CHARS`` characters, each cut after the first newline past
+    them and ending in a newline, padded by ``_PAD`` newlines on both
+    sides (the last slab may be shorter)."""
     pad = b"\n" * _PAD
     while start < len(text):
         end = text.find("\n", start + _CHUNK_CHARS - 1) + 1 or len(text)
         body = _utf8(text[start:end])
-        if _byte_count(body, '"') % 2 and end < len(text):
-            cut = _odd_quotes_line_end(text, end)
-            body += _utf8(text[end:cut])
-            end = cut
         yield b"".join((pad, body, b"" if body.endswith(b"\n") else b"\n", pad))
         start = end
-
-
-def _odd_quotes_line_end(text: str, pos: int) -> int:
-    """The end of the first line after ``pos`` that an odd number of the
-    quotes from ``pos`` on precede, or the length of the text if no line
-    does; found from quote to quote, so a line with no quote costs no step."""
-    while (quote := text.find('"', pos)) >= 0:
-        # an odd number of quotes precede quote + 1, and so the end of its
-        # line unless another quote comes first
-        end = text.find("\n", quote + 1) + 1 or len(text)
-        pos = text.find('"', quote + 1, end) + 1
-        if not pos:
-            return end
-    return len(text)
 
 
 def _utf8(text: str) -> bytes:
@@ -594,14 +568,10 @@ def _utf8(text: str) -> bytes:
     return text.encode("utf-8", "surrogatepass")
 
 
-def _byte_count(data: bytes, char: str) -> int:
-    """The bytes of ``data`` that are the ASCII character ``char``."""
-    return int(np.count_nonzero(np.frombuffer(data, np.uint8) == ord(char)))
-
-
 def _separators(a: np.ndarray) -> np.ndarray | None:
     """Positions of the commas and newlines outside quotes in the slab
-    ``a``, or None if one of its quotes does not enclose a whole cell."""
+    ``a``, or None if one of its quotes does not enclose a whole cell of
+    one line."""
     # the slice drops the newlines of the pads
     seps = np.flatnonzero((a == ord(",")) | (a == ord("\n")))[_PAD:-_PAD]
     quotes = np.flatnonzero(a == ord('"'))
@@ -618,8 +588,10 @@ def _separators(a: np.ndarray) -> np.ndarray | None:
     # these ranges laid end to end, numbered by a running sum
     opens, closes = np.searchsorted(seps, quotes).reshape(-1, 2).T
     inside = closes - opens
-    return np.delete(seps, np.repeat(closes - np.cumsum(inside), inside)
-                     + np.arange(inside.sum()))
+    quoted = np.repeat(closes - np.cumsum(inside), inside) + np.arange(inside.sum())
+    if (a[seps[quoted]] == ord("\n")).any():
+        return None
+    return np.delete(seps, quoted)
 
 
 def _cell(raw: bytes) -> str:

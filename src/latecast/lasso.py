@@ -93,9 +93,9 @@ class _Prepared:
             raise ValueError("X must be a 2-d matrix")
         K, p = X.shape
         if y.shape != (K,):
-            raise ValueError(f"y has length {y.shape}, X has {K} rows")
+            raise ValueError(f"y has shape {y.shape}, X has {K} rows")
         if w.shape != (K,):
-            raise ValueError(f"weights has length {w.shape}, X has {K} rows")
+            raise ValueError(f"weights has shape {w.shape}, X has {K} rows")
         if np.any(w <= 0):
             raise ValueError("weights must be strictly positive")
 

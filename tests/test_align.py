@@ -576,7 +576,7 @@ def test_columns_hold_every_row_when_the_first_slab_has_few(monkeypatch, layout)
     # the first slabs hold long quoted, padded names and the later ones
     # short rows, so that the first slab's rows per character are a
     # small part of the text's; the columns are sized once, for all rows
-    names = [f'"  {k} {"é" * 60},\n  "' for k in range(4)] + [f"C{k}" for k in range(40)]
+    names = [f'"  {k} {"é" * 60},  "' for k in range(4)] + [f"C{k}" for k in range(40)]
     days = [date(2020, 1, 22) + timedelta(days=i) for i in range(6)]
     if layout == "wide":
         parse, read, rows = parse_jhu_wide, "_read_wide", [
@@ -605,41 +605,38 @@ def test_columns_hold_every_row_when_the_first_slab_has_few(monkeypatch, layout)
     assert len(expected[0]) == len(names)
 
 
-def test_quote_parity_holds_across_a_cut_after_non_ascii_names(monkeypatch):
-    # the names before the quoted newline take more bytes than characters,
-    # so that a count of quotes that mixed character and byte offsets
-    # would cut the slab inside the quoted cell
-    rows = ["country,date,cumulative"]
-    for name in ["Côte d'Ivoire", "日本", "Ελλάδα", "l\u2028s"]:
-        rows += [f"{name},2020-01-0{d},{d}" for d in (1, 2)]
-    rows += [f'"Saint\nKitts",2020-01-0{d},{d}' for d in (1, 2, 3)]
-    rows += [f"Z,2020-01-0{d},{d}" for d in (1, 2)]
-    text = "\n".join(rows) + "\n"
+@pytest.mark.parametrize("layout", ["long", "wide"])
+def test_a_quoted_line_break_is_read_row_by_row(monkeypatch, layout):
+    # the names before the quoted line break take more bytes than
+    # characters, so that a cut that mixed character and byte offsets
+    # would fall elsewhere; at every cut the byte reader declines the
+    # text, and the parse reads it as csv does
+    names = ["Côte d'Ivoire", "日本", "Ελλάδα", "l\u2028s", "Saint\nKitts", "Z"]
+    if layout == "long":
+        parse, read = parse_long, ingest._read_long_bytes
+        rows = [["country", "date", "cumulative"]]
+        rows += [[n, f"2020-01-0{d}", d] for n in names for d in (1, 2, 3)]
+    else:
+        parse, read = parse_jhu_wide, ingest._read_wide_bytes
+        rows = [[*ingest.JHU_FIXED_COLUMNS, "1/1/20", "1/2/20", "1/3/20"]]
+        rows += [["", n, 0, 0, 1, 2, 3] for n in names]
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    text = buf.getvalue()
     quoted = text.index("Saint\n") + len("Saint")
     assert len(text[:quoted].encode()) > quoted
     expected: dict[str, list[int]] = {}
-    for name, _, count in list(csv.reader(io.StringIO(text)))[1:]:
-        expected.setdefault(name, []).append(int(count))
-
-    def row_loop(csv_text):
-        raise AssertionError("the byte reader declined the text")
-
-    monkeypatch.setattr(ingest, "_read_long_rows", row_loop)
-    # quoted + 1 puts the first cut candidate at the quoted newline
-    for chunk_chars in [quoted + 1, *range(1, len(text) + 1, 3)]:
+    for row in list(csv.reader(io.StringIO(text)))[1:]:
+        if layout == "long":
+            expected.setdefault(row[0], []).append(int(row[2]))
+        else:
+            expected[row[1]] = [int(c) for c in row[4:]]
+    assert list(expected) == names
+    for chunk_chars in range(1, len(text) + 1, 3):
         monkeypatch.setattr(ingest, "_CHUNK_CHARS", chunk_chars)
-        assert [(s.name, s.counts.tolist()) for s in parse_long(text)] == list(
-            expected.items())
-
-
-@settings(max_examples=300, deadline=None, derandomize=True)
-@given(text=st.text(alphabet='"\nab', max_size=30), pos=st.integers(0, 30))
-def test_odd_quotes_line_end_is_the_first_line_end_past_odd_quotes(text, pos):
-    # the reference counts the quotes before each line end in turn
-    pos = min(pos, len(text))
-    ends = [i + 1 for i in range(pos, len(text)) if text[i] == "\n"]
-    expected = next((c for c in ends if text.count('"', pos, c) % 2), len(text))
-    assert ingest._odd_quotes_line_end(text, pos) == expected
+        assert read(text) is None
+        assert [(s.name, s.start, s.counts.tolist()) for s in parse(text)] == [
+            (n, date(2020, 1, 1), c) for n, c in expected.items()]
 
 
 def _outcome(text: str, parse=parse_long):
@@ -674,6 +671,12 @@ _BAD_CELLS = {"country": [" ", "", "\x1c\u3000"],
               "cumulative": ["x", "-1", "12.5", "9007199254740992", "1e20", "",
                              "not available for this date"]}
 _BLANK_ROWS = ["", ",,,", " , ,,", '"",,,']
+
+
+def _quoted_line_break(text: str) -> bool:
+    """True if csv reads a cell of the text that holds a line break."""
+    return any("\n" in cell for row in csv.reader(io.StringIO(text))
+               for cell in row)
 
 
 # the messages of row faults, each of which names its row
@@ -725,7 +728,7 @@ def _rfc_texts(draw):
 def test_byte_reader_matches_the_row_loop(chunk_chars, text):
     # the same series and warnings, or the same fault, with the byte
     # reader and without it; it declines RFC 4180 text only for a row
-    # fault, which the row loop names
+    # fault, which the row loop names, or for a quoted line break
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ingest, "_CHUNK_CHARS", chunk_chars)
         from_bytes = _outcome(text)
@@ -733,7 +736,8 @@ def test_byte_reader_matches_the_row_loop(chunk_chars, text):
         mp.setattr(ingest, "_read_long_bytes", lambda csv_text: None)
         assert _outcome(text) == from_bytes
     if columns is None:
-        assert isinstance(from_bytes, str) and _ROW_FAULT.match(from_bytes)
+        assert _quoted_line_break(text) or (
+            isinstance(from_bytes, str) and _ROW_FAULT.match(from_bytes))
 
 
 # text outside RFC 4180, which only the row loop reads, as csv reads
@@ -852,7 +856,8 @@ _HEADER_FAULT = re.compile(r"malformed |date column header: |empty file$")
 @given(text=_wide_texts())
 def test_wide_byte_reader_matches_the_row_loop(chunk_chars, text):
     # as for the long layout: the same outcome with the byte reader and
-    # without it, and a text it declines has a row or header fault
+    # without it, and a text it declines has a row or header fault or a
+    # quoted line break
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ingest, "_CHUNK_CHARS", chunk_chars)
         from_bytes = _outcome(text, parse_jhu_wide)
@@ -860,8 +865,8 @@ def test_wide_byte_reader_matches_the_row_loop(chunk_chars, text):
         mp.setattr(ingest, "_read_wide_bytes", lambda csv_text: None)
         assert _outcome(text, parse_jhu_wide) == from_bytes
     if columns is None:
-        assert isinstance(from_bytes, str)
-        assert _ROW_FAULT.match(from_bytes) or _HEADER_FAULT.match(from_bytes)
+        assert _quoted_line_break(text) or isinstance(from_bytes, str) and (
+            _ROW_FAULT.match(from_bytes) or _HEADER_FAULT.match(from_bytes))
 
 
 WIDE_OUTSIDE_RFC = {
@@ -1192,6 +1197,27 @@ def test_row_order_does_not_change_the_series(chunk_chars, data):
         assert ([(s.name, s.start, s.counts.tolist()) for s in series]
                 == [(s.name, s.start, s.counts.tolist()) for s in want])
         assert ingestion_warnings(series) == ingestion_warnings(want)
+
+
+_SERIES = make_series("A", date(2020, 3, 1), [50, 90, 100, 130])
+
+
+@pytest.mark.parametrize("call,error,msg", [
+    (lambda: ingest.CountrySeries("A", date(2020, 3, 1), []), DataFormatError,
+     "empty series for 'A'"),
+    (lambda: truncate_series(_SERIES, date(2020, 2, 29)), DataFormatError,
+     "'A' has no data on or before 2020-02-29"),
+    (lambda: to_tau(_SERIES, 0), ValueError, "threshold must be >= 1"),
+    (lambda: inflation_weights(0), ValueError, "window_len must be >= 1"),
+    (lambda: build_panel(_SERIES, [], max_horizon=0), ValueError,
+     "max_horizon must be >= 1"),
+    (lambda: build_panel(_SERIES, [], window=1), ValueError,
+     "window must be >= 2"),
+], ids=["empty_series", "truncate_before_start", "threshold_0",
+        "no_window_weights", "no_horizon", "window_1"])
+def test_bad_arguments_raise(call, error, msg):
+    with pytest.raises(error, match=f"^{re.escape(msg)}$"):
+        call()
 
 
 def test_to_tau_starts_at_first_crossing():

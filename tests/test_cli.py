@@ -142,6 +142,18 @@ def test_missing_seed_is_usage_error(capsys):
     assert "--seed" in capsys.readouterr().err
 
 
+def test_backtest_needs_no_seed(capsys):
+    # the backtest scores point forecasts only; --seed is accepted and ignored
+    argv = ["backtest", "--data-path", JHU_CASES, "--target", "Brazil",
+            "--h", "7", "--origin-start", "2020-04-06",
+            "--origin-end", "2020-04-08"]
+    outs = []
+    for seed in ([], ["--seed", "11"]):
+        assert main([*argv, *seed]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] and outs[0] == outs[1]
+
+
 def test_bad_confidence_is_usage_error(capsys):
     rc = main(FORECAST_ARGS + ["--confidence", "1.5"])
     assert rc == 4

@@ -166,6 +166,26 @@ def test_empty_support_falls_back():
     assert np.all(np.isfinite(y_hat))
 
 
+# a panel whose one peer is flat, so that no peer varies over the window
+_FLAT_PANEL = make_panel(np.linspace(4.0, 5.0, 6), np.ones((9, 1)))
+
+
+@pytest.mark.parametrize("call,error,msg", [
+    (lambda: fit_ecm(_FLAT_PANEL, lasso_with_beta([0.0])), EstimationError,
+     "empty support and no peer column varies over the window"),
+    (lambda: forecast_log(hand_fit(), _FLAT_PANEL, 0), ValueError,
+     "H must be >= 1"),
+    (lambda: simulate_bands(hand_fit(), _FLAT_PANEL, 3, confidence=1.0),
+     ValueError, "confidence must be in (0, 1)"),
+    (lambda: simulate_bands(hand_fit(), _FLAT_PANEL, 3, n_sims=0), ValueError,
+     "n_sims must be >= 1"),
+], ids=["fallback_with_no_varying_peer", "no_horizon", "confidence_1",
+        "no_sims"])
+def test_bad_arguments_raise(call, error, msg):
+    with pytest.raises(error, match=f"^{re.escape(msg)}$"):
+        call()
+
+
 def test_unstable_gamma_warns():
     rng = np.random.default_rng(41008)
     panel, _ = gen_ecm_panel(rng, n=12, p=2, beta=(1.0,), pi=(0.0,),

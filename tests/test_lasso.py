@@ -9,6 +9,7 @@ homotopy (``helpers.solve_at``); the penalty grid is read from
 """
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -109,6 +110,18 @@ def test_path_rejects_all_degenerate_design():
     X = np.zeros((6, 2))
     with pytest.raises(EstimationError, match="no usable column"):
         select_by_bic(y, X, np.ones(6))
+
+
+@pytest.mark.parametrize("y,X,w,msg", [
+    (np.ones(5), np.ones(5), np.ones(5), "X must be a 2-d matrix"),
+    (np.ones(4), np.ones((5, 2)), np.ones(5), "y has shape (4,), X has 5 rows"),
+    (np.ones(5), np.ones((5, 2)), np.ones(4),
+     "weights has shape (4,), X has 5 rows"),
+    (np.ones(5), np.ones((5, 2)), np.zeros(5), "weights must be strictly positive"),
+], ids=["1d_X", "short_y", "short_weights", "zero_weights"])
+def test_select_by_bic_rejects_bad_arguments(y, X, w, msg):
+    with pytest.raises(ValueError, match=f"^{re.escape(msg)}$"):
+        select_by_bic(y, X, w)
 
 
 def test_column_scaling_invariance():

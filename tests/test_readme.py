@@ -9,6 +9,7 @@ import gc
 import json
 import re
 import shlex
+import tomllib
 import warnings
 from pathlib import Path
 
@@ -65,6 +66,13 @@ def test_backtest_summary_matches_readme(monkeypatch, capsys):
     assert summary["origins"] == 11
     assert round(summary["mape_total_pct"], 1) == 5.1
     assert "about 5.1% total MAPE" in README
+
+
+def test_python_floor_matches_pyproject():
+    pyproject = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))
+    floor = pyproject["project"]["requires-python"]
+    assert floor.startswith(">=")
+    assert re.findall(r"Python (\d+\.\d+)\+", README) == [floor[2:]]
 
 
 def test_library_example_runs(monkeypatch, capsys):
