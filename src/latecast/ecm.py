@@ -347,33 +347,26 @@ def _lerp(a, b, t):
 
 
 def _sorted_quantiles(rows: np.ndarray, qs) -> list[np.ndarray]:
-    """``np.quantile(rows, qs, axis=1)`` of ``rows`` already sorted along
-    axis 1, by numpy's linear rule: the same neighbours, weights and
-    arithmetic, so the result is bit-identical, NaN rows included."""
+    """``np.quantile(rows, qs, axis=1)`` of NaN-free ``rows`` already
+    sorted along axis 1, by numpy's linear rule: the same neighbours,
+    weights and arithmetic, so the result is bit-identical."""
     out = []
     for q in qs:
         lo, hi, t = _neighbours(rows.shape[1], q)
         out.append(_lerp(rows[:, lo], rows[:, hi], t))
-    # NaN sorts last; numpy then returns that last value
-    nan_rows = np.isnan(rows[:, -1])
-    for edge in out:
-        np.copyto(edge, rows[:, -1], where=nan_rows)
     return out
 
 
-def _sorted_edge(row: np.ndarray, q: float, f=None) -> float:
-    """``np.quantile(f(row), q)`` of the sorted 1-d ``row``, for an ``f``
-    that maps floats to floats monotonically and yields no -0.0.
+def _sorted_edge(row: np.ndarray, q: float, offset: float = 0.0) -> float:
+    """``np.quantile(row - offset, q)`` of the sorted 1-d ``row``.
 
-    Such an ``f`` keeps the sorted order, so it is applied to the two
-    neighbours and the last value only.  The interpolation runs on
-    Python floats; a result that is not finite is taken again through
-    numpy's arithmetic, so its overflow and invalid-value warnings fire
-    as they would on the whole row."""
+    Subtracting a constant keeps the sorted order, so the ``offset`` is
+    taken from the two neighbours and the last value only.  The
+    interpolation runs on Python floats; a result that is not finite is
+    taken again through numpy's arithmetic, so its overflow and
+    invalid-value warnings fire as they would on the whole row."""
     lo, hi, t = _neighbours(row.size, q)
-    a, b, last = row.item(lo), row.item(hi), row.item(-1)
-    if f is not None:
-        a, b, last = f(a), f(b), f(last)
+    a, b, last = row.item(lo) - offset, row.item(hi) - offset, row.item(-1) - offset
     edge = _lerp(a, b, t)
     if not math.isfinite(edge):
         edge = _lerp(np.array([a]), np.array([b]), t).item()
@@ -400,17 +393,10 @@ def simulate_bands(fit: EcmFit, panel: AlignedPanel, H: int,
     daily-new values and the level ratios of one horizon at a time fill
     one reused row.  Every edge is read from two neighbours in a sorted
     row by numpy's ``linear`` rule, so the bands equal ``np.quantile``
-    of the full path arrays bit for bit.  Of the 3H rows, 3H - 2 are
-    sorted, 40 at H = 14:
-
-    - A growth rate is a level ratio minus 1, which keeps the ratios'
-      order, so the ratio row is sorted and 1 is subtracted from the
-      neighbours only, before they are interpolated, as numpy would.
-    - On day one the previous level is the observed anchor, so the
-      daily-new and growth values are monotone maps of the day-one
-      levels: one sort of a copy of that row gives its three bands, and
-      the final level sort covers days 2 to H.  (An anchor that is 0 or
-      not finite is handled like any other day, with 3H sorts.)
+    of the full path arrays bit for bit.  Each of the 3H rows is sorted
+    once.  A growth rate is a level ratio minus 1, which keeps the
+    ratios' order, so the ratio row is sorted and 1 is subtracted from
+    the neighbours only, before they are interpolated, as numpy would.
 
     An ``n_sims`` whose buffer cannot be allocated raises
     ``EstimationError``.
@@ -447,7 +433,6 @@ def simulate_bands(fit: EcmFit, panel: AlignedPanel, H: int,
         z = rng.standard_normal(out=block[:n_sims - start])
         z *= sd
         paths[:, start:start + len(z)] = z.T
-    del block, z  # so that the day-one copy below takes its place
     for h in range(1, H):
         paths[h] += np.multiply(paths[h - 1], 1.0 + fit.gamma, out=row)
     paths += y_hat[:, None]
@@ -464,24 +449,8 @@ def simulate_bands(fit: EcmFit, panel: AlignedPanel, H: int,
     hi_q = 1.0 - lo_q
     new_lower, new_upper, rate_lower, rate_upper = (np.empty(H) for _ in range(4))
     anchor = float(np.exp(panel.y[panel.tau_len - 1]))
-    first = 0
-    if 0.0 < anchor < math.inf:
-        # against a positive finite anchor, x - anchor and x / anchor - 1
-        # are monotone maps of the levels with no NaN and no -0.0, so the
-        # sorted day-one levels give the day-one daily-new and growth bands
-        day_one = np.sort(paths[0])
-        # over the whole row each map could only warn of an overflow,
-        # which happens at an end of the sorted row if anywhere
-        ends = day_one[[0, -1]]
-        np.subtract(ends, anchor)
-        new_lower[0], new_upper[0] = (
-            _sorted_edge(day_one, q, lambda x: x - anchor) for q in (lo_q, hi_q))
-        np.divide(ends, anchor)
-        rate_lower[0], rate_upper[0] = (
-            _sorted_edge(day_one, q, lambda x: x / anchor - 1.0) for q in (lo_q, hi_q))
-        first = 1
-    prev = paths[0] if first else anchor
-    for h in range(first, H):
+    prev = anchor
+    for h in range(H):
         np.subtract(paths[h], prev, out=row)
         row.sort()
         new_lower[h], new_upper[h] = (_sorted_edge(row, q) for q in (lo_q, hi_q))
@@ -489,12 +458,9 @@ def simulate_bands(fit: EcmFit, panel: AlignedPanel, H: int,
         # and yields no -0.0; the edges subtract 1 before interpolating
         np.divide(paths[h], prev, out=row)
         row.sort()
-        rate_lower[h], rate_upper[h] = (
-            _sorted_edge(row, q, lambda x: x - 1.0) for q in (lo_q, hi_q))
+        rate_lower[h], rate_upper[h] = (_sorted_edge(row, q, 1.0) for q in (lo_q, hi_q))
         prev = paths[h]
-    paths[first:].sort(axis=1)
-    if first:
-        paths[0] = day_one
+    paths.sort(axis=1)
     lower, level_median, upper = _sorted_quantiles(paths, (lo_q, 0.5, hi_q))
 
     prev_point = np.concatenate([[anchor], level_hat[:-1]])

@@ -100,3 +100,16 @@ def test_cli_parses_are_traced(capsys, name, data_format, span):
     assert code == 0
     names = [s[0] for s in tracer.spans]
     assert [n for n in names if n.startswith("align.parse_")] == [span]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_forecast_bands_check_passes_on_every_target():
+    # the benchmark's own check: every band field against the recorded
+    # default-seed reference at checks.REL_TOL, on the 14-day snapshots
+    workload = workloads.ForecastBands(ROOT, checks.DEFAULT_SEED, checks.load_reference())
+    workload.setup()
+    ops = workload.round_ops()
+    assert len(ops) == 46
+    for op in ops:
+        outcome = workload.check(op, workload.run(op))
+        assert (outcome.failed, outcome.problems) == (0, []), op
