@@ -162,6 +162,7 @@ def run_backtest(target: CountrySeries, peers: list[CountrySeries],
     skipped: list[dict] = []
     flags: list[dict] = []
     details: list[dict] = []
+    steps = [timedelta(days=h) for h in range(1, config.horizon + 1)]
     for origin in origins:
         try:
             panel = _assemble_panel(
@@ -173,10 +174,7 @@ def run_backtest(target: CountrySeries, peers: list[CountrySeries],
         except LatecastError as exc:
             skipped.append({"origin": origin.isoformat(), "reason": str(exc)})
             continue
-        matrix[origin] = {
-            origin + timedelta(days=h): float(levels[h - 1])
-            for h in range(1, config.horizon + 1)
-        }
+        matrix[origin] = {origin + d: v for d, v in zip(steps, levels.tolist())}
         flags.extend(_calendar_flags(panel, fit, origin))
         details.append({
             "origin": origin.isoformat(),

@@ -42,6 +42,7 @@ _SPAN_TOL = 1e-14
 # down to this share of it.
 _N_LAMBDAS = 100
 _LAMBDA_MIN_RATIO = 1e-4
+_STEPS = np.arange(float(_N_LAMBDAS))
 
 
 @dataclass
@@ -96,7 +97,7 @@ class _Prepared:
             raise ValueError(f"y has shape {y.shape}, X has {K} rows")
         if w.shape != (K,):
             raise ValueError(f"weights has shape {w.shape}, X has {K} rows")
-        if np.any(w <= 0):
+        if (w <= 0).any():
             raise ValueError("weights must be strictly positive")
 
         col_mass = np.einsum("t,tj,tj->j", w, X, X)
@@ -167,7 +168,7 @@ def _homotopy(prep: _Prepared, lams) -> tuple[np.ndarray, int]:
     times, gap, rate = np.empty((3, p, 2))
     flat = times.reshape(-1)
     joinable = np.empty((p, 2), dtype=bool)
-    mu = float(np.max(np.abs(b[prep.active]), initial=0.0))
+    mu = float(np.abs(b[prep.active]).max(initial=0.0))
     i = knots = 0
     blocked = -1  # flat join-time index of the zero-length re-entry
     S = sign.nonzero()[0]
@@ -206,7 +207,7 @@ def _homotopy(prep: _Prepared, lams) -> tuple[np.ndarray, int]:
                 flat[blocked] = np.inf
             Q = basis[:S.size]
             while True:
-                f = int(np.argmin(flat))
+                f = int(flat.argmin())
                 t_in = flat.item(f)
                 if not t_in < t_out:
                     break
@@ -251,18 +252,33 @@ def _homotopy(prep: _Prepared, lams) -> tuple[np.ndarray, int]:
                 basis[:S.size] = np.linalg.qr(Xw[:, S])[0].T
 
 
+# The grid runs exactly the operations of np.geomspace(lam_max, lam_min,
+# _N_LAMBDAS), in its order, without its Python-level set-up, so the
+# penalties keep their bits; a property test in tests/test_lasso.py pins
+# this against np.geomspace.
 def _grid(prep: _Prepared) -> np.ndarray:
     if not prep.active.any():
         raise EstimationError(
             "design matrix has no usable column (all columns are "
             "constant or zero under the given weights)"
         )
-    lam_max = float(np.max(2.0 * np.abs(prep.c[prep.active]) / prep.K))
+    lam_max = float((2.0 * np.abs(prep.c[prep.active]) / prep.K).max())
     if lam_max <= 0.0:
         # response orthogonal to every column: any penalty gives the
         # zero solution, so the grid anchor is arbitrary
         lam_max = 1.0
-    return np.geomspace(lam_max, lam_max * _LAMBDA_MIN_RATIO, _N_LAMBDAS)
+    lam_min = lam_max * _LAMBDA_MIN_RATIO
+    if lam_min == 0.0:
+        raise ValueError("Geometric sequence cannot include zero")
+    lo = np.log10(lam_max)
+    hi = np.log10(lam_min)
+    exps = _STEPS * ((hi - lo) / (_N_LAMBDAS - 1))
+    exps += lo
+    exps[-1] = hi
+    lams = np.power(10.0, exps)
+    lams[0] = lam_max
+    lams[-1] = lam_min
+    return lams
 
 
 def bic(y, X, weights, betas) -> np.ndarray:
@@ -284,11 +300,12 @@ def bic(y, X, weights, betas) -> np.ndarray:
     K = len(y)
     resid = y - B @ X.T
     rss = (resid * resid) @ w
-    df = np.count_nonzero(B, axis=1)
+    df = (B != 0).sum(axis=1)
     perfect = rss <= 0.0
-    if perfect.any():
-        warnings.warn("perfect fit: weighted RSS is zero, BIC is -inf",
-                      RuntimeWarning, stacklevel=2)
+    if not perfect.any():
+        return K * np.log(rss / K) + df * math.log(K)
+    warnings.warn("perfect fit: weighted RSS is zero, BIC is -inf",
+                  RuntimeWarning, stacklevel=2)
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(perfect, -math.inf, K * np.log(rss / K) + df * math.log(K))
 
@@ -303,11 +320,11 @@ def select_by_bic(y, X, weights) -> LassoFit:
 
     # argmin returns the first of tied entries: the path runs from large
     # penalties to small, so that is the sparser model
-    k = int(np.argmin(bics))
+    k = int(bics.argmin())
     beta = betas[k]
     return LassoFit(
         beta=beta,
-        support=tuple(int(j) for j in np.flatnonzero(beta)),
+        support=tuple(int(j) for j in beta.nonzero()[0]),
         lambda_=float(lams[k]),
         bic=float(bics[k]),
         knots=knots,

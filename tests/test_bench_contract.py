@@ -113,3 +113,21 @@ def test_forecast_bands_check_passes_on_every_target():
     for op in ops:
         outcome = workload.check(op, workload.run(op))
         assert (outcome.failed, outcome.problems) == (0, []), op
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_backtest_sweep_check_passes_on_every_pair():
+    # the benchmark's own check: every fitted origin's forecasts against
+    # the recorded matrices at checks.REL_TOL, and every skipped origin
+    # replayed and classified, on the 45 pairs of both snapshots
+    workload = workloads.BacktestSweep(ROOT, checks.DEFAULT_SEED, checks.load_reference())
+    workload.setup()
+    ops = workload.round_ops()
+    assert len(ops) == 45
+    fitted = refused = 0
+    for op in ops:
+        outcome = workload.check(op, workload.run(op))
+        assert (outcome.failed, outcome.problems) == (0, []), op
+        fitted += outcome.units
+        refused += outcome.refused
+    assert (fitted, refused) == (789, 90)

@@ -20,7 +20,10 @@ from helpers import FIXTURES, reference_homotopy, solve_at
 from latecast.align import build_panel
 from latecast.errors import EstimationError, LatecastError
 from latecast.ingest import parse_jhu_wide
-from latecast.lasso import _grid, _homotopy, _Prepared, bic, kkt_violation, select_by_bic
+from latecast.lasso import (
+    _LAMBDA_MIN_RATIO, _N_LAMBDAS, _grid, _homotopy, _Prepared, bic, kkt_violation,
+    select_by_bic,
+)
 
 
 def orthonormal_design(rng, n, p, w):
@@ -103,6 +106,39 @@ def test_path_anchor_formula():
     path = select_by_bic(y, X, w).path
     assert path[0][0] == pytest.approx(lam_max, rel=1e-12)
     assert path[-1][0] == pytest.approx(lam_max * 1e-4, rel=1e-9)
+
+
+def one_cell_problem(lam_max: float) -> _Prepared:
+    # K = 1 and a unit column: c = y, so the grid anchor 2|c|/K is lam_max
+    # (to within the rounding of halving it below twice the smallest normal)
+    return _Prepared(np.array([lam_max / 2.0]), np.ones((1, 1)), np.ones(1))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in power:RuntimeWarning")
+@settings(max_examples=1000, deadline=None, derandomize=True)
+@given(lam_max=st.floats(min_value=np.finfo(float).tiny, max_value=np.finfo(float).max))
+def test_grid_equals_geomspace_bit_for_bit(lam_max):
+    prep = one_cell_problem(lam_max)
+    lam_max = float(2.0 * abs(prep.c[0]) / prep.K)
+    expected = np.geomspace(lam_max, lam_max * _LAMBDA_MIN_RATIO, _N_LAMBDAS)
+    assert _grid(prep).tobytes() == expected.tobytes()
+
+
+def test_grid_fallback_anchor_equals_geomspace_bit_for_bit():
+    # a response orthogonal to the only column leaves c = 0: anchor 1.0
+    prep = _Prepared(np.array([1.0, -1.0]), np.ones((2, 1)), np.ones(2))
+    assert prep.c[0] == 0.0
+    expected = np.geomspace(1.0, _LAMBDA_MIN_RATIO, _N_LAMBDAS)
+    assert _grid(prep).tobytes() == expected.tobytes()
+
+
+def test_grid_whose_smallest_penalty_underflows_raises_like_geomspace():
+    lam_max = 2e-321
+    assert lam_max * _LAMBDA_MIN_RATIO == 0.0
+    with pytest.raises(ValueError, match="Geometric sequence cannot include zero"):
+        np.geomspace(lam_max, lam_max * _LAMBDA_MIN_RATIO, _N_LAMBDAS)
+    with pytest.raises(ValueError, match="Geometric sequence cannot include zero"):
+        _grid(one_cell_problem(lam_max))
 
 
 def test_path_rejects_all_degenerate_design():
