@@ -192,9 +192,10 @@ def run_backtest(target: CountrySeries, peers: list[CountrySeries],
         )
 
     observed: dict[date, int] = {}
+    end = target.end
     for column in matrix.values():
         for target_date in column:
-            if target_date <= target.end:
+            if target_date <= end:
                 i = (target_date - target.start).days
                 observed[target_date] = int(target.counts[i])
 

@@ -105,7 +105,7 @@ def _load_series(path: Path, data_format: str) -> list[CountrySeries]:
 
 
 def _split_target_peers(
-    series: list[CountrySeries], target_name: str, peers_spec: list[str]
+    series: list[CountrySeries], target_name: str, peers_spec: list[str] | None
 ) -> tuple[CountrySeries, list[CountrySeries]]:
     by_name = {s.name: s for s in series}
     if target_name not in by_name:
@@ -113,7 +113,7 @@ def _split_target_peers(
             f"target {target_name!r} not found among {len(by_name)} countries"
         )
     target = by_name[target_name]
-    if peers_spec == ["auto"]:
+    if peers_spec in (None, ["auto"]):
         peers = [s for s in series if s.name != target_name]
     else:
         missing = [p for p in peers_spec if p not in by_name]
@@ -426,9 +426,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     model = _Parser(add_help=False)
     model.add_argument("--target", required=True)
-    model.add_argument("--peers", nargs="+", default=["auto"],
+    # extend appends to a list default, so the default is None, read as auto
+    model.add_argument("--peers", nargs="+", action="extend", default=None,
                        help="peer country names, or 'auto' for every "
-                            "other country (default)")
+                            "other country (default); a repeated --peers "
+                            "adds to the list")
     model.add_argument("--k", type=_at_least(2), default=DEFAULT_WINDOW,
                        help="rolling estimation window length "
                             "(default %(default)s)")

@@ -34,6 +34,7 @@ DEFAULT_N_SIMS = 10000
 DEFAULT_CONFIDENCE = 0.95
 # paths drawn per standard_normal call by simulate_bands
 DRAW_BLOCK = 512
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass
@@ -122,14 +123,16 @@ def weighted_least_squares(y, X, weights) -> tuple[np.ndarray, list[int]]:
     sw = np.sqrt(np.asarray(weights, dtype=float))
     Xs = X * sw[:, None]
     n, q = Xs.shape
-    R = np.linalg.qr(Xs, mode="r")
+    # R's diagonal is read from the raw factorization, the same LAPACK
+    # call as mode="r" without building the triangle; the column norms
+    # are summed as np.linalg.norm(Xs, axis=0) sums them
     resid_norm = np.zeros(q)
-    resid_norm[: min(n, q)] = np.abs(np.diag(R))
-    keep = resid_norm > max(n, q) * np.finfo(float).eps * np.linalg.norm(Xs, axis=0)
+    resid_norm[: min(n, q)] = np.abs(np.linalg.qr(Xs, mode="raw")[0].diagonal())
+    keep = resid_norm > max(n, q) * _EPS * np.sqrt(np.add.reduce(Xs * Xs, axis=0))
     coef = np.zeros(q)
     if keep.any():
         coef[keep] = np.linalg.lstsq(Xs[:, keep], y * sw, rcond=None)[0]
-    return coef, [int(j) for j in np.flatnonzero(~keep)]
+    return coef, (~keep).nonzero()[0].tolist()
 
 
 def _weighted_corr(y, x, w) -> float:
@@ -201,23 +204,29 @@ def fit_ecm(panel: AlignedPanel, lasso: LassoFit) -> EcmFit:
         n_short = len(support)
 
     y = panel.y
-    Xsub = panel.X[: panel.tau_len, list(support)]
+    T = panel.tau_len
+    Xsub = panel.X[:T, list(support)]
     z = y - Xsub @ beta_sub
 
-    lo = panel.tau_len - panel.window
-    rows = np.arange(max(lo, 1), panel.tau_len)
-    if len(rows) < 2:
+    # regression rows r0..T-1, each with its lag row one before
+    lo = T - panel.window
+    r0 = max(lo, 1)
+    n_rows = max(T - r0, 0)
+    if n_rows < 2:
         raise EstimationError(
             f"need at least 2 rows with a lag to fit the error-correction "
-            f"step, have {len(rows)}"
+            f"step, have {n_rows}"
         )
-    dy = y[rows] - y[rows - 1]
-    dx = Xsub[rows] - Xsub[rows - 1]
-    z_lag = z[rows - 1]
-    w = panel.window_weights[rows - lo]
+    dy = y[r0:T] - y[r0 - 1:T - 1]
+    w = panel.window_weights[r0 - lo:T - lo]
 
-    # the fallback fixes its short-run term at zero: no dx column
-    design = np.column_stack([dx[:, :n_short], z_lag])
+    # the fallback fixes its short-run term at zero: no dx column.  The
+    # design is C-ordered, as np.column_stack made it, so that its
+    # factorization and products round as they always have
+    design = np.empty((n_rows, n_short + 1))
+    np.subtract(Xsub[r0:T, :n_short], Xsub[r0 - 1:T - 1, :n_short],
+                out=design[:, :n_short])
+    design[:, n_short] = z[r0 - 1:T - 1]
     coef, dropped = weighted_least_squares(dy, design, w)
     if dropped:
         labels = [
@@ -235,7 +244,7 @@ def fit_ecm(panel: AlignedPanel, lasso: LassoFit) -> EcmFit:
 
     resid = dy - design @ coef
     q_eff = design.shape[1] - len(dropped)
-    dof = len(rows) - q_eff
+    dof = n_rows - q_eff
     if dof <= 0:
         warnings.warn(
             "no residual degrees of freedom; setting the shock variance "
@@ -246,7 +255,7 @@ def fit_ecm(panel: AlignedPanel, lasso: LassoFit) -> EcmFit:
         sigma2 = float(w @ (resid * resid)) / dof
 
     # 1+gamma within sqrt(eps) of +-1 is rounding noise, not instability
-    if abs(1.0 + gamma) > 1.0 + math.sqrt(np.finfo(float).eps):
+    if abs(1.0 + gamma) > 1.0 + math.sqrt(_EPS):
         warnings.warn(
             f"error-correction loading gamma={gamma:.3g} puts the recursion "
             f"coefficient 1+gamma outside [-1, 1]; forecasts may diverge",
@@ -261,7 +270,7 @@ def fit_ecm(panel: AlignedPanel, lasso: LassoFit) -> EcmFit:
         gamma=gamma,
         sigma2=sigma2,
         # smearing factor: plain mean of exp(residual) over the window
-        alpha=float(np.mean(np.exp(resid))),
+        alpha=float(np.exp(resid).mean()),
         window=panel.window,
         residuals_u=resid,
         fallback=fallback,
@@ -275,13 +284,24 @@ def _peer_rows_through(fit: EcmFit, panel: AlignedPanel, last_row: int) -> np.nd
             f"peer matrix ends at tau={X.shape[0]}, need tau={last_row + 1} "
             f"(peers: {', '.join(fit.peer_names)})"
         )
-    bad = np.argwhere(~np.isfinite(X[: last_row + 1]))
-    if bad.size:
-        i, j = bad[0]
+    finite = np.isfinite(X[: last_row + 1])
+    if not finite.all():
+        i, j = np.argwhere(~finite)[0]
         raise ForecastError(
             f"peer {fit.peer_names[j]!r} has no usable value at tau={i + 1}"
         )
     return X
+
+
+def _row_dots(A: np.ndarray, v: np.ndarray) -> list[float]:
+    """``[float(row @ v) for row in A]``, rounded as that rounds each row.
+
+    ``np.vecdot`` (numpy 2) runs the same per-row dot product as
+    ``row @ v``, on strided rows as on contiguous ones; ``A @ v`` is a
+    matrix product whose sums may round differently."""
+    if hasattr(np, "vecdot"):
+        return np.vecdot(A, v).tolist()
+    return [float(row @ v) for row in A]
 
 
 def forecast_log(fit: EcmFit, panel: AlignedPanel, H: int) -> np.ndarray:
@@ -294,14 +314,18 @@ def forecast_log(fit: EcmFit, panel: AlignedPanel, H: int) -> np.ndarray:
         raise ValueError("H must be >= 1")
     T = panel.tau_len
     X = _peer_rows_through(fit, panel, T + H - 1)
+    # a row's dot product rounds by its layout: the difference rows are
+    # C-ordered, contiguous as a freshly subtracted row is, and the
+    # long-run terms dot the rows of X where they are
+    dx_pi = _row_dots(np.subtract(X[T:T + H], X[T - 1:T + H - 1], order="C"), fit.pi)
+    long_run = _row_dots(X[T - 1:T + H - 1], fit.beta)
 
+    gamma = fit.gamma
     out = np.empty(H)
     prev = float(panel.y[T - 1])
-    for h in range(1, H + 1):
-        dx = X[T + h - 1] - X[T + h - 2]
-        long_run = X[T + h - 2] @ fit.beta
-        prev = float(dx @ fit.pi) - fit.gamma * float(long_run) + (1.0 + fit.gamma) * prev
-        out[h - 1] = prev
+    for h in range(H):
+        prev = dx_pi[h] - gamma * long_run[h] + (1.0 + gamma) * prev
+        out[h] = prev
     return out
 
 
@@ -325,7 +349,7 @@ def forecast_levels(fit: EcmFit, y_hat) -> np.ndarray:
     y_hat = np.asarray(y_hat, dtype=float)
     with np.errstate(over="ignore"):
         levels = fit.alpha * np.exp(y_hat)
-    if not np.all(np.isfinite(levels)):
+    if not np.isfinite(levels).all():
         raise _level_overflow(float(np.max(y_hat)))
     return levels
 

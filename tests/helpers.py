@@ -9,12 +9,15 @@ from __future__ import annotations
 import math
 import os
 import tracemalloc
+import warnings
 from datetime import date, timedelta
 from pathlib import Path
 
 import numpy as np
 
 from latecast.align import AlignedPanel
+from latecast.ecm import EcmFit, _fallback_peer, _row_dots
+from latecast.errors import EstimationError, ForecastError
 from latecast.ingest import CountrySeries
 from latecast.lasso import _SPAN_TOL, LassoFit, _homotopy, _Prepared
 
@@ -194,15 +197,143 @@ def reference_homotopy(prep: _Prepared, lams) -> tuple[np.ndarray, int]:
                 basis[:S.size] = np.linalg.qr(Xw[:, S])[0].T
 
 
-def _row_dots(A: np.ndarray, v: np.ndarray) -> list[float]:
-    """``[row @ v for row in A]``, rounded as that rounds each product.
+def reference_wls(y, X, weights) -> tuple[np.ndarray, list[int]]:
+    """``ecm.weighted_least_squares`` in its plain numpy form, frozen as
+    the oracle of ``reference_fit_ecm``'s solve."""
+    y = np.asarray(y, dtype=float)
+    X = np.asarray(X, dtype=float)
+    sw = np.sqrt(np.asarray(weights, dtype=float))
+    Xs = X * sw[:, None]
+    n, q = Xs.shape
+    R = np.linalg.qr(Xs, mode="r")
+    resid_norm = np.zeros(q)
+    resid_norm[: min(n, q)] = np.abs(np.diag(R))
+    keep = resid_norm > max(n, q) * np.finfo(float).eps * np.linalg.norm(Xs, axis=0)
+    coef = np.zeros(q)
+    if keep.any():
+        coef[keep] = np.linalg.lstsq(Xs[:, keep], y * sw, rcond=None)[0]
+    return coef, [int(j) for j in np.flatnonzero(~keep)]
 
-    ``np.vecdot`` (numpy 2) runs the same per-row dot product as
-    ``row @ v``; ``A @ v`` is a matrix product whose sums may round
-    differently."""
-    if hasattr(np, "vecdot"):
-        return np.vecdot(A, v).tolist()
-    return [row @ v for row in A]
+
+def reference_fit_ecm(panel: AlignedPanel, lasso: LassoFit) -> EcmFit:
+    """``ecm.fit_ecm`` and its ``weighted_least_squares`` in their plain
+    numpy form, frozen as the oracle of the error-correction step:
+    ``np.arange`` row indices, ``np.column_stack`` for the design,
+    ``np.linalg.norm`` and the triangle of ``qr(mode="r")``.  The fit
+    must equal it bit for bit, warnings included."""
+    fallback = lasso.support == ()
+    if fallback:
+        j, slope = _fallback_peer(panel)
+        support = (j,)
+        beta_sub = np.array([slope])
+        n_short = 0
+        warnings.warn(
+            f"first step selected no peer; falling back to equilibrium gap "
+            f"against {panel.peer_names[j]!r}", RuntimeWarning, stacklevel=2,
+        )
+    else:
+        support = tuple(lasso.support)
+        beta_sub = np.asarray(lasso.beta, dtype=float)[list(support)]
+        n_short = len(support)
+
+    y = panel.y
+    Xsub = panel.X[: panel.tau_len, list(support)]
+    z = y - Xsub @ beta_sub
+
+    lo = panel.tau_len - panel.window
+    rows = np.arange(max(lo, 1), panel.tau_len)
+    if len(rows) < 2:
+        raise EstimationError(
+            f"need at least 2 rows with a lag to fit the error-correction "
+            f"step, have {len(rows)}"
+        )
+    dy = y[rows] - y[rows - 1]
+    dx = Xsub[rows] - Xsub[rows - 1]
+    z_lag = z[rows - 1]
+    w = panel.window_weights[rows - lo]
+
+    design = np.column_stack([dx[:, :n_short], z_lag])
+    coef, dropped = reference_wls(dy, design, w)
+    if dropped:
+        labels = [
+            f"short-run {panel.peer_names[support[d]]!r}" if d < n_short
+            else "equilibrium gap"
+            for d in dropped
+        ]
+        warnings.warn(
+            "collinear columns dropped from the error-correction design: "
+            + ", ".join(labels), RuntimeWarning, stacklevel=2,
+        )
+    pi = np.zeros(len(support))
+    pi[:n_short] = coef[:n_short]
+    gamma = float(coef[n_short])
+
+    resid = dy - design @ coef
+    q_eff = design.shape[1] - len(dropped)
+    dof = len(rows) - q_eff
+    if dof <= 0:
+        warnings.warn(
+            "no residual degrees of freedom; setting the shock variance "
+            "to zero", RuntimeWarning, stacklevel=2,
+        )
+        sigma2 = 0.0
+    else:
+        sigma2 = float(w @ (resid * resid)) / dof
+
+    if abs(1.0 + gamma) > 1.0 + math.sqrt(np.finfo(float).eps):
+        warnings.warn(
+            f"error-correction loading gamma={gamma:.3g} puts the recursion "
+            f"coefficient 1+gamma outside [-1, 1]; forecasts may diverge",
+            RuntimeWarning, stacklevel=2,
+        )
+
+    return EcmFit(
+        support=support,
+        peer_names=tuple(panel.peer_names[j] for j in support),
+        beta=beta_sub,
+        pi=pi,
+        gamma=gamma,
+        sigma2=sigma2,
+        alpha=float(np.mean(np.exp(resid))),
+        window=panel.window,
+        residuals_u=resid,
+        fallback=fallback,
+    )
+
+
+def _reference_peer_rows_through(fit: EcmFit, panel: AlignedPanel,
+                                 last_row: int) -> np.ndarray:
+    X = panel.X[:, list(fit.support)]
+    if X.shape[0] <= last_row:
+        raise ForecastError(
+            f"peer matrix ends at tau={X.shape[0]}, need tau={last_row + 1} "
+            f"(peers: {', '.join(fit.peer_names)})"
+        )
+    bad = np.argwhere(~np.isfinite(X[: last_row + 1]))
+    if bad.size:
+        i, j = bad[0]
+        raise ForecastError(
+            f"peer {fit.peer_names[j]!r} has no usable value at tau={i + 1}"
+        )
+    return X
+
+
+def reference_forecast_log(fit: EcmFit, panel: AlignedPanel, H: int) -> np.ndarray:
+    """``ecm.forecast_log`` in its plain form, frozen as the oracle of
+    the recursion: a fresh difference row per day, dotted with ``pi``."""
+    if H < 1:
+        raise ValueError("H must be >= 1")
+    T = panel.tau_len
+    X = _reference_peer_rows_through(fit, panel, T + H - 1)
+
+    out = np.empty(H)
+    prev = float(panel.y[T - 1])
+    for h in range(1, H + 1):
+        dx = X[T + h - 1] - X[T + h - 2]
+        long_run = X[T + h - 2] @ fit.beta
+        prev = float(dx @ fit.pi) - fit.gamma * float(long_run) + (1.0 + fit.gamma) * prev
+        out[h - 1] = prev
+    return out
 
 
 def gen_ecm_panel(rng, n=60, p=3, beta=(0.7, 0.3), pi=(0.4, 0.2),

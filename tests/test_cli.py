@@ -498,6 +498,18 @@ def test_a_peer_named_twice_counts_once(tmp_path, capsys):
     assert outputs[0] == outputs[1]
 
 
+def test_a_repeated_peers_flag_adds_to_the_list(tmp_path, capsys):
+    outputs = []
+    for flags in (["--peers", "Italy", "--peers", "Spain"], ["--peers", "Italy", "Spain"]):
+        out = tmp_path / f"{len(flags)}.csv"
+        rc = main(["forecast", "--data-path", JHU_CASES, "--target", "Brazil",
+                   *flags, "--seed", "11", "--output", str(out)])
+        assert rc == 0
+        sidecar = Path(f"{out}.diagnostics.json").read_text()
+        outputs.append((out.read_text(), capsys.readouterr().err, sidecar))
+    assert outputs[0] == outputs[1]
+
+
 @pytest.mark.parametrize("peers,msg", [
     (["Italy", "Atlantis"], "peer(s) not found: Atlantis"),
     (["Brazil"], "no peers to select from"),

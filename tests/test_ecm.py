@@ -9,10 +9,22 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import gen_ecm_panel, lasso_with_beta, make_panel, traced_peak
+from helpers import (
+    ROOT,
+    gen_ecm_panel,
+    lasso_with_beta,
+    make_panel,
+    reference_fit_ecm,
+    reference_forecast_log,
+    reference_wls,
+    traced_peak,
+)
+from latecast import ecm
+from latecast.backtest import BacktestConfig, run_backtest
 from latecast.ecm import (
     DRAW_BLOCK,
     EcmFit,
+    _row_dots,
     _sorted_edge,
     _sorted_quantiles,
     fit_ecm,
@@ -79,6 +91,29 @@ def test_wls_zeroes_collinear_columns():
     coef, dropped = weighted_least_squares(y, np.zeros((3, 2)), w)
     assert dropped == [0, 1]
     assert np.all(coef == 0.0)
+
+
+def test_wls_equals_the_reference_bit_for_bit():
+    # twin, scaled-twin and zero columns, and fewer rows than columns
+    rng = np.random.default_rng(41022)
+    for n, q in [(20, 3), (20, 10), (8, 3), (3, 5), (2, 2), (1, 3)]:
+        for _ in range(50):
+            X = rng.normal(size=(n, q)) * 10.0 ** rng.uniform(-4, 4, q)
+            j = int(rng.integers(q))
+            kind = rng.integers(4)
+            if kind == 1:
+                X[:, j] = X[:, 0]
+            elif kind == 2:
+                X[:, j] = -3.0 * X[:, 0]
+            elif kind == 3:
+                X[:, j] = 0.0
+            y = rng.normal(size=n)
+            w = rng.uniform(0.5, 4.0, n)
+            coef, dropped = weighted_least_squares(y, X, w)
+            ref_coef, ref_dropped = reference_wls(y, X, w)
+            assert coef.tobytes() == ref_coef.tobytes()
+            assert dropped == ref_dropped
+            assert all(type(d) is int for d in dropped)
 
 
 def test_two_regressor_hand_system():
@@ -232,6 +267,128 @@ def test_too_few_rows_raises():
     panel = make_panel(y, x[:, None], window=1)
     with pytest.raises(EstimationError, match="at least 2 rows"):
         fit_ecm(panel, lasso_with_beta([1.0]))
+
+
+def _outcome(fn, *args):
+    """What ``fn(*args)`` returns, or the type and message of the error
+    it raises, and the messages of the warnings it emits, in order."""
+    with warnings.catch_warnings(record=True) as rec:
+        warnings.simplefilter("always")
+        try:
+            result = fn(*args)
+        except (EstimationError, ForecastError) as exc:
+            result = (type(exc), str(exc))
+    return result, [(w.category, str(w.message)) for w in rec]
+
+
+def _bits(v):
+    return (type(v), np.asarray(v).dtype, np.shape(v), np.asarray(v).tobytes())
+
+
+def assert_ecm_step_equals_reference(panel, lasso):
+    """fit_ecm and forecast_log against their frozen oracles: every
+    EcmFit field, the log forecasts and the warnings, bit for bit."""
+    got, got_warnings = _outcome(fit_ecm, panel, lasso)
+    want, want_warnings = _outcome(reference_fit_ecm, panel, lasso)
+    assert got_warnings == want_warnings
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    for name in ("beta", "pi", "residuals_u", "gamma", "sigma2", "alpha"):
+        assert _bits(getattr(got, name)) == _bits(getattr(want, name)), name
+    for name in ("support", "peer_names", "window", "fallback"):
+        assert getattr(got, name) == getattr(want, name), name
+    H = max(panel.horizon, 1)
+    got_y, got_warnings = _outcome(forecast_log, got, panel, H)
+    want_y, want_warnings = _outcome(reference_forecast_log, want, panel, H)
+    assert got_warnings == want_warnings
+    if isinstance(want_y, tuple):
+        assert got_y == want_y
+    else:
+        assert _bits(got_y) == _bits(want_y)
+
+
+def _collinear_panel():
+    panel, _ = gen_ecm_panel(np.random.default_rng(41006), n=30, p=3, sigma=0.01)
+    panel.X[:, 1] = panel.X[:, 0]
+    return panel
+
+
+def _nan_peer_panel():
+    x = np.linspace(4.5, 5.5, 12)
+    x[9] = np.nan
+    return make_panel(np.linspace(4.0, 5.0, 8), x[:, None])
+
+
+HAND_STEPS = {
+    "collinear_support_column": (_collinear_panel(), [0.5, 0.5, 0.0]),
+    "zero_gap_column": (make_panel(2.0 * np.linspace(4.5, 6.0, 14)[:8],
+                                   np.linspace(4.5, 6.0, 14)[:, None]), [2.0]),
+    "empty_support_fallback": (gen_ecm_panel(np.random.default_rng(41007), n=30, p=3,
+                                             sigma=0.01)[0], [0.0, 0.0, 0.0]),
+    "zero_degrees_of_freedom": (make_panel([5.0, 5.1, 5.25], [[5.2], [5.3], [5.5]],
+                                           window=3), [1.0]),
+    "fewer_rows_than_columns": (make_panel(np.linspace(4.0, 4.3, 3),
+                                           np.random.default_rng(41020).normal(5.0, 0.2, (6, 3)),
+                                           window=3),
+                                [0.3, 0.4, 0.2]),
+    "unstable_gamma": (gen_ecm_panel(np.random.default_rng(41008), n=12, p=2,
+                                     beta=(1.0,), pi=(0.0,), gamma=0.5,
+                                     sigma=0.001)[0], [1.0, 0.0]),
+    "weighted_window": (gen_ecm_panel(np.random.default_rng(41005), n=40, p=3, sigma=0.05,
+                                      weights=np.r_[np.ones(37), [2.0, 3.0, 4.0]])[0],
+                        [0.7, 0.3, 0.0]),
+    "too_few_rows": (make_panel([5.0, 5.1], [[5.2], [5.3]], window=1), [1.0]),
+    "no_forecast_horizon": (make_panel(np.linspace(4.0, 5.0, 6),
+                                       np.linspace(4.5, 5.5, 6)[:, None]), [1.0]),
+    "nan_peer_value": (_nan_peer_panel(), [1.0]),
+}
+
+
+@pytest.mark.parametrize("case", HAND_STEPS)
+def test_ecm_step_equals_the_reference_on_hand_panels(case):
+    panel, beta = HAND_STEPS[case]
+    assert_ecm_step_equals_reference(panel, lasso_with_beta(beta))
+
+
+def test_ecm_step_equals_the_reference_on_every_sweep_origin(monkeypatch):
+    # every fitted origin of the 45 backtest pairs of both snapshots, as
+    # the backtest hands them to fit_ecm
+    from perfbench import checks, workloads
+
+    steps = []
+    fit = ecm.fit_ecm
+
+    def record(panel, lasso):
+        steps.append((panel, lasso))
+        return fit(panel, lasso)
+
+    monkeypatch.setattr(ecm, "fit_ecm", record)
+    series = workloads.load_snapshots(ROOT)
+    fitted = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        for snap, name in checks.load_reference()["backtest_pairs"]:
+            target, peers = workloads.split(series[snap], name)
+            config = BacktestConfig(threshold=workloads.SNAPSHOTS[snap][1],
+                                    window=workloads.WINDOW, horizon=workloads.HORIZON)
+            fitted += len(run_backtest(target, peers, config).origins)
+    monkeypatch.undo()
+    assert fitted == len(steps) == 789
+    for panel, lasso in steps:
+        assert_ecm_step_equals_reference(panel, lasso)
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_row_dots_round_as_each_row_at_v(order):
+    # contiguous and strided rows round differently from each other, and
+    # each must round as its own ``row @ v`` does
+    rng = np.random.default_rng(41021)
+    for n in range(1, 41):
+        A = np.asarray(rng.normal(size=(16, n)) * 10.0 ** rng.uniform(-3, 3, n), order=order)
+        v = rng.normal(size=n)
+        rows = A[1:15]
+        assert _row_dots(rows, v) == [float(row @ v) for row in rows]
 
 
 def test_forecast_matches_hand_unrolled_recursion():
