@@ -27,7 +27,7 @@ from .align import (
     _assemble_panel,
     to_tau,
 )
-from .ecm import fit_origin, forecast_levels
+from .ecm import fit_origin, forecast_levels, origin_record
 from .errors import DataFormatError, LatecastError
 from .ingest import CountrySeries
 
@@ -54,9 +54,10 @@ class BacktestReport:
     ``observed`` holds realized levels for every target date that has
     one.  Origins whose fit failed are in ``skipped`` with the reason;
     peer values that were calendar-future at their origin are in
-    ``flags``.  Each fitted origin has one ``origin_details`` entry: its
-    selected peers, the fallback flag, gamma, alpha, and the ``knots``
-    of its lasso path.  Percentages are in percent units (6.8 means 6.8%).
+    ``flags``.  Each fitted origin has one ``origin_details`` entry, its
+    ``ecm.origin_record``: the panel's drop log, the selected peers and
+    both steps' estimates.  Percentages are in percent units (6.8 means
+    6.8%).
     """
 
     origins: list[date]
@@ -176,14 +177,7 @@ def run_backtest(target: CountrySeries, peers: list[CountrySeries],
             continue
         matrix[origin] = {origin + d: v for d, v in zip(steps, levels.tolist())}
         flags.extend(_calendar_flags(panel, fit, origin))
-        details.append({
-            "origin": origin.isoformat(),
-            "selected": list(fit.peer_names),
-            "fallback": bool(fit.fallback),
-            "gamma": float(fit.gamma),
-            "alpha": float(fit.alpha),
-            "knots": lasso.knots,
-        })
+        details.append(origin_record(panel, lasso, fit))
 
     if not matrix:
         raise DataFormatError(

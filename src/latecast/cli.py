@@ -41,6 +41,7 @@ from .ecm import (
     DEFAULT_N_SIMS,
     ForecastPath,
     fit_origin,
+    origin_record,
     simulate_bands,
 )
 from .errors import DataFormatError, EstimationError, LatecastError
@@ -113,14 +114,15 @@ def _split_target_peers(
             f"target {target_name!r} not found among {len(by_name)} countries"
         )
     target = by_name[target_name]
-    if peers_spec in (None, ["auto"]):
+    # a name given twice counts once, "auto" too
+    names = None if peers_spec is None else list(dict.fromkeys(peers_spec))
+    if names in (None, ["auto"]):
         peers = [s for s in series if s.name != target_name]
     else:
-        missing = [p for p in peers_spec if p not in by_name]
+        missing = [p for p in names if p not in by_name]
         if missing:
             raise DataFormatError(f"peer(s) not found: {', '.join(missing)}")
-        peers = [by_name[p] for p in dict.fromkeys(peers_spec)
-                 if p != target_name]
+        peers = [by_name[p] for p in names if p != target_name]
     if not peers:
         raise DataFormatError("no peers to select from")
     return target, peers
@@ -249,11 +251,7 @@ def cmd_forecast(args: argparse.Namespace) -> int:
         diagnostics = {
             "target": target.name,
             "metric": args.metric,
-            "tau_len": panel.tau_len,
-            "window": panel.window,
-            "first_step": lasso_fit.to_json(panel.peer_names),
-            "second_step": fit.to_json(),
-            "dropped_peers": panel.drop_log,
+            **origin_record(panel, lasso_fit, fit),
         }
         Path(args.output + ".diagnostics.json").write_text(
             json.dumps(diagnostics, sort_keys=True, indent=2) + "\n",

@@ -59,18 +59,6 @@ class EcmFit:
     residuals_u: np.ndarray
     fallback: bool = False
 
-    def to_json(self) -> dict:
-        return {
-            "support": list(self.peer_names),
-            "beta": {n: float(b) for n, b in zip(self.peer_names, self.beta)},
-            "pi": {n: float(v) for n, v in zip(self.peer_names, self.pi)},
-            "gamma": float(self.gamma),
-            "sigma2": float(self.sigma2),
-            "alpha": float(self.alpha),
-            "window": int(self.window),
-            "fallback": bool(self.fallback),
-        }
-
 
 @dataclass
 class ForecastPath:
@@ -335,6 +323,23 @@ def fit_origin(panel: AlignedPanel) -> tuple[LassoFit, EcmFit, np.ndarray]:
     lasso = select_by_bic(panel.window_y, panel.window_X, panel.window_weights)
     fit = fit_ecm(panel, lasso)
     return lasso, fit, forecast_log(fit, panel, panel.horizon)
+
+
+def origin_record(panel: AlignedPanel, lasso: LassoFit, fit: EcmFit) -> dict:
+    """One fitted origin as JSON: the ``forecast --output`` sidecar and each
+    backtest ``origin_details`` entry.  ``origin`` is the panel's last date;
+    ``first_step.beta`` names every peer of the panel, zero where the lasso
+    left it out, and ``second_step``'s ``beta`` and ``pi`` the selected ones."""
+    names = fit.peer_names
+    first = {"beta": dict(zip(panel.peer_names, lasso.beta.tolist())),
+             "lambda": lasso.lambda_, "bic": lasso.bic, "knots": lasso.knots}
+    second = {"beta": dict(zip(names, fit.beta.tolist())),
+              "pi": dict(zip(names, fit.pi.tolist())),
+              "gamma": fit.gamma, "sigma2": fit.sigma2, "alpha": fit.alpha}
+    return {"origin": panel.end_date.isoformat(), "tau_len": panel.tau_len,
+            "window": panel.window, "dropped_peers": panel.drop_log,
+            "selected_peers": list(names), "fallback": fit.fallback,
+            "first_step": first, "second_step": second}
 
 
 def _level_overflow(worst: float) -> ForecastError:

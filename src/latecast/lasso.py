@@ -69,17 +69,6 @@ class LassoFit:
         return [(float(lam), beta, float(b))
                 for lam, beta, b in zip(self.lambdas, self.betas, self.bics)]
 
-    def to_json(self, peer_names: list[str]) -> dict:
-        """The fit, with ``beta`` and ``support`` named by ``peer_names``,
-        the names of the columns of the panel it was fitted on."""
-        return {
-            "beta": {n: float(b) for n, b in zip(peer_names, self.beta)},
-            "support": [peer_names[j] for j in self.support],
-            "lambda": float(self.lambda_),
-            "bic": float(self.bic),
-            "knots": self.knots,
-        }
-
 
 class _Prepared:
     """Validated problem in solving coordinates, with Gram caches."""

@@ -365,7 +365,7 @@ def test_json_report_is_stable_and_complete():
     tail = data["mape_by_horizon"][-1]
     assert tail is None or isinstance(tail, float)
     assert set(data["matrix"]) == {o.isoformat() for o in report.origins}
-    assert data["origin_details"][0]["selected"]
+    assert data["origin_details"][0]["selected_peers"]
     # each origin's lasso path crosses at least one knot
-    knots = [d["knots"] for d in data["origin_details"]]
+    knots = [d["first_step"]["knots"] for d in data["origin_details"]]
     assert all(type(k) is int and k >= 1 for k in knots)

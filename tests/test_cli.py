@@ -101,7 +101,9 @@ def test_forecast_outputs_are_byte_identical(tmp_path):
                    - dropped - {"Target"})
     first = diag["first_step"]
     assert list(first["beta"]) == peers
-    assert first["support"] and set(first["support"]) <= set(peers)
+    # the lasso's support is the nonzero entries of first_step.beta
+    support = {name for name, b in first["beta"].items() if b}
+    assert support and set(diag["selected_peers"]) == support
 
 
 def test_forecast_json_payload(tmp_path):
@@ -508,6 +510,30 @@ def test_a_repeated_peers_flag_adds_to_the_list(tmp_path, capsys):
         sidecar = Path(f"{out}.diagnostics.json").read_text()
         outputs.append((out.read_text(), capsys.readouterr().err, sidecar))
     assert outputs[0] == outputs[1]
+
+
+def test_auto_named_twice_counts_once(tmp_path, capsys):
+    outputs = []
+    for flags in ([], ["--peers", "auto", "--peers", "auto"]):
+        out = tmp_path / f"{len(flags)}.csv"
+        rc = main(["forecast", "--data-path", JHU_CASES, "--target", "Brazil",
+                   *flags, "--seed", "11", "--h", "7", "--output", str(out)])
+        assert rc == 0
+        sidecar = Path(f"{out}.diagnostics.json").read_text()
+        outputs.append((out.read_text(), capsys.readouterr().err, sidecar))
+    assert outputs[0] == outputs[1]
+
+
+def test_sidecar_is_the_backtest_record_of_its_origin(tmp_path):
+    # forecast fits the snapshot's last date, the backtest's last origin
+    out, report = tmp_path / "f.csv", tmp_path / "bt.json"
+    common = ["--data-path", JHU_CASES, "--target", "Brazil", "--h", "14"]
+    assert main(["forecast", *common, "--seed", "11", "--output", str(out)]) == 0
+    assert main(["backtest", *common, "--format", "json",
+                 "--output", str(report)]) == 0
+    sidecar = json.loads(Path(f"{out}.diagnostics.json").read_text())
+    assert (sidecar.pop("target"), sidecar.pop("metric")) == ("Brazil", "cases")
+    assert sidecar == json.loads(report.read_text())["origin_details"][-1]
 
 
 @pytest.mark.parametrize("peers,msg", [

@@ -1,5 +1,6 @@
 """Second step: error-correction fit, recursion, bias correction, bands."""
 
+import json
 import math
 import re
 import warnings
@@ -28,8 +29,10 @@ from latecast.ecm import (
     _sorted_edge,
     _sorted_quantiles,
     fit_ecm,
+    fit_origin,
     forecast_levels,
     forecast_log,
+    origin_record,
     simulate_bands,
     weighted_least_squares,
 )
@@ -791,11 +794,53 @@ def test_bands_match_closed_form_gaussian_quantiles():
 def test_serialization_uses_peer_names():
     rng = np.random.default_rng(41017)
     panel, _ = gen_ecm_panel(rng, n=30, p=3, sigma=0.02)
-    fit = fit_ecm(panel, lasso_with_beta([0.7, 0.3, 0.0]))
-    blob = fit.to_json()
-    assert blob["support"] == ["P0", "P1"]
-    assert set(blob["beta"]) == {"P0", "P1"}
+    lasso = lasso_with_beta([0.7, 0.3, 0.0])
+    fit = fit_ecm(panel, lasso)
+    blob = origin_record(panel, lasso, fit)
+    assert blob["selected_peers"] == ["P0", "P1"]
+    assert set(blob["second_step"]["beta"]) == {"P0", "P1"}
     path = simulate_bands(fit, panel, 4, n_sims=1000, seed=5)
     out = path.to_json()
     assert out["horizons"] == [1, 2, 3, 4]
     assert all(isinstance(v, float) for v in out["level_hat"])
+
+
+def _check_record_layout(record, panel):
+    assert set(record) == {"origin", "tau_len", "window", "dropped_peers",
+                           "selected_peers", "fallback", "first_step", "second_step"}
+    assert set(record["first_step"]) == {"beta", "lambda", "bic", "knots"}
+    assert set(record["second_step"]) == {"beta", "pi", "gamma", "sigma2", "alpha"}
+    assert list(record["first_step"]["beta"]) == panel.peer_names
+    selected = record["selected_peers"]
+    assert list(record["second_step"]["beta"]) == list(record["second_step"]["pi"]) == selected
+    assert json.loads(json.dumps(record)) == record
+
+
+def test_origin_record_names_each_fact_once():
+    panel, _ = gen_ecm_panel(np.random.default_rng(41017), n=30, p=3, sigma=0.02)
+    lasso, fit, _ = fit_origin(panel)
+    record = origin_record(panel, lasso, fit)
+    _check_record_layout(record, panel)
+    assert record["origin"] == panel.end_date.isoformat()
+    assert (record["tau_len"], record["window"]) == (panel.tau_len, panel.window)
+    assert record["fallback"] is False
+    assert record["selected_peers"] == [
+        name for name, b in record["first_step"]["beta"].items() if b != 0.0]
+    assert record["first_step"]["knots"] == lasso.knots >= 1
+    assert (record["first_step"]["lambda"], record["first_step"]["bic"]) == (
+        lasso.lambda_, lasso.bic)
+    assert [record["second_step"][k] for k in ("gamma", "sigma2", "alpha")] == [
+        fit.gamma, fit.sigma2, fit.alpha]
+
+
+def test_origin_record_of_the_empty_support_fallback():
+    panel, beta = HAND_STEPS["empty_support_fallback"]
+    lasso = lasso_with_beta(beta)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        fit = fit_ecm(panel, lasso)
+    record = origin_record(panel, lasso, fit)
+    _check_record_layout(record, panel)
+    assert record["fallback"] is True
+    assert record["selected_peers"] == [panel.peer_names[fit.support[0]]]
+    assert set(record["first_step"]["beta"].values()) == {0.0}

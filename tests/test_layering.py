@@ -3,11 +3,14 @@
 ``ingest`` reads CSV text and needs nothing of the package but its
 errors; ``align`` holds the model and takes from ``ingest`` only the
 series type and the two parsers, which it re-exports for perfbench.
+The JSON record of a fitted origin is laid out in ``ecm`` alone.
 """
 
 import ast
 
 from helpers import ROOT
+from latecast.ecm import EcmFit
+from latecast.lasso import LassoFit
 
 SRC = ROOT / "src" / "latecast"
 
@@ -41,3 +44,14 @@ def test_align_reads_no_text_and_takes_only_the_parsers_from_ingest():
     absolute, package = _imports("align")
     assert not absolute & {"csv", "io"}
     assert package["ingest"] == {"CountrySeries", "parse_jhu_wide", "parse_long"}
+
+
+def test_only_ecm_lays_out_the_origin_record():
+    assert not hasattr(LassoFit, "to_json") and not hasattr(EcmFit, "to_json")
+    holders = set()
+    for path in SRC.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        if any(isinstance(node, ast.Constant) and node.value in ("first_step", "second_step")
+               for node in ast.walk(tree)):
+            holders.add(path.name)
+    assert holders == {"ecm.py"}
