@@ -73,22 +73,16 @@ class BacktestReport:
     origin_details: list[dict] = field(default_factory=list)
 
 
-def score(matrix: dict[date, dict[date, float]],
-          observed: dict[date, float]) -> tuple[float, float, np.ndarray]:
-    """MAPE aggregates over every forecast cell with a realized value.
+def score(cells) -> tuple[float, float, np.ndarray]:
+    """MAPE aggregates over ``(h, forecast, actual)`` cells.
 
-    The horizon of a cell is the day count from its origin to its
-    target date.  Returns percentages; the by-horizon vector runs from
-    h=1 to the largest scored horizon, NaN where a horizon has no
-    scored cell.
+    A cell whose actual is 0 or less is not scored.  Returns
+    percentages; the by-horizon vector runs from h=1 to the largest
+    scored horizon, NaN where a horizon has no scored cell.
     """
     per_horizon: dict[int, list[float]] = {}
-    for origin, column in matrix.items():
-        for target_date, forecast in column.items():
-            actual = observed.get(target_date)
-            if actual is None or actual <= 0:
-                continue
-            h = (target_date - origin).days
+    for h, forecast, actual in cells:
+        if actual > 0:
             ape = abs(forecast - actual) / actual * 100.0
             per_horizon.setdefault(h, []).append(ape)
     if not per_horizon:
@@ -160,10 +154,13 @@ def run_backtest(target: CountrySeries, peers: list[CountrySeries],
     aligned = _align_peers(peers, config.threshold, target.name)
 
     matrix: dict[date, dict[date, float]] = {}
+    observed: dict[date, int] = {}
+    cells: list[tuple[int, float, int]] = []
     skipped: list[dict] = []
     flags: list[dict] = []
     details: list[dict] = []
-    steps = [timedelta(days=h) for h in range(1, config.horizon + 1)]
+    horizons = range(1, config.horizon + 1)
+    steps = [timedelta(days=h) for h in horizons]
     for origin in origins:
         try:
             panel = _assemble_panel(
@@ -175,7 +172,15 @@ def run_backtest(target: CountrySeries, peers: list[CountrySeries],
         except LatecastError as exc:
             skipped.append({"origin": origin.isoformat(), "reason": str(exc)})
             continue
-        matrix[origin] = {origin + d: v for d, v in zip(steps, levels.tolist())}
+        dates = [origin + d for d in steps]
+        forecasts = levels.tolist()
+        matrix[origin] = dict(zip(dates, forecasts))
+        # the realized counts of the days after the origin, as far as
+        # the target has them
+        i = (origin - target.start).days + 1
+        actual = target.counts[i:i + config.horizon].tolist()
+        observed.update(zip(dates, actual))
+        cells.extend(zip(horizons, forecasts, actual))
         flags.extend(_calendar_flags(panel, fit, origin))
         details.append(origin_record(panel, lasso, fit))
 
@@ -185,15 +190,7 @@ def run_backtest(target: CountrySeries, peers: list[CountrySeries],
             + "; ".join(s["reason"] for s in skipped[:3])
         )
 
-    observed: dict[date, int] = {}
-    end = target.end
-    for column in matrix.values():
-        for target_date in column:
-            if target_date <= end:
-                i = (target_date - target.start).days
-                observed[target_date] = int(target.counts[i])
-
-    mape_total, mape_worst, by_h = score(matrix, observed)
+    mape_total, mape_worst, by_h = score(cells)
     by_horizon = np.full(config.horizon, np.nan)
     n = min(config.horizon, len(by_h))
     by_horizon[:n] = by_h[:n]

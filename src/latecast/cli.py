@@ -333,8 +333,7 @@ def cmd_report(args: argparse.Namespace) -> int:
             "the report command needs both metrics: pass --deaths-path or "
             "point --data-path at a directory with both files"
         )
-    cases = _report_section(args, "cases", cases_path,
-                            _threshold(args, "cases"))
+    cases = _report_section(args, "cases", cases_path, args.threshold)
     deaths = _report_section(args, "deaths", deaths_path,
                              args.deaths_threshold)
 
@@ -413,12 +412,14 @@ def build_parser() -> argparse.ArgumentParser:
                            "per-metric filenames")
     data.add_argument("--data-format", choices=("jhu-wide", "long"),
                       default="jhu-wide")
-    data.add_argument("--threshold", type=_at_least(1), default=None,
-                      help=f"alignment threshold (default "
-                           f"{DEFAULT_CASE_THRESHOLD} cases, "
-                           f"{DEFAULT_DEATH_THRESHOLD} deaths)")
 
+    # --threshold's default follows --metric; report, which runs both
+    # metrics, takes its own --threshold and --deaths-threshold
     metric = _Parser(add_help=False)
+    metric.add_argument("--threshold", type=_at_least(1), default=None,
+                        help=f"alignment threshold (default "
+                             f"{DEFAULT_CASE_THRESHOLD} cases, "
+                             f"{DEFAULT_DEATH_THRESHOLD} deaths)")
     metric.add_argument("--metric", choices=("cases", "deaths"),
                         default="cases")
 
@@ -471,8 +472,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_report.add_argument("--deaths-path", default=None,
                           help="deaths CSV when --data-path is a single "
                                "cases file")
+    p_report.add_argument("--threshold", type=_at_least(1),
+                          default=DEFAULT_CASE_THRESHOLD,
+                          help="alignment threshold of the cases section "
+                               "(default %(default)s)")
     p_report.add_argument("--deaths-threshold", type=_at_least(1),
-                          default=DEFAULT_DEATH_THRESHOLD)
+                          default=DEFAULT_DEATH_THRESHOLD,
+                          help="alignment threshold of the deaths section "
+                               "(default %(default)s)")
     p_report.add_argument("--history", type=_at_least(0), default=10,
                           help="observed rows to include before the "
                                "forecast block")
@@ -491,8 +498,14 @@ COMMANDS = {
 def main(argv=None) -> int:
     """Run one subcommand; its warnings become stderr JSON lines under
     the default filters, and the previous ``showwarning`` is restored."""
+    parser = build_parser()
     try:
-        args = build_parser().parse_args(argv)
+        args = parser.parse_args(argv)
+        # "auto" names every other country, so no name may join it
+        peers = set(getattr(args, "peers", None) or ())
+        if "auto" in peers and len(peers) > 1:
+            parser.error("argument --peers: 'auto' stands alone, got "
+                         + " ".join(args.peers))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -55,7 +55,6 @@ class EcmFit:
     gamma: float
     sigma2: float
     alpha: float
-    window: int
     residuals_u: np.ndarray
     fallback: bool = False
 
@@ -259,7 +258,6 @@ def fit_ecm(panel: AlignedPanel, lasso: LassoFit) -> EcmFit:
         sigma2=sigma2,
         # smearing factor: plain mean of exp(residual) over the window
         alpha=float(np.exp(resid).mean()),
-        window=panel.window,
         residuals_u=resid,
         fallback=fallback,
     )
@@ -359,46 +357,27 @@ def forecast_levels(fit: EcmFit, y_hat) -> np.ndarray:
     return levels
 
 
-def _neighbours(n: int, q: float) -> tuple[int, int, float]:
-    """The two indices numpy's ``linear`` rule reads at quantile ``q`` of
-    ``n`` sorted values, and the weight of the second."""
+def _sorted_edge(row: np.ndarray, q: float, offset: float = 0.0) -> float:
+    """``np.quantile(row - offset, q)`` of the sorted 1-d ``row``, bit for bit.
+
+    numpy's ``linear`` rule reads the two neighbours of index
+    ``(n - 1) * q`` and interpolates from the nearer one.  Subtracting a
+    constant keeps the sorted order, so the ``offset`` is taken from the
+    two neighbours and the last value only.  The interpolation runs on
+    Python floats; a result that is not finite is taken again through
+    numpy's arithmetic, so its overflow and invalid-value warnings fire
+    as they would on the whole row."""
+    n = row.size
     v = (n - 1) * q
     # at or past the last index numpy takes the last value twice and
     # weighs it by v - (-1), which keeps the sign of -0.0 at n == 1
     lo, hi = (math.floor(v), math.floor(v) + 1) if v < n - 1 else (-1, -1)
-    return lo, hi, v - lo
-
-
-def _lerp(a, b, t):
-    """numpy's ``linear`` interpolation between neighbours, rounded as
-    ``np.quantile`` rounds it; on floats or on arrays."""
-    return a + (b - a) * t if t < 0.5 else b - (b - a) * (1.0 - t)
-
-
-def _sorted_quantiles(rows: np.ndarray, qs) -> list[np.ndarray]:
-    """``np.quantile(rows, qs, axis=1)`` of NaN-free ``rows`` already
-    sorted along axis 1, by numpy's linear rule: the same neighbours,
-    weights and arithmetic, so the result is bit-identical."""
-    out = []
-    for q in qs:
-        lo, hi, t = _neighbours(rows.shape[1], q)
-        out.append(_lerp(rows[:, lo], rows[:, hi], t))
-    return out
-
-
-def _sorted_edge(row: np.ndarray, q: float, offset: float = 0.0) -> float:
-    """``np.quantile(row - offset, q)`` of the sorted 1-d ``row``.
-
-    Subtracting a constant keeps the sorted order, so the ``offset`` is
-    taken from the two neighbours and the last value only.  The
-    interpolation runs on Python floats; a result that is not finite is
-    taken again through numpy's arithmetic, so its overflow and
-    invalid-value warnings fire as they would on the whole row."""
-    lo, hi, t = _neighbours(row.size, q)
+    t = v - lo
     a, b, last = row.item(lo) - offset, row.item(hi) - offset, row.item(-1) - offset
-    edge = _lerp(a, b, t)
+    edge = a + (b - a) * t if t < 0.5 else b - (b - a) * (1.0 - t)
     if not math.isfinite(edge):
-        edge = _lerp(np.array([a]), np.array([b]), t).item()
+        a, b = np.array([a]), np.array([b])
+        edge = (a + (b - a) * t if t < 0.5 else b - (b - a) * (1.0 - t)).item()
     # NaN sorts last; numpy then returns that last value
     return last if math.isnan(last) else edge
 
@@ -420,12 +399,13 @@ def simulate_bands(fit: EcmFit, panel: AlignedPanel, H: int,
     float64 buffer, one row per horizon: drawn into it a block of paths
     at a time, turned into levels in place and sorted in place.  The
     daily-new values and the level ratios of one horizon at a time fill
-    one reused row.  Every edge is read from two neighbours in a sorted
-    row by numpy's ``linear`` rule, so the bands equal ``np.quantile``
-    of the full path arrays bit for bit.  Each of the 3H rows is sorted
-    once.  A growth rate is a level ratio minus 1, which keeps the
-    ratios' order, so the ratio row is sorted and 1 is subtracted from
-    the neighbours only, before they are interpolated, as numpy would.
+    one reused row.  Each of the 3H rows is sorted once, the level rows
+    together after the last ratio, and every edge of every row is read
+    by ``_sorted_edge``, so the bands equal ``np.quantile`` of the full
+    path arrays bit for bit.  A growth rate is a level ratio minus 1,
+    which keeps the ratios' order, so the ratio row is sorted and 1 is
+    subtracted from the neighbours only, before they are interpolated,
+    as numpy would.
 
     An ``n_sims`` whose buffer cannot be allocated raises
     ``EstimationError``.
@@ -490,7 +470,8 @@ def simulate_bands(fit: EcmFit, panel: AlignedPanel, H: int,
         rate_lower[h], rate_upper[h] = (_sorted_edge(row, q, 1.0) for q in (lo_q, hi_q))
         prev = paths[h]
     paths.sort(axis=1)
-    lower, level_median, upper = _sorted_quantiles(paths, (lo_q, 0.5, hi_q))
+    lower, level_median, upper = (np.array([_sorted_edge(r, q) for r in paths])
+                                  for q in (lo_q, 0.5, hi_q))
 
     prev_point = np.concatenate([[anchor], level_hat[:-1]])
     new_hat = level_hat - prev_point

@@ -17,7 +17,7 @@ import numpy as np
 
 from latecast.align import AlignedPanel
 from latecast.ecm import EcmFit, _fallback_peer, _row_dots
-from latecast.errors import EstimationError, ForecastError
+from latecast.errors import DataFormatError, EstimationError, ForecastError
 from latecast.ingest import CountrySeries
 from latecast.lasso import _SPAN_TOL, LassoFit, _homotopy, _Prepared
 
@@ -295,7 +295,6 @@ def reference_fit_ecm(panel: AlignedPanel, lasso: LassoFit) -> EcmFit:
         gamma=gamma,
         sigma2=sigma2,
         alpha=float(np.mean(np.exp(resid))),
-        window=panel.window,
         residuals_u=resid,
         fallback=fallback,
     )
@@ -334,6 +333,43 @@ def reference_forecast_log(fit: EcmFit, panel: AlignedPanel, H: int) -> np.ndarr
         prev = float(dx @ fit.pi) - fit.gamma * float(long_run) + (1.0 + fit.gamma) * prev
         out[h - 1] = prev
     return out
+
+
+def reference_observed(target: CountrySeries,
+                       matrix: dict[date, dict[date, float]]) -> dict[date, int]:
+    """The backtest's ``observed`` as a second walk over the forecast
+    matrix, frozen as its oracle: each target date the data reaches, in
+    the order the columns first name it."""
+    observed: dict[date, int] = {}
+    for column in matrix.values():
+        for target_date in column:
+            if target_date <= target.end:
+                i = (target_date - target.start).days
+                observed[target_date] = int(target.counts[i])
+    return observed
+
+
+def reference_score(matrix: dict[date, dict[date, float]],
+                    observed: dict[date, float]) -> tuple[float, float, np.ndarray]:
+    """``backtest.score`` over the forecast matrix, each cell's horizon
+    the day count from its origin to its target date; frozen as the
+    oracle of the scores."""
+    per_horizon: dict[int, list[float]] = {}
+    for origin, column in matrix.items():
+        for target_date, forecast in column.items():
+            actual = observed.get(target_date)
+            if actual is None or actual <= 0:
+                continue
+            h = (target_date - origin).days
+            ape = abs(forecast - actual) / actual * 100.0
+            per_horizon.setdefault(h, []).append(ape)
+    if not per_horizon:
+        raise DataFormatError("no forecast cell overlaps a realized observation")
+    by_h = np.full(max(per_horizon), np.nan)
+    for h, apes in per_horizon.items():
+        by_h[h - 1] = float(np.mean(apes))
+    all_apes = [a for apes in per_horizon.values() for a in apes]
+    return float(np.mean(all_apes)), float(np.max(all_apes)), by_h
 
 
 def gen_ecm_panel(rng, n=60, p=3, beta=(0.7, 0.3), pi=(0.4, 0.2),

@@ -179,7 +179,7 @@ def test_05_recursion_matches_hand_unrolled_example():
         fit = EcmFit(
             support=(0,), peer_names=("P0",),
             beta=np.array([0.9]), pi=np.array([0.3]), gamma=-0.4,
-            sigma2=0.0, alpha=1.0, window=3,
+            sigma2=0.0, alpha=1.0,
             residuals_u=np.zeros(2),
         )
         panel = make_panel(y, X)
@@ -191,7 +191,7 @@ def test_05_recursion_matches_hand_unrolled_example():
         flat = EcmFit(
             support=(0,), peer_names=("P0",),
             beta=np.array([0.9]), pi=np.array([0.0]), gamma=0.0,
-            sigma2=0.0, alpha=1.0, window=3,
+            sigma2=0.0, alpha=1.0,
             residuals_u=np.zeros(2),
         )
         rw = forecast_log(flat, panel, 5)

@@ -3,12 +3,12 @@
 import json
 import re
 import warnings
-from datetime import date, timedelta
+from datetime import date
 
 import numpy as np
 import pytest
 
-from helpers import FIXTURES, make_series
+from helpers import FIXTURES, ROOT, make_series, reference_observed, reference_score
 from latecast import backtest
 from latecast.align import build_panel, truncate_series
 from latecast.backtest import (
@@ -37,50 +37,62 @@ def head(series: CountrySeries, n: int) -> CountrySeries:
     return CountrySeries(series.name, series.start, series.counts[:n])
 
 
-D = date(2020, 4, 1)
-
-
 def test_score_single_cell():
-    total, worst, by_h = score({D: {D + timedelta(days=1): 110.0}},
-                               {D + timedelta(days=1): 100})
+    total, worst, by_h = score([(1, 110.0, 100)])
     assert total == pytest.approx(10.0)
     assert worst == pytest.approx(10.0)
     np.testing.assert_allclose(by_h, [10.0])
 
 
 def test_score_perfect_forecasts():
-    matrix = {D: {D + timedelta(days=h): 100.0 * h for h in (1, 2, 3)}}
-    observed = {D + timedelta(days=h): 100 * h for h in (1, 2, 3)}
-    total, worst, by_h = score(matrix, observed)
+    total, worst, by_h = score([(h, 100.0 * h, 100 * h) for h in (1, 2, 3)])
     assert total == 0.0
     assert worst == 0.0
     np.testing.assert_allclose(by_h, [0.0, 0.0, 0.0])
 
 
 def test_score_aggregation():
-    matrix = {D: {D + timedelta(days=1): 110.0,
-                  D + timedelta(days=2): 130.0}}
-    observed = {D + timedelta(days=1): 100,
-                D + timedelta(days=2): 100}
-    total, worst, by_h = score(matrix, observed)
+    total, worst, by_h = score([(1, 110.0, 100), (2, 130.0, 100)])
     assert total == pytest.approx(20.0)
     assert worst == pytest.approx(30.0)
     np.testing.assert_allclose(by_h, [10.0, 30.0])
 
 
 def test_score_ignores_nonpositive_observations():
-    matrix = {D: {D + timedelta(days=1): 110.0,
-                  D + timedelta(days=2): 500.0}}
-    observed = {D + timedelta(days=1): 100,
-                D + timedelta(days=2): 0}
-    total, worst, by_h = score(matrix, observed)
+    total, worst, by_h = score([(1, 110.0, 100), (2, 500.0, 0)])
     assert total == pytest.approx(10.0)
     assert len(by_h) == 1
 
 
 def test_score_requires_overlap():
     with pytest.raises(DataFormatError, match="overlap"):
-        score({D: {D + timedelta(days=1): 1.0}}, {})
+        score([])
+
+
+def test_scores_equal_the_reference_on_every_sweep_pair():
+    # the ledger compares the scores at 1e-9; here they are held bit for
+    # bit against the matrix walk, with observed in its order
+    from perfbench import checks, workloads
+
+    series = workloads.load_snapshots(ROOT)
+    pairs = checks.load_reference()["backtest_pairs"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        for snap, name in pairs:
+            target, peers = workloads.split(series[snap], name)
+            config = BacktestConfig(threshold=workloads.SNAPSHOTS[snap][1],
+                                    window=workloads.WINDOW, horizon=workloads.HORIZON)
+            report = run_backtest(target, peers, config)
+            observed = reference_observed(target, report.matrix)
+            assert list(report.observed.items()) == list(observed.items())
+            assert all(type(v) is int for v in report.observed.values())
+            total, worst, by_h = reference_score(report.matrix, observed)
+            by_horizon = np.full(config.horizon, np.nan)
+            by_horizon[:len(by_h)] = by_h
+            assert np.array([report.mape_total, report.mape_worst]).tobytes() \
+                == np.array([total, worst]).tobytes(), (snap, name)
+            assert report.mape_by_horizon.tobytes() == by_horizon.tobytes(), (snap, name)
+    assert len(pairs) == 45
 
 
 def test_config_validation():

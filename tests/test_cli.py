@@ -548,6 +548,24 @@ def test_bad_peer_list_is_data_error(capsys, peers, msg):
                                            "message": msg}
 
 
+@pytest.mark.parametrize("flags", [
+    ["--peers", "auto", "Italy"],
+    ["--peers", "auto", "--peers", "Italy"],
+], ids=["one_flag", "two_flags"])
+def test_auto_with_other_names_is_a_usage_error(tmp_path, capsys, flags):
+    # the data path does not exist: the check comes before any read
+    rc = main(["forecast", "--data-path", str(tmp_path / "missing.csv"),
+               "--target", "Brazil", *flags, "--seed", "1"])
+    assert rc == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert [json.loads(line) for line in err.splitlines()] == [{
+        "error": "UsageError",
+        "message": "latecast: argument --peers: 'auto' stands alone, got "
+                   + " ".join(f for f in flags if f != "--peers"),
+    }]
+
+
 def test_directory_without_the_metric_file_is_data_error(tmp_path, capsys):
     rc = main(["forecast", "--data-path", str(tmp_path), "--target", "Brazil",
                "--seed", "1"])
@@ -562,6 +580,23 @@ def _jhu_dir(tmp_path):
     shutil.copy(JHU_CASES, d / JHU_FILENAMES["cases"])
     shutil.copy(JHU_DEATHS, d / JHU_FILENAMES["deaths"])
     return d
+
+
+def test_report_threshold_leaves_the_deaths_section_alone(tmp_path, capsys):
+    common = ["report", "--data-path", JHU_CASES, "--deaths-path", JHU_DEATHS,
+              "--target", "Brazil", "--seed", "3", "--h", "5", "--format", "json"]
+    sections = []
+    for flags in ([], ["--threshold", "50"]):
+        out = tmp_path / f"{len(flags)}.json"
+        assert main([*common, *flags, "--output", str(out)]) == 0
+        sections.append(json.loads(out.read_text()))
+    assert sections[0]["deaths"] == sections[1]["deaths"]
+    assert sections[0]["cases"] != sections[1]["cases"]
+    assert main(["report", "--help"]) == 0
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert "--threshold THRESHOLD alignment threshold of the cases section (default 100)" in help_text
+    assert ("--deaths-threshold DEATHS_THRESHOLD alignment threshold of the "
+            "deaths section (default 10)") in help_text
 
 
 def test_report_combines_cases_and_deaths(tmp_path):

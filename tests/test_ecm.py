@@ -27,7 +27,6 @@ from latecast.ecm import (
     EcmFit,
     _row_dots,
     _sorted_edge,
-    _sorted_quantiles,
     fit_ecm,
     fit_origin,
     forecast_levels,
@@ -49,7 +48,6 @@ def hand_fit(beta=(1.0,), pi=(0.5,), gamma=-0.1, sigma2=0.0, alpha=1.0):
         gamma=gamma,
         sigma2=sigma2,
         alpha=alpha,
-        window=5,
         residuals_u=np.zeros(4),
     )
 
@@ -299,7 +297,7 @@ def assert_ecm_step_equals_reference(panel, lasso):
         return
     for name in ("beta", "pi", "residuals_u", "gamma", "sigma2", "alpha"):
         assert _bits(getattr(got, name)) == _bits(getattr(want, name)), name
-    for name in ("support", "peer_names", "window", "fallback"):
+    for name in ("support", "peer_names", "fallback"):
         assert getattr(got, name) == getattr(want, name), name
     H = max(panel.horizon, 1)
     got_y, got_warnings = _outcome(forecast_log, got, panel, H)
@@ -690,7 +688,7 @@ def test_sorted_quantiles_equal_np_quantile(n, H, confidence, seed):
     # inf - inf in the interpolation is NaN, in both
     with np.errstate(invalid="ignore"):
         expected = np.quantile(x, qs, axis=0)
-        got = _sorted_quantiles(np.sort(x.T, axis=1), qs)
+        got = [[_sorted_edge(row, q) for row in np.sort(x.T, axis=1)] for q in qs]
     assert np.array_equal(np.array(got), expected, equal_nan=True)
 
 
@@ -729,9 +727,10 @@ def test_sorted_edge_warns_as_numpy_does():
 def test_sorted_quantiles_keep_the_sign_of_a_single_zero():
     # with one value numpy weighs the last value by 1 and returns -0.0
     rows = np.array([[-0.0], [0.0]])
-    for q, expected in zip(_sorted_quantiles(rows, (0.025, 0.5, 0.975)),
-                           np.quantile(rows.T, (0.025, 0.5, 0.975), axis=0)):
-        assert np.signbit(q).tolist() == np.signbit(expected).tolist() == [True, False]
+    qs = (0.025, 0.5, 0.975)
+    for q, expected in zip(qs, np.quantile(rows.T, qs, axis=0)):
+        got = [_sorted_edge(row, q) for row in rows]
+        assert np.signbit(got).tolist() == np.signbit(expected).tolist() == [True, False]
 
 
 def test_band_width_grows_with_horizon():
