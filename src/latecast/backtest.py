@@ -2,18 +2,17 @@
 
 At each origin only the target is cut: the peers enter with their full
 series, and a selected peer that supplies values dated after the origin
-is listed in ``calendar_flags``.  ``ecm.fit_origin`` refits both steps
+is listed in the report's ``flags``.  ``ecm.fit_origin`` refits both steps
 as ``forecast`` does, and level forecasts one to H days out are stored.
 Cells with a realized observation are scored by absolute percentage
 error; aggregates are the mean over all scored cells, the worst single
-cell, and the mean per forecasting horizon.
+cell, and the mean per forecasting horizon.  The module returns a
+``BacktestReport`` and writes nothing: ``latecast.cli`` renders it as a
+CSV matrix or a JSON document.
 """
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 from dataclasses import dataclass, field
 from datetime import date, timedelta
 
@@ -123,7 +122,7 @@ def _feasible_origins(target: CountrySeries, start_date: date,
 def _calendar_flags(panel, fit, origin: date) -> list[dict]:
     flags = []
     last_tau = panel.tau_len + panel.horizon
-    for j, name in zip(fit.support, fit.peer_names):
+    for name in fit.peer_names:
         used_date = panel.peer_date_at(name, last_tau)
         if used_date > origin:
             flags.append({
@@ -209,54 +208,3 @@ def run_backtest(target: CountrySeries, peers: list[CountrySeries],
         origin_details=details,
     )
 
-
-def report_to_csv(report: BacktestReport) -> str:
-    """Forecast matrix as CSV: target dates down, origins across.
-
-    First columns are Date and Observed; forecast levels are rounded to
-    whole counts for display.
-    """
-    target_dates = sorted({d for col in report.matrix.values() for d in col})
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["Date", "Observed"]
-                    + [o.isoformat() for o in report.origins])
-    for d in target_dates:
-        row = [d.isoformat()]
-        obs = report.observed.get(d)
-        row.append("" if obs is None else str(obs))
-        for o in report.origins:
-            f = report.matrix[o].get(d)
-            row.append("" if f is None else str(round(f)))
-        writer.writerow(row)
-    return buf.getvalue()
-
-
-def report_to_json(report: BacktestReport) -> dict:
-    """All aggregates and the full-precision matrix, JSON-ready."""
-    return {
-        "origins": [o.isoformat() for o in report.origins],
-        "matrix": {
-            o.isoformat(): {
-                d.isoformat(): float(v) for d, v in sorted(col.items())
-            }
-            for o, col in sorted(report.matrix.items())
-        },
-        "observed": {
-            d.isoformat(): int(v) for d, v in sorted(report.observed.items())
-        },
-        "mape_total": report.mape_total,
-        "mape_worst": report.mape_worst,
-        "mape_by_horizon": [
-            None if np.isnan(v) else float(v) for v in report.mape_by_horizon
-        ],
-        "window": report.window,
-        "horizon": report.horizon,
-        "skipped": report.skipped,
-        "calendar_flags": report.flags,
-        "origin_details": report.origin_details,
-    }
-
-
-def dumps_report(report: BacktestReport) -> str:
-    return json.dumps(report_to_json(report), sort_keys=True, indent=2) + "\n"

@@ -6,6 +6,9 @@ emits the forecast table, ``backtest`` replays daily refits and scores
 them, ``report`` produces the combined table, cases then deaths, each
 with a closing confidence-interval row.
 
+Every table and document of the package is written here, CSV by
+``_write_csv`` and JSON by ``_write_json``.
+
 Conventions: result tables go to stdout or ``--output``; everything
 else (peer drop log, selected peers, warnings, errors) goes to stderr
 as JSON lines; every non-fatal note of the package is a Python warning,
@@ -22,6 +25,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 import warnings
 from datetime import date, timedelta
@@ -35,7 +39,7 @@ from .align import (
     build_panel,
     threshold_crossing,
 )
-from .backtest import BacktestConfig, dumps_report, report_to_csv, run_backtest
+from .backtest import BacktestConfig, BacktestReport, run_backtest
 from .ecm import (
     DEFAULT_CONFIDENCE,
     DEFAULT_N_SIMS,
@@ -168,11 +172,64 @@ def _forecast_rows(path: ForecastPath, last_observed: date) -> list[dict]:
     return rows
 
 
-def _write_output(text: str, output: str | None) -> None:
+def _backtest_rows(report: BacktestReport) -> list[list]:
+    """Forecast matrix as CSV rows: target dates down, origins across.
+
+    First columns are Date and Observed; forecast levels are rounded to
+    whole counts for display.
+    """
+    target_dates = sorted({d for col in report.matrix.values() for d in col})
+    rows = [["Date", "Observed"] + [o.isoformat() for o in report.origins]]
+    for d in target_dates:
+        row = [d.isoformat(), report.observed.get(d)]
+        for o in report.origins:
+            f = report.matrix[o].get(d)
+            row.append("" if f is None else round(f))
+        rows.append(row)
+    return rows
+
+
+def _backtest_json(report: BacktestReport) -> dict:
+    """All aggregates and the full-precision matrix."""
+    return {
+        "origins": [o.isoformat() for o in report.origins],
+        "matrix": {
+            o.isoformat(): {d.isoformat(): float(v) for d, v in col.items()}
+            for o, col in report.matrix.items()
+        },
+        "observed": {
+            d.isoformat(): int(v) for d, v in report.observed.items()
+        },
+        "mape_total": report.mape_total,
+        "mape_worst": report.mape_worst,
+        "mape_by_horizon": [
+            None if math.isnan(v) else float(v) for v in report.mape_by_horizon
+        ],
+        "window": report.window,
+        "horizon": report.horizon,
+        "skipped": report.skipped,
+        "calendar_flags": report.flags,
+        "origin_details": report.origin_details,
+    }
+
+
+def _write_text(text: str, output: str | None) -> None:
     if output:
         Path(output).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
+
+
+def _write_json(payload: dict, output: str | None) -> None:
+    """``payload`` as sorted, indented JSON to ``output`` or stdout."""
+    _write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", output)
+
+
+def _write_csv(rows, output: str | None) -> None:
+    """``rows`` as CSV to ``output`` or stdout; a ``None`` cell is empty."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    _write_text(buf.getvalue(), output)
 
 
 def cmd_ingest_check(args: argparse.Namespace) -> int:
@@ -205,8 +262,7 @@ def cmd_ingest_check(args: argparse.Namespace) -> int:
                 f"target {args.target!r} not found among {len(series)} countries"
             )
         summary["target"] = args.target
-    _write_output(json.dumps(summary, sort_keys=True, indent=2) + "\n",
-                  args.output)
+    _write_json(summary, args.output)
     return EXIT_OK
 
 
@@ -220,12 +276,9 @@ def cmd_forecast(args: argparse.Namespace) -> int:
     rows = _forecast_rows(fpath, panel.end_date)
 
     if args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["Date", "Total", "New", "GrowthRatePct",
-                         "Lower", "Upper"])
+        table = [["Date", "Total", "New", "GrowthRatePct", "Lower", "Upper"]]
         for r in rows:
-            writer.writerow([
+            table.append([
                 r["date"],
                 round(r["total"]),
                 round(r["new"]),
@@ -233,7 +286,7 @@ def cmd_forecast(args: argparse.Namespace) -> int:
                 round(r["lower"]),
                 round(r["upper"]),
             ])
-        _write_output(buf.getvalue(), args.output)
+        _write_csv(table, args.output)
     else:
         payload = {
             "target": target.name,
@@ -244,8 +297,7 @@ def cmd_forecast(args: argparse.Namespace) -> int:
             "fallback": fit.fallback,
             **fpath.to_json(),
         }
-        _write_output(json.dumps(payload, sort_keys=True, indent=2) + "\n",
-                      args.output)
+        _write_json(payload, args.output)
 
     if args.output:
         diagnostics = {
@@ -253,10 +305,7 @@ def cmd_forecast(args: argparse.Namespace) -> int:
             "metric": args.metric,
             **origin_record(panel, lasso_fit, fit),
         }
-        Path(args.output + ".diagnostics.json").write_text(
-            json.dumps(diagnostics, sort_keys=True, indent=2) + "\n",
-            encoding="utf-8",
-        )
+        _write_json(diagnostics, args.output + ".diagnostics.json")
     return EXIT_OK
 
 
@@ -281,9 +330,9 @@ def cmd_backtest(args: argparse.Namespace) -> int:
         "mape_worst_pct": report.mape_worst,
     })
     if args.format == "csv":
-        _write_output(report_to_csv(report), args.output)
+        _write_csv(_backtest_rows(report), args.output)
     else:
-        _write_output(dumps_report(report), args.output)
+        _write_json(_backtest_json(report), args.output)
     return EXIT_OK
 
 
@@ -324,40 +373,30 @@ def _report_section(args: argparse.Namespace, metric: str, path: Path,
 
 def cmd_report(args: argparse.Namespace) -> int:
     cases_path = _resolve_data_path(args.data_path, "cases")
-    if args.deaths_path is not None:
-        deaths_path = _resolve_data_path(args.deaths_path, "deaths")
-    elif Path(args.data_path).is_dir():
-        deaths_path = _resolve_data_path(args.data_path, "deaths")
-    else:
-        raise DataFormatError(
-            "the report command needs both metrics: pass --deaths-path or "
-            "point --data-path at a directory with both files"
-        )
+    deaths_path = _resolve_data_path(args.deaths_path or args.data_path,
+                                     "deaths")
     cases = _report_section(args, "cases", cases_path, args.threshold)
     deaths = _report_section(args, "deaths", deaths_path,
                              args.deaths_threshold)
 
     if args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["Section", "Date", "Observed", "Total", "New",
-                         "GrowthRatePct"])
+        rows = [["Section", "Date", "Observed", "Total", "New",
+                 "GrowthRatePct"]]
         for section in (cases, deaths):
             name = section["metric"]
             for h in section["history"]:
-                writer.writerow([
-                    name, h["date"], h["observed"], "",
-                    "" if h["new"] is None else h["new"],
+                rows.append([
+                    name, h["date"], h["observed"], "", h["new"],
                     "" if h["growth_rate_pct"] is None
                     else f"{h['growth_rate_pct']:.2f}",
                 ])
             for r in section["forecast"]:
-                writer.writerow([
+                rows.append([
                     name, r["date"], "", round(r["total"]), round(r["new"]),
                     f"{r['growth_rate_pct']:.2f}",
                 ])
             pct = section["confidence"] * 100
-            writer.writerow([
+            rows.append([
                 name,
                 f"CI({pct:.12g}%) on {section['ci_on']}",
                 "",
@@ -365,11 +404,9 @@ def cmd_report(args: argparse.Namespace) -> int:
                 f"{round(section['ci_above']):+d}",
                 "", "",
             ])
-        _write_output(buf.getvalue(), args.output)
+        _write_csv(rows, args.output)
     else:
-        payload = {"cases": cases, "deaths": deaths}
-        _write_output(json.dumps(payload, sort_keys=True, indent=2) + "\n",
-                      args.output)
+        _write_json({"cases": cases, "deaths": deaths}, args.output)
     return EXIT_OK
 
 
@@ -428,8 +465,8 @@ def build_parser() -> argparse.ArgumentParser:
     # extend appends to a list default, so the default is None, read as auto
     model.add_argument("--peers", nargs="+", action="extend", default=None,
                        help="peer country names, or 'auto' for every "
-                            "other country (default); a repeated --peers "
-                            "adds to the list")
+                            "other country (default), which takes no other "
+                            "name; a repeated --peers adds to the list")
     model.add_argument("--k", type=_at_least(2), default=DEFAULT_WINDOW,
                        help="rolling estimation window length "
                             "(default %(default)s)")
@@ -506,6 +543,11 @@ def main(argv=None) -> int:
         if "auto" in peers and len(peers) > 1:
             parser.error("argument --peers: 'auto' stands alone, got "
                          + " ".join(args.peers))
+        if (args.command == "report" and not args.deaths_path
+                and not Path(args.data_path).is_dir()):
+            parser.error("the report command needs both metrics: pass "
+                         "--deaths-path or point --data-path at a "
+                         "directory with both files")
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

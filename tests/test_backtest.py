@@ -11,15 +11,8 @@ import pytest
 from helpers import FIXTURES, ROOT, make_series, reference_observed, reference_score
 from latecast import backtest
 from latecast.align import build_panel, truncate_series
-from latecast.backtest import (
-    BacktestConfig,
-    dumps_report,
-    report_to_csv,
-    report_to_json,
-    run_backtest,
-    score,
-)
-from latecast.cli import main
+from latecast.backtest import BacktestConfig, run_backtest, score
+from latecast.cli import _backtest_json, _backtest_rows, _write_csv, _write_json, main
 from latecast.ecm import fit_ecm, simulate_bands
 from latecast.errors import DataFormatError
 from latecast.ingest import CountrySeries, parse_jhu_wide, parse_long
@@ -350,10 +343,11 @@ def test_observed_comes_from_untruncated_target():
         assert v == target.counts[(d - target.start).days]
 
 
-def test_csv_layout():
+def test_csv_layout(capsys):
     target, peers = load_fixture("synthetic_ecm_long")
     report = run_backtest(target, peers, BacktestConfig(window=21, horizon=5))
-    lines = report_to_csv(report).splitlines()
+    _write_csv(_backtest_rows(report), None)
+    lines = capsys.readouterr().out.splitlines()
     header = lines[0].split(",")
     assert header[:2] == ["Date", "Observed"]
     assert header[2:] == [o.isoformat() for o in report.origins]
@@ -366,11 +360,15 @@ def test_csv_layout():
     assert cells[-1] == ""
 
 
-def test_json_report_is_stable_and_complete():
+def test_json_report_is_stable_and_complete(capsys):
     target, peers = load_fixture("synthetic_ecm_long")
     report = run_backtest(target, peers, BacktestConfig(window=21, horizon=9))
-    blob = dumps_report(report)
-    assert blob == dumps_report(report)
+    blobs = []
+    for _ in range(2):
+        _write_json(_backtest_json(report), None)
+        blobs.append(capsys.readouterr().out)
+    blob = blobs[0]
+    assert blob == blobs[1]
     data = json.loads(blob)
     assert data["mape_total"] == pytest.approx(report.mape_total)
     assert data["window"] == 21 and data["horizon"] == 9

@@ -566,6 +566,13 @@ def test_auto_with_other_names_is_a_usage_error(tmp_path, capsys, flags):
     }]
 
 
+def test_peers_help_says_auto_stands_alone(capsys):
+    assert main(["forecast", "--help"]) == 0
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert ("'auto' for every other country (default), which takes no "
+            "other name;") in help_text
+
+
 def test_directory_without_the_metric_file_is_data_error(tmp_path, capsys):
     rc = main(["forecast", "--data-path", str(tmp_path), "--target", "Brazil",
                "--seed", "1"])
@@ -643,8 +650,9 @@ def test_report_json_sections(tmp_path):
 def test_report_single_file_needs_deaths_path(capsys):
     rc = main(["report", "--data-path", JHU_CASES,
                "--target", "Brazil", "--seed", "3"])
-    assert rc == 2
+    assert rc == 4
     payloads = stderr_payloads(capsys)
+    assert payloads[-1]["error"] == "UsageError"
     assert "deaths" in payloads[-1]["message"]
 
 

@@ -392,6 +392,25 @@ def test_row_dots_round_as_each_row_at_v(order):
         assert _row_dots(rows, v) == [float(row @ v) for row in rows]
 
 
+@pytest.mark.skipif(not hasattr(np, "vecdot"), reason="needs numpy 2's vecdot")
+def test_row_dots_without_vecdot_equals_vecdot(monkeypatch):
+    # numpy 1 has no vecdot and takes the row loop, which must give the
+    # same bits on contiguous, strided and reversed rows alike
+    rng = np.random.default_rng(290)
+    draws = []
+    for i in range(2000):
+        n = int(rng.integers(1, 41))
+        A = np.asarray(rng.normal(size=(8, n)) * 10.0 ** rng.uniform(-3, 3, n),
+                       order="CF"[i % 2])
+        if i % 3 == 0:
+            A = A[:, ::-1]
+        v = rng.normal(size=n)
+        draws.append((A, v, np.array(_row_dots(A, v)).tobytes()))
+    monkeypatch.delattr(np, "vecdot")
+    for A, v, bits in draws:
+        assert np.array(_row_dots(A, v)).tobytes() == bits
+
+
 def test_forecast_matches_hand_unrolled_recursion():
     y = np.array([4.0, 4.2, 4.45, 4.6])
     x = np.array([4.5, 4.7, 4.9, 5.05, 5.20, 5.30])

@@ -3,7 +3,8 @@
 ``ingest`` reads CSV text and needs nothing of the package but its
 errors; ``align`` holds the model and takes from ``ingest`` only the
 series type and the two parsers, which it re-exports for perfbench.
-The JSON record of a fitted origin is laid out in ``ecm`` alone.
+The JSON record of a fitted origin is laid out in ``ecm`` alone, and
+``cli`` alone writes a table or a document.
 """
 
 import ast
@@ -55,3 +56,27 @@ def test_only_ecm_lays_out_the_origin_record():
                for node in ast.walk(tree)):
             holders.add(path.name)
     assert holders == {"ecm.py"}
+
+
+def _calls(module: str, attr: str, keyword: str | None = None) -> dict[str, int]:
+    """The calls ``module.attr(...)`` in the package, counted by file;
+    with ``keyword``, only the calls that pass it."""
+    found = {}
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            func = getattr(node, "func", None)
+            if (isinstance(func, ast.Attribute) and func.attr == attr
+                    and isinstance(func.value, ast.Name) and func.value.id == module
+                    and (keyword is None or any(k.arg == keyword for k in node.keywords))):
+                found[path.name] = found.get(path.name, 0) + 1
+    return found
+
+
+def test_backtest_evaluates_and_writes_nothing():
+    absolute, _ = _imports("backtest")
+    assert not absolute & {"csv", "io", "json"}
+
+
+def test_cli_holds_the_one_csv_writer_and_the_one_indented_json_dump():
+    assert _calls("csv", "writer") == {"cli.py": 1}
+    assert _calls("json", "dumps", keyword="indent") == {"cli.py": 1}
