@@ -28,13 +28,12 @@ import numpy as np
 
 from .align import AlignedPanel
 from .errors import EstimationError, ForecastError
-from .lasso import LassoFit, select_by_bic
+from .lasso import _EPS, LassoFit, _lstsq, _qr_raw, select_by_bic
 
 DEFAULT_N_SIMS = 10000
 DEFAULT_CONFIDENCE = 0.95
 # paths drawn per standard_normal call by simulate_bands
 DRAW_BLOCK = 512
-_EPS = float(np.finfo(float).eps)
 
 
 @dataclass
@@ -110,15 +109,16 @@ def weighted_least_squares(y, X, weights) -> tuple[np.ndarray, list[int]]:
     sw = np.sqrt(np.asarray(weights, dtype=float))
     Xs = X * sw[:, None]
     n, q = Xs.shape
-    # R's diagonal is read from the raw factorization, the same LAPACK
-    # call as mode="r" without building the triangle; the column norms
-    # are summed as np.linalg.norm(Xs, axis=0) sums them
+    # R's diagonal is read off the factored copy that LAPACK's QR leaves,
+    # the call np.linalg.qr makes first in every mode, without building
+    # Q or the triangle; the column norms are summed as
+    # np.linalg.norm(Xs, axis=0) sums them
     resid_norm = np.zeros(q)
-    resid_norm[: min(n, q)] = np.abs(np.linalg.qr(Xs, mode="raw")[0].diagonal())
+    resid_norm[: min(n, q)] = np.abs(_qr_raw(Xs)[0].diagonal())
     keep = resid_norm > max(n, q) * _EPS * np.sqrt(np.add.reduce(Xs * Xs, axis=0))
     coef = np.zeros(q)
     if keep.any():
-        coef[keep] = np.linalg.lstsq(Xs[:, keep], y * sw, rcond=None)[0]
+        coef[keep] = _lstsq(Xs[:, keep], y * sw)
     return coef, (~keep).nonzero()[0].tolist()
 
 

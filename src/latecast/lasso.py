@@ -29,6 +29,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.linalg import LinAlgError, _umath_linalg
 
 from .errors import EstimationError
 
@@ -43,6 +44,50 @@ _SPAN_TOL = 1e-14
 _N_LAMBDAS = 100
 _LAMBDA_MIN_RATIO = 1e-4
 _STEPS = np.arange(float(_N_LAMBDAS))
+
+_EPS = float(np.finfo(float).eps)
+
+
+# The refit's least-squares and QR calls go straight to the LAPACK
+# gufuncs that np.linalg.lstsq and np.linalg.qr call, with what those
+# wrappers pass them: the same arrays, rcond and errstate, so every bit
+# of the result is theirs.  A parity test in tests/test_lasso.py pins
+# each helper against its wrapper.
+_LAPACK_ERRSTATE = {"invalid": "call", "over": "ignore", "divide": "ignore", "under": "ignore"}
+
+
+def _raise_lstsq(err, flag):
+    raise LinAlgError("SVD did not converge in Linear Least Squares")
+
+
+def _raise_qr(err, flag):
+    raise LinAlgError("Incorrect argument found while performing QR factorization")
+
+
+def _lstsq(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.linalg.lstsq(A, b, rcond=None)[0]`` for a float64 ``A`` with at
+    least one row and a 1-d or 2-d ``b`` with at least one column."""
+    m, n = A.shape
+    B = b if b.ndim == 2 else b[:, None]
+    with np.errstate(call=_raise_lstsq, **_LAPACK_ERRSTATE):
+        x = _umath_linalg.lstsq(A, B, _EPS * max(n, m), signature="ddd->ddid")[0]
+    return x if b.ndim == 2 else x[:, 0]
+
+
+def _qr_raw(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.linalg.qr(A, mode="raw")`` with its first array transposed
+    back: a factored copy of ``A`` whose upper triangle is R, and tau."""
+    a = A.astype(float)
+    with np.errstate(call=_raise_qr, **_LAPACK_ERRSTATE):
+        tau = _umath_linalg.qr_r_raw(a, signature="d->d")
+    return a, tau
+
+
+def _qr_q(A: np.ndarray) -> np.ndarray:
+    """``np.linalg.qr(A)[0]``, the reduced Q, without building R."""
+    a, tau = _qr_raw(A)
+    with np.errstate(call=_raise_qr, **_LAPACK_ERRSTATE):
+        return _umath_linalg.qr_reduced(a, tau, signature="dd->d")
 
 
 @dataclass
@@ -131,12 +176,15 @@ def _homotopy(prep: _Prepared, lams) -> tuple[np.ndarray, int]:
     with its old sign on the very next step, where that event would
     have zero length.
 
-    The ``lstsq`` calls and the matrix products (``A_S @ beta_S``,
-    ``A_S @ v`` and the Gram-Schmidt steps) fix the path's bits.  The
-    rest is bookkeeping on Python floats, which round as float64 does:
-    the exit times and their first minimum (a NaN first, as
-    ``np.argmin`` takes it) and the grid scan.  The join times fill
-    arrays made once per call.
+    The ``_lstsq`` solves and the matrix products (``A_S @ beta_S``,
+    ``A_S @ v`` and the Gram-Schmidt steps) fix the path's bits;
+    ``_lstsq`` and ``_qr_q`` give what ``np.linalg.lstsq`` and
+    ``np.linalg.qr`` give, bit for bit.  The direction and the grid
+    points stay two solves, since one solve on the stacked right-hand
+    sides rounds its columns differently.  The rest is bookkeeping on
+    Python floats, which round as float64 does: the exit times and
+    their first minimum (a NaN first, as ``np.argmin`` takes it) and
+    the grid scan.  The join times fill arrays made once per call.
     """
     A = prep.G / prep.K
     b = prep.c / prep.K
@@ -168,7 +216,7 @@ def _homotopy(prep: _Prepared, lams) -> tuple[np.ndarray, int]:
         sign_S = sign[S]
         t_out = t_in = math.inf
         if S.size:
-            v = np.linalg.lstsq(A_SS, sign_S, rcond=None)[0]
+            v = _lstsq(A_SS, sign_S)
             # the first positive -beta_k / v_k, as np.argmin takes it: a
             # NaN wins, else the first of equal minima
             k_out = 0
@@ -216,7 +264,7 @@ def _homotopy(prep: _Prepared, lams) -> tuple[np.ndarray, int]:
         if S.size and n > i:
             # column k is the right-hand side at mus[i + k]
             rhs = b[S][:, None] - sign_S[:, None] * mus[i:n]
-            betas[i:n, S] = np.linalg.lstsq(A_SS, rhs, rcond=None)[0].T
+            betas[i:n, S] = _lstsq(A_SS, rhs).T
         i = n
         if i == len(mus):
             return betas, knots
@@ -238,7 +286,7 @@ def _homotopy(prep: _Prepared, lams) -> tuple[np.ndarray, int]:
             free[j] = True
             S = sign.nonzero()[0]
             if S.size:
-                basis[:S.size] = np.linalg.qr(Xw[:, S])[0].T
+                basis[:S.size] = _qr_q(Xw[:, S]).T
 
 
 # The grid runs exactly the operations of np.geomspace(lam_max, lam_min,

@@ -17,12 +17,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import FIXTURES, reference_homotopy, solve_at
+from latecast import lasso
 from latecast.align import build_panel
 from latecast.errors import EstimationError, LatecastError
 from latecast.ingest import parse_jhu_wide
 from latecast.lasso import (
-    _LAMBDA_MIN_RATIO, _N_LAMBDAS, _grid, _homotopy, _Prepared, bic, kkt_violation,
-    select_by_bic,
+    _LAMBDA_MIN_RATIO, _N_LAMBDAS, _grid, _homotopy, _lstsq, _Prepared, _qr_q, _qr_raw,
+    bic, kkt_violation, select_by_bic,
 )
 
 
@@ -216,23 +217,31 @@ def test_bic_of_a_stack_warns_perfect_fit_once():
     assert math.isfinite(values[1])
 
 
+def count_calls(monkeypatch, *names) -> list:
+    """Wrap each named helper of ``latecast.lasso`` so that every call to
+    it appends to the returned list."""
+    calls = []
+    for name in names:
+        helper = getattr(lasso, name)
+
+        def counting(*args, helper=helper):
+            calls.append(1)
+            return helper(*args)
+
+        monkeypatch.setattr(lasso, name, counting)
+    return calls
+
+
 @pytest.mark.parametrize("K,p", [(21, 6), (21, 30), (12, 3)])
 def test_lstsq_calls_bounded_by_knots(K, p, monkeypatch):
     # one solve for the direction and at most one for the grid points of
     # each segment: a per-grid-point solve would need about 100
     rng = np.random.default_rng(31014 + p)
     y, X, w = random_problem(rng, K, p)
-    calls = []
-    lstsq = np.linalg.lstsq
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return lstsq(*args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "lstsq", counting)
+    calls = count_calls(monkeypatch, "_lstsq")
     fit = select_by_bic(y, X, w)
     assert fit.knots >= 1
-    assert len(calls) <= 2 * (fit.knots + 1)
+    assert 1 <= len(calls) <= 2 * (fit.knots + 1)
     assert fit.knots == solve_at(y, X, w, fit.path[-1][0])[1]
 
 
@@ -266,17 +275,75 @@ def test_path_that_only_adds_columns_runs_no_qr(monkeypatch):
     w = rng.uniform(0.5, 4.0, n)
     X = orthonormal_design(rng, n, p, w)
     y = X @ rng.uniform(0.5, 2.0, p) + 0.1 * rng.normal(size=n)
-    calls = []
-    qr = np.linalg.qr
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return qr(*args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "qr", counting)
+    calls = count_calls(monkeypatch, "_qr_raw", "_qr_q")
     fit = select_by_bic(y, X, w)
     assert fit.knots == p
     assert calls == []
+    # the counter does see the rebuild on a path where a column leaves
+    y, X, w = random_problem(np.random.default_rng(31016), 21, 30)
+    select_by_bic(y, X, w)
+    assert calls
+
+
+def twin_gram(rng, K, p):
+    """A = X'X / K with every other column an exact twin of the one
+    before it: symmetric positive semidefinite, of rank about p / 2."""
+    X = rng.normal(size=(K, p))
+    X[:, 1::2] = X[:, 0:p - 1:2]
+    return X.T @ X / K
+
+
+def assert_same_bits(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def test_lstsq_helper_equals_numpy_bit_for_bit():
+    # the shapes the refit solves: the homotopy's square systems on
+    # twin columns, the error-correction step's tall weighted designs,
+    # and wide ones with more columns than rows, each against 1-d and
+    # 1 to 100 stacked right-hand sides
+    rng = np.random.default_rng(31040)
+    systems = [twin_gram(rng, 21, p) for p in range(1, 22)]
+    systems += [rng.normal(size=(21, q)) * rng.uniform(0.5, 2.0, (21, 1)) for q in range(1, 9)]
+    systems += [rng.normal(size=(K, p)) for K, p in ((8, 20), (12, 30), (1, 5), (3, 4))]
+    # a singular value of 1e-15 relative lies between eps * min(K, p) and
+    # the cut-off eps * max(K, p), so only numpy's rcond drops it
+    for K, p in ((21, 3), (3, 21)):
+        U = np.linalg.qr(rng.normal(size=(K, 3)))[0]
+        V = np.linalg.qr(rng.normal(size=(p, 3)))[0]
+        systems.append(U @ np.diag([1.0, 0.5, 1e-15]) @ V.T)
+    for A in systems:
+        m = A.shape[0]
+        rhs = [rng.normal(size=m), np.sign(rng.normal(size=m))]
+        rhs += [rng.normal(size=(m, k)) for k in (1, 2, 7, 33, 100)]
+        for b in rhs:
+            assert_same_bits(_lstsq(A, b), np.linalg.lstsq(A, b, rcond=None)[0])
+
+
+def test_qr_helpers_equal_numpy_bit_for_bit():
+    rng = np.random.default_rng(31041)
+    designs = [rng.normal(size=(21, q)) for q in range(1, 22)]
+    designs += [rng.normal(size=(K, p)) for K, p in ((8, 20), (12, 30), (1, 5))]
+    designs += [np.repeat(rng.normal(size=(21, 3)), 2, axis=1)]
+    for A in designs:
+        before = A.copy()
+        h, tau = np.linalg.qr(A, mode="raw")
+        a, tau_got = _qr_raw(A)
+        assert_same_bits(a.T, h)
+        assert_same_bits(tau_got, tau)
+        assert_same_bits(_qr_q(A), np.linalg.qr(A)[0])
+        assert_same_bits(A, before)
+
+
+def test_lstsq_helper_raises_numpy_error_on_nan():
+    A = np.full((3, 3), np.nan)
+    b = np.ones(3)
+    with pytest.raises(np.linalg.LinAlgError) as want:
+        np.linalg.lstsq(A, b, rcond=None)
+    with pytest.raises(np.linalg.LinAlgError) as got:
+        _lstsq(A, b)
+    assert str(got.value) == str(want.value) == "SVD did not converge in Linear Least Squares"
 
 
 def test_bic_ties_prefer_larger_penalty():

@@ -59,14 +59,14 @@ def test_only_ecm_lays_out_the_origin_record():
 
 
 def _calls(module: str, attr: str, keyword: str | None = None) -> dict[str, int]:
-    """The calls ``module.attr(...)`` in the package, counted by file;
-    with ``keyword``, only the calls that pass it."""
+    """The calls ``module.attr(...)`` in the package, counted by file, where
+    ``module`` may be dotted; with ``keyword``, only the calls that pass it."""
     found = {}
     for path in SRC.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             func = getattr(node, "func", None)
             if (isinstance(func, ast.Attribute) and func.attr == attr
-                    and isinstance(func.value, ast.Name) and func.value.id == module
+                    and ast.unparse(func.value) == module
                     and (keyword is None or any(k.arg == keyword for k in node.keywords))):
                 found[path.name] = found.get(path.name, 0) + 1
     return found
@@ -80,3 +80,28 @@ def test_backtest_evaluates_and_writes_nothing():
 def test_cli_holds_the_one_csv_writer_and_the_one_indented_json_dump():
     assert _calls("csv", "writer") == {"cli.py": 1}
     assert _calls("json", "dumps", keyword="indent") == {"cli.py": 1}
+
+
+def test_refit_solves_reach_lapack_through_one_module():
+    # lasso's helpers call numpy's LAPACK gufuncs with what np.linalg's
+    # wrappers would pass them; no module calls or imports the wrappers,
+    # and no other module names the private gufunc module
+    for attr in ("lstsq", "qr"):
+        assert _calls("np.linalg", attr) == {}
+        assert _calls("numpy.linalg", attr) == {}
+    assert _calls("_umath_linalg", "lstsq") == {"lasso.py": 1}
+    naming, wrappers = set(), set()
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.alias):
+                names = node.name.split(".")
+            elif isinstance(node, ast.ImportFrom):
+                names = (node.module or "").split(".")
+                if node.module == "numpy.linalg":
+                    wrappers |= {a.name for a in node.names} & {"lstsq", "qr"}
+            else:
+                names = [getattr(node, "id", None), getattr(node, "attr", None)]
+            if "_umath_linalg" in names:
+                naming.add(path.name)
+    assert naming == {"lasso.py"}
+    assert wrappers == set()
