@@ -2,10 +2,10 @@
 
 Replays April 2020 for Brazil: at each origin date Brazil's series is
 cut at that day while the peers keep their full series (a selected
-peer that supplies values dated after the origin is listed in the
-report's flags), both steps are refit, 14 days are forecast, and the
-realized counts grade the result. Prints the error summary and a
-corner of the forecast matrix.
+peer that supplies values dated after the origin is listed in that
+origin's calendar_future_peers), both steps are refit, 14 days are
+forecast, and the realized counts grade the result. Prints the error
+summary and a corner of the forecast matrix.
 
 Run from the repository root:
 

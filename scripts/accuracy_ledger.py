@@ -10,9 +10,10 @@ window 21 and horizon 14.  It is scored on two replays:
   data dated on or before the origin enters a fit or a forecast.
 
 For each snapshot, and for both together, the ledger records the fitted
-and skipped origins, the targets whose every origin fails, the scored
-cells, the mean and median absolute percentage error (APE), the mean APE
-per horizon, the worst cell and the share of cells over 100%.
+and skipped origins, the fitted origins whose record lists a
+calendar-future peer value, the targets whose every origin fails, the
+scored cells, the mean and median absolute percentage error (APE), the
+mean APE per horizon, the worst cell and the share of cells over 100%.
 
 Run from the repository root:
 
@@ -77,7 +78,8 @@ def sweep(series: list, threshold: int) -> tuple[list, dict]:
     """
     config = backtest.BacktestConfig(threshold=threshold, window=WINDOW, horizon=HORIZON)
     cells: list[tuple] = []
-    counts = {"targets": 0, "fitted": 0, "skipped": 0, "failed_whole": []}
+    counts = {"targets": 0, "fitted": 0, "skipped": 0, "calendar_future": 0,
+              "failed_whole": []}
     for target in series:
         try:
             _, start = to_tau(target, threshold)
@@ -94,6 +96,8 @@ def sweep(series: list, threshold: int) -> tuple[list, dict]:
             continue
         counts["fitted"] += len(report.origins)
         counts["skipped"] += len(report.skipped)
+        counts["calendar_future"] += sum(
+            bool(r["calendar_future_peers"]) for r in report.origin_details)
         for origin, column in report.matrix.items():
             for day, forecast in column.items():
                 actual = report.observed.get(day)
@@ -112,6 +116,7 @@ def summary(cells: list, counts: dict) -> dict:
         "targets": counts["targets"],
         "origins_fitted": counts["fitted"],
         "origins_skipped": counts["skipped"],
+        "origins_with_calendar_future_peers": counts["calendar_future"],
         "targets_failed_whole": sorted(counts["failed_whole"]),
         "cells": len(cells),
         "mape_pct": float(apes.mean()),
@@ -127,13 +132,14 @@ def summary(cells: list, counts: dict) -> dict:
 def replay() -> dict:
     per_snapshot = {}
     pooled_cells: list = []
-    pooled = {"targets": 0, "fitted": 0, "skipped": 0, "failed_whole": []}
+    pooled = {"targets": 0, "fitted": 0, "skipped": 0, "calendar_future": 0,
+              "failed_whole": []}
     for snap, (path, threshold) in SNAPSHOTS.items():
         series = parse_jhu_wide((ROOT / path).read_text(encoding="utf-8"))
         cells, counts = sweep(series, threshold)
         per_snapshot[snap] = summary(cells, counts)
         pooled_cells += cells
-        for key in ("targets", "fitted", "skipped"):
+        for key in ("targets", "fitted", "skipped", "calendar_future"):
             pooled[key] += counts[key]
         pooled["failed_whole"] += [f"{snap}/{name}" for name in counts["failed_whole"]]
     return {**per_snapshot, "all": summary(pooled_cells, pooled)}

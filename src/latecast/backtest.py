@@ -2,8 +2,9 @@
 
 At each origin only the target is cut: the peers enter with their full
 series, and a selected peer that supplies values dated after the origin
-is listed in the report's ``flags``.  ``ecm.fit_origin`` refits both steps
-as ``forecast`` does, and level forecasts one to H days out are stored.
+is listed in that origin's record under ``calendar_future_peers``.
+``ecm.fit_origin`` refits both steps as ``forecast`` does, and level
+forecasts one to H days out are stored.
 Cells with a realized observation are scored by absolute percentage
 error; aggregates are the mean over all scored cells, the worst single
 cell, and the mean per forecasting horizon.  The module returns a
@@ -51,12 +52,11 @@ class BacktestReport:
 
     ``matrix`` maps origin date to {target date: level forecast};
     ``observed`` holds realized levels for every target date that has
-    one.  Origins whose fit failed are in ``skipped`` with the reason;
-    peer values that were calendar-future at their origin are in
-    ``flags``.  Each fitted origin has one ``origin_details`` entry, its
-    ``ecm.origin_record``: the panel's drop log, the selected peers and
-    both steps' estimates.  Percentages are in percent units (6.8 means
-    6.8%).
+    one.  Origins whose fit failed are in ``skipped`` with the reason.
+    Each fitted origin has one ``origin_details`` entry, its
+    ``ecm.origin_record``: the panel's drop log, the selected peers, those
+    of them read at values dated after the origin, and both steps'
+    estimates.  Percentages are in percent units (6.8 means 6.8%).
     """
 
     origins: list[date]
@@ -68,7 +68,6 @@ class BacktestReport:
     window: int
     horizon: int
     skipped: list[dict] = field(default_factory=list)
-    flags: list[dict] = field(default_factory=list)
     origin_details: list[dict] = field(default_factory=list)
 
 
@@ -119,22 +118,6 @@ def _feasible_origins(target: CountrySeries, start_date: date,
     return [lo + timedelta(days=i) for i in range((hi - lo).days + 1)]
 
 
-def _calendar_flags(panel, fit, origin: date) -> list[dict]:
-    flags = []
-    last_tau = panel.tau_len + panel.horizon
-    for name in fit.peer_names:
-        used_date = panel.peer_date_at(name, last_tau)
-        if used_date > origin:
-            flags.append({
-                "origin": origin.isoformat(),
-                "peer": name,
-                "tau": last_tau,
-                "date": used_date.isoformat(),
-                "days_ahead": (used_date - origin).days,
-            })
-    return flags
-
-
 def run_backtest(target: CountrySeries, peers: list[CountrySeries],
                  config: BacktestConfig | None = None) -> BacktestReport:
     """Refit daily over all feasible origins and score the forecasts.
@@ -156,7 +139,6 @@ def run_backtest(target: CountrySeries, peers: list[CountrySeries],
     observed: dict[date, int] = {}
     cells: list[tuple[int, float, int]] = []
     skipped: list[dict] = []
-    flags: list[dict] = []
     details: list[dict] = []
     horizons = range(1, config.horizon + 1)
     steps = [timedelta(days=h) for h in horizons]
@@ -180,7 +162,6 @@ def run_backtest(target: CountrySeries, peers: list[CountrySeries],
         actual = target.counts[i:i + config.horizon].tolist()
         observed.update(zip(dates, actual))
         cells.extend(zip(horizons, forecasts, actual))
-        flags.extend(_calendar_flags(panel, fit, origin))
         details.append(origin_record(panel, lasso, fit))
 
     if not matrix:
@@ -204,7 +185,6 @@ def run_backtest(target: CountrySeries, peers: list[CountrySeries],
         window=config.window,
         horizon=config.horizon,
         skipped=skipped,
-        flags=flags,
         origin_details=details,
     )
 

@@ -208,7 +208,6 @@ def _backtest_json(report: BacktestReport) -> dict:
         "window": report.window,
         "horizon": report.horizon,
         "skipped": report.skipped,
-        "calendar_flags": report.flags,
         "origin_details": report.origin_details,
     }
 

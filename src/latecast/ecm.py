@@ -282,12 +282,10 @@ def _peer_rows_through(fit: EcmFit, panel: AlignedPanel, last_row: int) -> np.nd
 def _row_dots(A: np.ndarray, v: np.ndarray) -> list[float]:
     """``[float(row @ v) for row in A]``, rounded as that rounds each row.
 
-    ``np.vecdot`` (numpy 2) runs the same per-row dot product as
-    ``row @ v``, on strided rows as on contiguous ones; ``A @ v`` is a
-    matrix product whose sums may round differently."""
-    if hasattr(np, "vecdot"):
-        return np.vecdot(A, v).tolist()
-    return [float(row @ v) for row in A]
+    ``np.vecdot`` runs the same per-row dot product as ``row @ v``, on
+    strided rows as on contiguous ones; ``A @ v`` is a matrix product
+    whose sums may round differently."""
+    return np.vecdot(A, v).tolist()
 
 
 def forecast_log(fit: EcmFit, panel: AlignedPanel, H: int) -> np.ndarray:
@@ -327,16 +325,27 @@ def origin_record(panel: AlignedPanel, lasso: LassoFit, fit: EcmFit) -> dict:
     """One fitted origin as JSON: the ``forecast --output`` sidecar and each
     backtest ``origin_details`` entry.  ``origin`` is the panel's last date;
     ``first_step.beta`` names every peer of the panel, zero where the lasso
-    left it out, and ``second_step``'s ``beta`` and ``pi`` the selected ones."""
+    left it out, and ``second_step``'s ``beta`` and ``pi`` the selected ones.
+    ``calendar_future_peers`` lists each selected peer whose last value read
+    by the recursion, at tau = tau_len + horizon, is dated after the origin."""
     names = fit.peer_names
+    origin = panel.end_date
+    last_tau = panel.tau_len + panel.horizon
+    future = []
+    for name in names:
+        used = panel.peer_date_at(name, last_tau)
+        if used > origin:
+            future.append({"peer": name, "tau": last_tau, "date": used.isoformat(),
+                           "days_ahead": (used - origin).days})
     first = {"beta": dict(zip(panel.peer_names, lasso.beta.tolist())),
              "lambda": lasso.lambda_, "bic": lasso.bic, "knots": lasso.knots}
     second = {"beta": dict(zip(names, fit.beta.tolist())),
               "pi": dict(zip(names, fit.pi.tolist())),
               "gamma": fit.gamma, "sigma2": fit.sigma2, "alpha": fit.alpha}
-    return {"origin": panel.end_date.isoformat(), "tau_len": panel.tau_len,
+    return {"origin": origin.isoformat(), "tau_len": panel.tau_len,
             "window": panel.window, "dropped_peers": panel.drop_log,
             "selected_peers": list(names), "fallback": fit.fallback,
+            "calendar_future_peers": future,
             "first_step": first, "second_step": second}
 
 

@@ -274,7 +274,7 @@ def test_08_backtest_ignores_post_origin_data():
                 checked += 1
         note["msg"] = (
             f"perturbed the target's data after {pivot.isoformat()} (peers "
-            f"enter whole, see calendar_flags); forecasts at "
+            f"enter whole, see calendar_future_peers); forecasts at "
             f"{checked} origins at or before it are bit-identical"
         )
         assert checked >= 1

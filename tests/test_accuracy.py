@@ -53,6 +53,7 @@ def test_ledger_holds_the_sweep_figures(fresh):
     assert (published["targets"], published["origins_fitted"],
             published["origins_skipped"], published["cells"]) == (45, 789, 90, 6944)
     assert published["targets_failed_whole"] == []
+    assert published["origins_with_calendar_future_peers"] == 558
     assert round(published["mape_pct"], 2) == 15.28
     assert round(published["median_ape_pct"], 2) == 7.17
     assert round(100 * published["share_over_100pct"], 1) == 1.1
@@ -61,5 +62,6 @@ def test_ledger_holds_the_sweep_figures(fresh):
     assert (realtime["origins_fitted"], realtime["origins_skipped"],
             realtime["cells"]) == (751, 128, 6412)
     assert realtime["targets_failed_whole"] == ["cases/China", "deaths/China"]
+    assert realtime["origins_with_calendar_future_peers"] == 0
     assert round(realtime["median_ape_pct"], 2) == 10.20
     assert round(100 * realtime["share_over_100pct"], 1) == 6.1

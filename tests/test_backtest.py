@@ -3,14 +3,14 @@
 import json
 import re
 import warnings
-from datetime import date
+from datetime import date, timedelta
 
 import numpy as np
 import pytest
 
 from helpers import FIXTURES, ROOT, make_series, reference_observed, reference_score
 from latecast import backtest
-from latecast.align import build_panel, truncate_series
+from latecast.align import build_panel, to_tau, truncate_series
 from latecast.backtest import BacktestConfig, run_backtest, score
 from latecast.cli import _backtest_json, _backtest_rows, _write_csv, _write_json, main
 from latecast.ecm import fit_ecm, simulate_bands
@@ -289,9 +289,34 @@ def test_calendar_flags_and_switch():
         report = run_backtest(target, [peer], cfg)
     # the target tracks its peer exactly, so gamma is rounding noise (~1e-12)
     assert not [w for w in caught if "outside" in str(w.message)]
-    assert report.flags
-    assert all(f["days_ahead"] >= 1 for f in report.flags)
-    assert all(f["peer"] == "A" for f in report.flags)
+    flags = [f for r in report.origin_details for f in r["calendar_future_peers"]]
+    assert flags
+    assert all(f["days_ahead"] >= 1 for f in flags)
+    assert all(f["peer"] == "A" for f in flags)
+
+
+def test_calendar_future_peers_recounted_from_the_raw_series():
+    # the README backtest: a selected peer is listed exactly when the day
+    # it reached the recursion's last tau, counted from its own threshold
+    # crossing, falls after the origin
+    series = {s.name: s for s in parse_jhu_wide(
+        (FIXTURES / "jhu_confirmed_snapshot_20200415.csv").read_text())}
+    target = series.pop("Brazil")
+    config = BacktestConfig(horizon=14, origin_start=date(2020, 4, 4),
+                            origin_end=date(2020, 4, 14))
+    report = run_backtest(target, list(series.values()), config)
+    assert len(report.origin_details) == 11
+    for record in report.origin_details:
+        origin = date.fromisoformat(record["origin"])
+        tau = record["tau_len"] + 14
+        expected = []
+        for name in record["selected_peers"]:
+            used = to_tau(series[name], 100)[1] + timedelta(days=tau - 1)
+            if used > origin:
+                expected.append({"peer": name, "tau": tau, "date": used.isoformat(),
+                                 "days_ahead": (used - origin).days})
+        assert record["calendar_future_peers"] == expected, record["origin"]
+    assert sum(bool(r["calendar_future_peers"]) for r in report.origin_details) == 6
 
 
 def test_origin_bounds_clamp():

@@ -4,6 +4,7 @@ import json
 import shutil
 import subprocess
 import sys
+from datetime import date, timedelta
 from pathlib import Path
 
 import pytest
@@ -534,6 +535,28 @@ def test_sidecar_is_the_backtest_record_of_its_origin(tmp_path):
     sidecar = json.loads(Path(f"{out}.diagnostics.json").read_text())
     assert (sidecar.pop("target"), sidecar.pop("metric")) == ("Brazil", "cases")
     assert sidecar == json.loads(report.read_text())["origin_details"][-1]
+
+
+def test_sidecar_lists_a_peer_read_past_the_target_s_last_date(tmp_path):
+    # the two-day-lead peer of test_backtest's test_calendar_flags_and_switch
+    # in a long-layout file whose peer runs on past the target's last date
+    growth = [int(110 * 1.25**i) for i in range(40)]
+    rows = ["country,date,cumulative"]
+    rows += [f"T,{date(2020, 3, 10) + timedelta(days=i)},{c}"
+             for i, c in enumerate(growth[:10])]
+    rows += [f"A,{date(2020, 3, 8) + timedelta(days=i)},{c}"
+             for i, c in enumerate(growth)]
+    data, out = tmp_path / "ragged.csv", tmp_path / "f.csv"
+    data.write_text("\n".join(rows) + "\n")
+    assert main(["forecast", "--data-path", str(data), "--data-format", "long",
+                 "--target", "T", "--threshold", "100", "--k", "4", "--h", "5",
+                 "--seed", "1", "--n-sims", "200", "--output", str(out)]) == 0
+    sidecar = json.loads(Path(f"{out}.diagnostics.json").read_text())
+    # the last origin is 2020-03-19 at tau 10; the recursion reads A at
+    # tau 15, which A reached on 2020-03-22
+    assert sidecar["origin"] == "2020-03-19"
+    assert sidecar["calendar_future_peers"] == [
+        {"peer": "A", "tau": 15, "date": "2020-03-22", "days_ahead": 3}]
 
 
 @pytest.mark.parametrize("peers,msg", [

@@ -4,6 +4,8 @@ import json
 import math
 import re
 import warnings
+from dataclasses import replace
+from datetime import timedelta
 from statistics import NormalDist
 
 import numpy as np
@@ -392,12 +394,10 @@ def test_row_dots_round_as_each_row_at_v(order):
         assert _row_dots(rows, v) == [float(row @ v) for row in rows]
 
 
-@pytest.mark.skipif(not hasattr(np, "vecdot"), reason="needs numpy 2's vecdot")
-def test_row_dots_without_vecdot_equals_vecdot(monkeypatch):
-    # numpy 1 has no vecdot and takes the row loop, which must give the
-    # same bits on contiguous, strided and reversed rows alike
+def test_row_dots_without_vecdot_equals_vecdot():
+    # each row of a contiguous, strided or reversed matrix must give the
+    # bits of its own ``row @ v``
     rng = np.random.default_rng(290)
-    draws = []
     for i in range(2000):
         n = int(rng.integers(1, 41))
         A = np.asarray(rng.normal(size=(8, n)) * 10.0 ** rng.uniform(-3, 3, n),
@@ -405,10 +405,8 @@ def test_row_dots_without_vecdot_equals_vecdot(monkeypatch):
         if i % 3 == 0:
             A = A[:, ::-1]
         v = rng.normal(size=n)
-        draws.append((A, v, np.array(_row_dots(A, v)).tobytes()))
-    monkeypatch.delattr(np, "vecdot")
-    for A, v, bits in draws:
-        assert np.array(_row_dots(A, v)).tobytes() == bits
+        assert np.array(_row_dots(A, v)).tobytes() == \
+            np.array([float(row @ v) for row in A]).tobytes()
 
 
 def test_forecast_matches_hand_unrolled_recursion():
@@ -825,7 +823,8 @@ def test_serialization_uses_peer_names():
 
 def _check_record_layout(record, panel):
     assert set(record) == {"origin", "tau_len", "window", "dropped_peers",
-                           "selected_peers", "fallback", "first_step", "second_step"}
+                           "selected_peers", "fallback", "calendar_future_peers",
+                           "first_step", "second_step"}
     assert set(record["first_step"]) == {"beta", "lambda", "bic", "knots"}
     assert set(record["second_step"]) == {"beta", "pi", "gamma", "sigma2", "alpha"}
     assert list(record["first_step"]["beta"]) == panel.peer_names
@@ -862,3 +861,12 @@ def test_origin_record_of_the_empty_support_fallback():
     assert record["fallback"] is True
     assert record["selected_peers"] == [panel.peer_names[fit.support[0]]]
     assert set(record["first_step"]["beta"].values()) == {0.0}
+    assert record["calendar_future_peers"] == []
+    # peers only two days ahead of the target: the recursion reads the
+    # fallback peer 14 - 2 days past the origin
+    near = replace(panel, peer_start_dates={
+        name: panel.start_date - timedelta(days=2) for name in panel.peer_names})
+    last_tau = panel.tau_len + panel.horizon
+    assert origin_record(near, lasso, fit)["calendar_future_peers"] == [{
+        "peer": record["selected_peers"][0], "tau": last_tau,
+        "date": (panel.end_date + timedelta(days=12)).isoformat(), "days_ahead": 12}]
