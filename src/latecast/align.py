@@ -113,9 +113,8 @@ def to_tau(series: CountrySeries, threshold: int) -> tuple[np.ndarray, date]:
     if start_idx is None:
         raise NotLatecomerError(series.name, threshold, int(series.counts.max()))
     tail = series.counts[start_idx:]
-    zeros = np.flatnonzero(tail <= 0)
-    if zeros.size:
-        bad = series.date_at(start_idx + zeros[0])
+    if tail.min() <= 0:
+        bad = series.date_at(start_idx + np.flatnonzero(tail <= 0)[0])
         raise DataFormatError(
             f"{series.name!r}: zero count on {bad.isoformat()} after the "
             f"threshold was reached (cumulative data cannot return to zero)"
@@ -243,5 +242,8 @@ def _assemble_panel(target_name: str, y: np.ndarray, start_date: date,
 
 def threshold_crossing(counts, threshold: int) -> int | None:
     """Index of the first count at or above threshold, or None."""
-    hits = np.flatnonzero(np.asarray(counts) >= threshold)
-    return int(hits[0]) if hits.size else None
+    hits = np.asarray(counts) >= threshold
+    if not hits.size:
+        return None
+    i = int(hits.argmax())
+    return i if hits[i] else None

@@ -88,9 +88,8 @@ class CountrySeries:
         counts = np.array(self.counts, dtype=np.int64)
         if not counts.size:
             raise DataFormatError(f"empty series for {self.name!r}")
-        negative = np.flatnonzero(counts < 0)
-        if negative.size:
-            i = negative[0]
+        if counts.min() < 0:
+            i = np.flatnonzero(counts < 0)[0]
             raise DataFormatError(
                 f"{self.name!r}: negative count {counts[i]} on "
                 f"{self.date_at(i).isoformat()}"

@@ -24,6 +24,7 @@ regardless of units.
 
 from __future__ import annotations
 
+import bisect
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -182,9 +183,12 @@ def _homotopy(prep: _Prepared, lams) -> tuple[np.ndarray, int]:
     ``np.linalg.qr`` give, bit for bit.  The direction and the grid
     points stay two solves, since one solve on the stacked right-hand
     sides rounds its columns differently.  The rest is bookkeeping on
-    Python floats, which round as float64 does: the exit times and
-    their first minimum (a NaN first, as ``np.argmin`` takes it) and
-    the grid scan.  The join times fill arrays made once per call.
+    Python floats, which round as float64 does: the exit times, the
+    join times and the grid scan.  One pass over the free columns
+    computes their join times, each as ``np.maximum(gap, 0.0) / rate``
+    would, and keeps the first least one (a NaN first, as ``np.argmin``
+    takes it); only a column the span check passes over sends it round
+    again.
     """
     A = prep.G / prep.K
     b = prep.c / prep.K
@@ -196,15 +200,8 @@ def _homotopy(prep: _Prepared, lams) -> tuple[np.ndarray, int]:
     betas = np.zeros((len(mus), p))
     beta = np.zeros(p)
     sign = np.zeros(p)  # +-1 on the active set, 0 elsewhere
-    free = prep.active.copy()  # columns that may join
+    free = prep.active.nonzero()[0].tolist()  # columns that may join, ascending
     basis = np.empty((K, K))  # rows [:S.size]: orthonormal, spanning Xw[:, S]
-    # row j of the join times holds the steps at which rho_j reaches +mu,
-    # (mu - rho_j) / (1 - a_j), and -mu, (mu + rho_j) / (1 + a_j): flat
-    # index 2j joins column j with sign +1 and 2j + 1 with sign -1
-    flip = np.array([-1.0, 1.0])
-    times, gap, rate = np.empty((3, p, 2))
-    flat = times.reshape(-1)
-    joinable = np.empty((p, 2), dtype=bool)
     mu = float(np.abs(b[prep.active]).max(initial=0.0))
     i = knots = 0
     blocked = -1  # flat join-time index of the zero-length re-entry
@@ -229,23 +226,43 @@ def _homotopy(prep: _Prepared, lams) -> tuple[np.ndarray, int]:
         else:
             v = np.zeros(0)
         if S.size < K:
-            rho = b - A_S @ beta_S
-            a = A_S @ v
-            np.multiply(a[:, None], flip, out=rate)
-            rate += 1.0
-            np.multiply(rho[:, None], flip, out=gap)
-            gap += mu
-            np.maximum(gap, 0.0, out=gap)
-            np.greater(rate, 0.0, out=joinable)
-            joinable &= free[:, None]
-            times.fill(np.inf)
-            np.divide(gap, rate, out=times, where=joinable)
-            if blocked >= 0:
-                flat[blocked] = np.inf
+            rho = (b - A_S @ beta_S).tolist()
+            a = (A_S @ v).tolist()
             Q = basis[:S.size]
+            cand = free
             while True:
-                f = int(flat.argmin())
-                t_in = flat.item(f)
+                # flat index 2j joins column j with sign +1 when rho_j
+                # reaches +mu, after (mu - rho_j) / (1 - a_j), and 2j + 1
+                # with sign -1 when it reaches -mu, after (mu + rho_j) /
+                # (1 + a_j).  A time exists where its rate is positive;
+                # a gap at or below zero counts as +0.0 and a NaN gap
+                # stays NaN, as np.maximum(gap, 0.0) has it.  The first
+                # least time wins, a NaN first, as np.argmin takes it,
+                # and the blocked entry never does.
+                f, t_in = 0, math.inf
+                for j in cand:
+                    a_j = a[j]
+                    rho_j = rho[j]
+                    rate = 1.0 - a_j
+                    if rate > 0.0:
+                        gap = mu - rho_j
+                        if gap <= 0.0:
+                            gap = 0.0
+                        t = gap / rate
+                        if not t >= t_in and 2 * j != blocked:
+                            f, t_in = 2 * j, t
+                            if t != t:
+                                break
+                    rate = a_j + 1.0
+                    if rate > 0.0:
+                        gap = rho_j + mu
+                        if gap <= 0.0:
+                            gap = 0.0
+                        t = gap / rate
+                        if not t >= t_in and 2 * j + 1 != blocked:
+                            f, t_in = 2 * j + 1, t
+                            if t != t:
+                                break
                 if not t_in < t_out:
                     break
                 x = Xw[:, f >> 1]
@@ -254,7 +271,8 @@ def _homotopy(prep: _Prepared, lams) -> tuple[np.ndarray, int]:
                 rr = resid @ resid
                 if rr > _SPAN_TOL * norm2[f >> 1]:
                     break
-                times[f >> 1] = np.inf
+                # the column lies in the active span: neither sign joins
+                cand = [j for j in cand if j != f >> 1]
         joins = t_in < t_out
         step = t_in if joins else t_out
 
@@ -276,14 +294,14 @@ def _homotopy(prep: _Prepared, lams) -> tuple[np.ndarray, int]:
             blocked = -1
             j = f >> 1
             sign[j] = -1.0 if f & 1 else 1.0
-            free[j] = False
+            free.remove(j)
             basis[S.size] = resid / math.sqrt(rr)
             S = sign.nonzero()[0]
         else:
             j = int(S[k_out])
             blocked = 2 * j + int(sign[j] < 0.0)
             beta[j] = sign[j] = 0.0
-            free[j] = True
+            bisect.insort(free, j)
             S = sign.nonzero()[0]
             if S.size:
                 basis[:S.size] = _qr_q(Xw[:, S]).T

@@ -1272,6 +1272,39 @@ def test_threshold_crossing_helper():
     assert threshold_crossing([1, 5], 100) is None
 
 
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(counts=st.lists(st.integers(0, 300), max_size=30), threshold=st.integers(1, 300),
+       as_array=st.booleans())
+def test_threshold_crossing_is_the_first_flatnonzero_hit(counts, threshold, as_array):
+    hits = np.flatnonzero(np.asarray(counts) >= threshold)
+    want = int(hits[0]) if hits.size else None
+    got = threshold_crossing(np.array(counts, dtype=np.int64) if as_array else counts,
+                             threshold)
+    assert got == want and type(got) is type(want)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(counts=st.lists(st.integers(0, 300), min_size=1, max_size=30),
+       threshold=st.integers(1, 300))
+def test_to_tau_names_the_first_zero_after_the_crossing(counts, threshold):
+    s = make_series("A", date(2020, 3, 1), counts)
+    start = threshold_crossing(counts, threshold)
+    if start is None:
+        with pytest.raises(NotLatecomerError):
+            to_tau(s, threshold)
+        return
+    zeros = np.flatnonzero(np.asarray(counts[start:]) <= 0)
+    if zeros.size:
+        bad = date(2020, 3, 1) + timedelta(days=start + int(zeros[0]))
+        with pytest.raises(DataFormatError, match=re.escape(
+                f"'A': zero count on {bad.isoformat()} after the threshold")):
+            to_tau(s, threshold)
+    else:
+        logs, start_date = to_tau(s, threshold)
+        assert logs.tobytes() == np.log(np.asarray(counts[start:], dtype=float)).tobytes()
+        assert start_date == date(2020, 3, 1) + timedelta(days=start)
+
+
 def test_inflation_weights_shapes():
     np.testing.assert_array_equal(inflation_weights(6), [1, 1, 1, 2, 3, 4])
     np.testing.assert_array_equal(inflation_weights(4), [1, 2, 3, 4])

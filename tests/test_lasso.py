@@ -11,6 +11,7 @@ homotopy (``helpers.solve_at``); the penalty grid is read from
 import math
 import re
 import warnings
+from datetime import date
 
 import numpy as np
 import pytest
@@ -513,3 +514,151 @@ def test_homotopy_equals_the_reference_on_snapshot_forecasts(snapshot, threshold
         assert_path_equals_reference(panel.window_y, panel.window_X, panel.window_weights)
         fitted += 1
     assert fitted >= 20
+
+
+def reference_join_scans(monkeypatch, prep, lams):
+    """``reference_homotopy(prep, lams)`` with a record of its join scans:
+    for each knot, the ``(p, 2)`` join times as computed, before the
+    blocked entry is set to inf, and the flat index of each ``np.argmin``
+    taken over them, one more after every span rejection."""
+    divide, argmin = np.divide, np.argmin
+    scans = []
+
+    def recording_divide(*args, **kwargs):
+        out = divide(*args, **kwargs)
+        if out.ndim == 2:
+            scans.append({"times": out, "computed": out.copy(), "picks": []})
+        return out
+
+    def recording_argmin(a, *args, **kwargs):
+        k = argmin(a, *args, **kwargs)
+        if scans and a.base is scans[-1]["times"]:
+            scans[-1]["picks"].append(int(k))
+        return k
+
+    with monkeypatch.context() as m:
+        m.setattr(np, "divide", recording_divide)
+        m.setattr(np, "argmin", recording_argmin)
+        return reference_homotopy(prep, lams), scans
+
+
+def assert_same_outcome(prep, lams):
+    # the same path bit for bit, or the same exception and message
+    try:
+        want = reference_homotopy(prep, lams)
+    except Exception as exc:
+        with pytest.raises(type(exc)) as got:
+            _homotopy(prep, lams)
+        assert str(got.value) == str(exc)
+        return
+    betas, knots = _homotopy(prep, lams)
+    assert betas.tobytes() == want[0].tobytes()
+    assert knots == want[1]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_homotopy_equals_the_reference_on_nan_join_times(monkeypatch):
+    rng = np.random.default_rng(31019)
+    K, p = 10, 4
+    X = rng.normal(size=(K, p))
+    y = rng.normal(size=K)
+    w = rng.uniform(0.5, 4.0, size=K)
+    lams = _grid(_Prepared(y, X, w))
+    # an inf in y makes every correlation and mu infinite: the gap
+    # inf - inf is NaN, and a NaN join time beats every number, so no
+    # column joins and the path stays at zero
+    y_inf = y.copy()
+    y_inf[3] = math.inf
+    prep = _Prepared(y_inf, X, w)
+    (betas, knots), scans = reference_join_scans(monkeypatch, prep, lams)
+    assert np.isnan(scans[0]["computed"]).any() and knots == 0
+    assert_same_outcome(prep, lams)
+    # a NaN in y makes mu NaN, so every join time is NaN: the first one
+    # wins and the path stops at its first knot with no column to drop
+    y_nan = y.copy()
+    y_nan[3] = math.nan
+    with pytest.raises(UnboundLocalError):
+        reference_homotopy(_Prepared(y_nan, X, w), lams)
+    assert_same_outcome(_Prepared(y_nan, X, w), lams)
+    # a NaN in X leaves its column without mass, so it never may join
+    X_nan = X.copy()
+    X_nan[2, 1] = math.nan
+    assert not _Prepared(y, X_nan, w).active[1]
+    assert_path_equals_reference(y, X_nan, w)
+
+
+# A +-1 design on 8 rows: every column has unit scale, so the scaled
+# system holds eighths, and the homotopy ties a re-entry at a zero-length
+# step right after a column leaves.
+_TIED_X = np.array([
+    [1, 1, 1, 1, 1], [-1, -1, -1, 1, -1], [-1, -1, 1, -1, 1], [-1, -1, -1, -1, 1],
+    [1, -1, 1, 1, 1], [-1, -1, -1, -1, -1], [1, -1, 1, 1, -1], [1, -1, -1, 1, -1],
+], dtype=float)
+_TIED_Y = np.array([0, 1, -2, 4, 1, -2, 0, -3], dtype=float)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_homotopy_equals_the_reference_where_the_blocked_re_entry_is_least(sign, monkeypatch):
+    # -y flips every sign on the path, so the blocked entry is a column's
+    # +1 entry on one side and its -1 entry on the other
+    y = sign * _TIED_Y
+    prep = _Prepared(y, _TIED_X, np.ones(8))
+    lams = _grid(prep)
+    _, scans = reference_join_scans(monkeypatch, prep, lams)
+    # the entry that held the first least computed time was blocked, so
+    # the scan took another one
+    blocked = []
+    for scan in scans:
+        computed = scan["computed"].reshape(-1)
+        least = int(np.argmin(computed))
+        if scan["picks"][0] != least:
+            assert computed[least] < computed[scan["picks"][0]]
+            blocked.append(least)
+    assert blocked
+    assert_path_equals_reference(y, _TIED_X, np.ones(8))
+
+
+def test_homotopy_equals_the_reference_after_a_span_rejection_with_p_over_k(monkeypatch):
+    # exact and scaled twins of columns 0 and 1 on 8 rows and 21 columns:
+    # the scan's first pick is a twin of an active column, the span check
+    # passes it over, and a second candidate with a finite time follows
+    rng = np.random.default_rng(1)
+    K, p = 8, 21
+    X = rng.normal(size=(K, p)) + rng.normal(size=(1, p))
+    X[:, -1] = X[:, 0]
+    X[:, -2] = -3.5 * X[:, 1]
+    y = X[:, :4] @ np.array([1.5, -1.0, 0.8, 0.5]) + rng.normal(scale=0.2, size=K)
+    w = rng.uniform(0.5, 4.0, size=K)
+    prep = _Prepared(y, X, w)
+    _, scans = reference_join_scans(monkeypatch, prep, _grid(prep))
+    rescans = [s for s in scans if len(s["picks"]) >= 2]
+    assert rescans
+    assert all(f >> 1 in (p - 2, p - 1) for s in rescans for f in s["picks"][:-1])
+    assert any(math.isfinite(s["times"].reshape(-1)[s["picks"][-1]]) for s in rescans)
+    assert_path_equals_reference(y, X, w)
+
+
+def test_homotopy_equals_the_reference_at_every_readme_backtest_origin(monkeypatch):
+    # the README backtest, Brazil from 2020-04-04 to 2020-04-14: each
+    # origin's panel is cut from the target, not from the full series
+    from latecast import backtest
+
+    panels = []
+    assemble = backtest._assemble_panel
+
+    def recording(*args, **kwargs):
+        panel = assemble(*args, **kwargs)
+        panels.append(panel)
+        return panel
+
+    monkeypatch.setattr(backtest, "_assemble_panel", recording)
+    series = {s.name: s for s in parse_jhu_wide(
+        (FIXTURES / "jhu_confirmed_snapshot_20200415.csv").read_text())}
+    target = series.pop("Brazil")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        report = backtest.run_backtest(target, list(series.values()), backtest.BacktestConfig(
+            horizon=14, origin_start=date(2020, 4, 4), origin_end=date(2020, 4, 14)))
+    assert len(report.origin_details) == len(panels) == 11
+    for panel in panels:
+        assert_path_equals_reference(panel.window_y, panel.window_X, panel.window_weights)
