@@ -11,51 +11,41 @@ and prints one ``<sha256>  <name>`` line per output:
 - ``forecast/<snapshot>/<target>/lasso`` and ``.../seed<k>``: the
   pickled ``LassoFit`` and, for seeds 1-3, the pickled ``ForecastPath``
   of 10,000 simulated paths, for every target the pipeline fits;
-- ``large_panel/seed<k>/y_hat`` and ``.../betas``: the log forecasts and
-  the lasso path of the latecomer that the seed picks from a generated
-  250-country, 1000-day panel, for seeds 1-3;
+- ``large_panel/seed<k>/wide``, ``.../long``, ``.../y_hat`` and
+  ``.../betas``, for seeds 1-3: the names, start dates and counts that
+  ``parse_jhu_wide`` and ``parse_long`` read from the two layouts of the
+  ``large_panel`` workload's generated panel, and the log forecasts and
+  the lasso path of the latecomer the seed picks, fitted from the parsed
+  wide layout as the workload fits it;
 - ``command/<name>``: stdout, stderr and exit code of the four README
   commands and of the four demos.
 
 Run it on two trees and ``diff`` the listings: an empty diff says that
-every one of these outputs is byte-identical.  The inputs are made here
-from the bundled fixtures alone, so a listing depends only on TREE's
-``src/``, ``demos/`` and ``fixtures/``.
+every one of these outputs is byte-identical.  The inputs, commands and
+fit pipeline are the benchmark's, imported from this checkout's
+``perfbench/``, so a listing depends only on TREE's ``src/``, ``demos/``
+and ``fixtures/`` and on this ``perfbench/``, the same for both trees.
 """
 
 from __future__ import annotations
 
-import csv
 import hashlib
-import math
 import os
 import pickle
 import subprocess
 import sys
 import warnings
-from datetime import date
 from pathlib import Path
 
 import numpy as np
 
-CASES = "fixtures/jhu_confirmed_snapshot_20200415.csv"
-DEATHS = "fixtures/jhu_deaths_snapshot_20200415.csv"
-SNAPSHOTS = {"cases": (CASES, 100), "deaths": (DEATHS, 10)}
-HORIZON = 14
-WINDOW = 21
-N_SIMS = 10_000
-SEEDS = (1, 2, 3)
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
-README_COMMANDS = {
-    "ingest-check": ["ingest-check", "--data-path", CASES, "--target", "Brazil"],
-    "forecast": ["forecast", "--data-path", CASES, "--target", "Brazil",
-                 "--seed", "11", "--h", "7"],
-    "backtest": ["backtest", "--data-path", CASES, "--target", "Brazil",
-                 "--seed", "11", "--h", "14",
-                 "--origin-start", "2020-04-04", "--origin-end", "2020-04-14"],
-    "report": ["report", "--data-path", CASES, "--deaths-path", DEATHS,
-               "--target", "Brazil", "--seed", "11", "--h", "7"],
-}
+from perfbench.panelgen import generate_panel  # noqa: E402
+from perfbench.workloads import (CASES, HORIZON, N_SIMS, README_COMMANDS,  # noqa: E402,F401
+                                 SNAPSHOTS, WINDOW, fit_pipeline, split)
+
+SEEDS = (1, 2, 3)
 
 
 def digest(obj) -> str:
@@ -63,9 +53,10 @@ def digest(obj) -> str:
     return hashlib.sha256(pickle.dumps(obj, protocol=4)).hexdigest()
 
 
-def _split(series, name):
-    return (next(s for s in series if s.name == name),
-            [s for s in series if s.name != name])
+def series_digest(series) -> str:
+    """Digest of parsed series' names, start dates and counts alone; a pickle
+    of the series would also record which of them share one ``date``."""
+    return digest([(s.name, s.start.isoformat(), s.counts) for s in series])
 
 
 def backtest_digests(tree: Path):
@@ -77,22 +68,11 @@ def backtest_digests(tree: Path):
         config = backtest.BacktestConfig(threshold=threshold, window=WINDOW,
                                          horizon=HORIZON)
         for s in series:
-            target, peers = _split(series, s.name)
             try:
-                out = backtest.run_backtest(target, peers, config)
+                out = backtest.run_backtest(*split(series, s.name), config)
             except LatecastError as exc:
                 out = (type(exc).__name__, str(exc))
             yield f"backtest/{snap}/{s.name}", digest(out)
-
-
-def fit_pipeline(target, peers, threshold: int):
-    """``build_panel``, ``select_by_bic`` and ``fit_ecm`` on one target."""
-    from latecast import build_panel, fit_ecm, select_by_bic
-
-    panel = build_panel(target, peers, threshold=threshold,
-                        max_horizon=HORIZON, window=WINDOW)
-    lasso = select_by_bic(panel.window_y, panel.window_X, panel.window_weights)
-    return panel, lasso, fit_ecm(panel, lasso)
 
 
 def forecast_digests(tree: Path, seeds=SEEDS, names=None):
@@ -105,7 +85,7 @@ def forecast_digests(tree: Path, seeds=SEEDS, names=None):
             if names is not None and s.name not in names:
                 continue
             try:
-                panel, lasso, fit = fit_pipeline(*_split(series, s.name), threshold)
+                panel, lasso, fit = fit_pipeline(*split(series, s.name), threshold)
             except DataFormatError:
                 continue
             key = f"forecast/{snap}/{s.name}"
@@ -115,79 +95,17 @@ def forecast_digests(tree: Path, seeds=SEEDS, names=None):
                 yield f"{key}/seed{seed}", digest(path)
 
 
-# The generated panel: every country borrows the daily log-growth profile
-# of one fixture series, rescaled and jittered, from a seeded onset day,
-# and grows at a geometrically decaying rate once the profile ends.  A
-# late quarter starts 95 to 85 days before the calendar ends, so each of
-# them is a latecomer with about 190 peers far enough ahead.
-PANEL_START = date(2020, 1, 22)
-LATE_SHARE = 0.24
-EARLY_END = 0.6
-LATE_BEFORE_END = (95, 85)
-TAIL_DECAY = 0.97
-MAX_LOG = math.log(5e8)
-
-
-def fixture_profiles(tree: Path) -> list[tuple[str, np.ndarray]]:
-    """Name and daily log-growth increments of every fixture country with
-    at least ten days at one or more, in file order; read without
-    ``latecast``."""
-    profiles = []
-    for path, _ in SNAPSHOTS.values():
-        with open(tree / path, newline="", encoding="utf-8") as fh:
-            rows = list(csv.reader(fh))[1:]
-        totals: dict[str, np.ndarray] = {}
-        for row in rows:
-            totals[row[1]] = totals.get(row[1], 0) + np.array([float(c) for c in row[4:]])
-        for name, counts in totals.items():
-            positive = counts[counts >= 1]
-            if len(positive) >= 10:
-                profiles.append((name, np.diff(np.log(np.maximum.accumulate(positive)))))
-    return profiles
-
-
-def generate_panel(tree: Path, seed: int, n_countries: int = 250,
-                   n_days: int = 1000) -> tuple[list, list[str]]:
-    """The generated countries as ``CountrySeries``, and the latecomers' names."""
-    from latecast.ingest import CountrySeries
-
-    rng = np.random.default_rng(seed)
-    profiles = fixture_profiles(tree)
-    is_late = np.zeros(n_countries, dtype=bool)
-    is_late[rng.choice(n_countries, int(round(LATE_SHARE * n_countries)),
-                       replace=False)] = True
-    series, late = [], []
-    for i in range(n_countries):
-        base_name, profile = profiles[rng.integers(len(profiles))]
-        if is_late[i]:
-            lo, hi = n_days - LATE_BEFORE_END[0], n_days - LATE_BEFORE_END[1]
-        else:
-            lo, hi = 0, int(EARLY_END * n_days)
-        onset = int(rng.integers(lo, hi + 1))
-        n = n_days - onset
-        scale = rng.uniform(0.7, 1.3)
-        steps = np.empty(n)
-        k = min(len(profile), n)
-        steps[:k] = scale * profile[:k]
-        steps[k:] = scale * float(np.mean(profile[-7:])) * TAIL_DECAY ** np.arange(1, n - k + 1)
-        steps *= np.exp(rng.normal(0.0, 0.15, n))
-        log_c = math.log(rng.integers(1, 30)) + np.concatenate([[0.0], np.cumsum(steps[1:])])
-        counts = np.zeros(n_days, dtype=np.int64)
-        counts[onset:] = np.floor(np.exp(np.minimum(log_c, MAX_LOG)))
-        name = f"{base_name} {i:03d}"
-        series.append(CountrySeries(name, PANEL_START, np.maximum.accumulate(counts)))
-        if is_late[i]:
-            late.append(name)
-    return series, late
-
-
 def large_panel_digests(tree: Path, seeds=SEEDS):
+    from latecast import parse_jhu_wide, parse_long
     from latecast.ecm import forecast_log
 
     for seed in seeds:
-        series, late = generate_panel(tree, seed)
-        name = late[np.random.default_rng(seed).integers(len(late))]
-        panel, lasso, fit = fit_pipeline(*_split(series, name), 100)
+        gen = generate_panel(tree / "fixtures", seed)
+        wide = parse_jhu_wide(gen.wide_text)
+        yield f"large_panel/seed{seed}/wide", series_digest(wide)
+        yield f"large_panel/seed{seed}/long", series_digest(parse_long(gen.long_text))
+        name = gen.late[np.random.default_rng(seed).integers(len(gen.late))]
+        panel, lasso, fit = fit_pipeline(*split(wide, name), 100)
         yield f"large_panel/seed{seed}/y_hat", digest(forecast_log(fit, panel, HORIZON))
         yield f"large_panel/seed{seed}/betas", digest(lasso.betas)
 

@@ -27,12 +27,12 @@ JHU_FIXED_COLUMNS = ("Province/State", "Country/Region", "Lat", "Long")
 # this bound only.
 _MAX_EXACT_COUNT = 2**53
 
-# least number of characters that _lines reads through one io.StringIO,
-# which holds 4 bytes per character, and that the byte readers encode
-# into one slab, so that none of them copies the whole text; at this
-# size a StringIO holds a megabyte, and each of a slab's per-cell int64
-# arrays (starts, ends, words, masks) under half a megabyte on the
-# large panels that perfbench generates
+# least number of characters in one of the pieces that _chunks cuts,
+# which _lines reads through one io.StringIO (4 bytes per character) and
+# the byte readers encode into one slab, so that none of them copies the
+# whole text; at this size a StringIO holds a megabyte, and each of a
+# slab's per-cell int64 arrays (starts, ends, words, masks) under half a
+# megabyte on the large panels that perfbench generates
 _CHUNK_CHARS = 1 << 18
 
 # newlines on each side of a slab, so that a window of up to 15 bytes
@@ -117,14 +117,21 @@ def _require_consecutive(days: np.ndarray, where: str) -> None:
         )
 
 
-def _lines(text: str, start: int = 0):
-    """The lines of ``io.StringIO(text[start:])``, read through one
-    ``StringIO`` at a time over chunks of at least ``_CHUNK_CHARS``
-    characters that end after a newline (the last chunk may be shorter)."""
+def _chunks(text: str, start: int):
+    """``text[start:]`` in chunks of at least ``_CHUNK_CHARS`` characters,
+    each cut after the first newline past them (the last may be shorter);
+    callers map their copy over the pieces, so that none outlives it."""
     while start < len(text):
         end = text.find("\n", start + _CHUNK_CHARS - 1) + 1 or len(text)
-        yield from io.StringIO(text[start:end])
+        yield text[start:end]
         start = end
+
+
+def _lines(text: str, start: int = 0):
+    """The lines of ``io.StringIO(text[start:])``, read through one
+    ``StringIO`` at a time over ``_chunks``."""
+    for lines in map(io.StringIO, _chunks(text, start)):
+        yield from lines
 
 
 def _csv_reader(csv_text: str):
@@ -550,16 +557,11 @@ def _byte_rows(csv_text: str, read_header, names: dict[str, int]):
 
 
 def _slabs(text: str, start: int):
-    """The UTF-8 bytes of ``text[start:]`` in slabs of at least
-    ``_CHUNK_CHARS`` characters, each cut after the first newline past
-    them and ending in a newline, padded by ``_PAD`` newlines on both
-    sides (the last slab may be shorter)."""
+    """The UTF-8 bytes of each of ``_chunks(text, start)``, ending in a
+    newline and padded by ``_PAD`` newlines on both sides."""
     pad = b"\n" * _PAD
-    while start < len(text):
-        end = text.find("\n", start + _CHUNK_CHARS - 1) + 1 or len(text)
-        body = _utf8(text[start:end])
+    for body in map(_utf8, _chunks(text, start)):
         yield b"".join((pad, body, b"" if body.endswith(b"\n") else b"\n", pad))
-        start = end
 
 
 def _utf8(text: str) -> bytes:

@@ -367,6 +367,11 @@ def bic(y, X, weights, betas) -> np.ndarray:
 
 def select_by_bic(y, X, weights) -> LassoFit:
     """Fit the full penalty path and keep the BIC-minimal entry."""
+    y = np.asarray(y, dtype=float)
+    X = np.asarray(X, dtype=float)
+    weights = np.asarray(weights, dtype=float)
+    if not (np.isfinite(y).all() and np.isfinite(X).all() and np.isfinite(weights).all()):
+        raise ValueError("y, X and weights must be finite")
     prep = _Prepared(y, X, weights)
     lams = _grid(prep)
     betas_s, knots = _homotopy(prep, lams)

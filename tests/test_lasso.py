@@ -156,7 +156,14 @@ def test_path_rejects_all_degenerate_design():
     (np.ones(5), np.ones((5, 2)), np.ones(4),
      "weights has shape (4,), X has 5 rows"),
     (np.ones(5), np.ones((5, 2)), np.zeros(5), "weights must be strictly positive"),
-], ids=["1d_X", "short_y", "short_weights", "zero_weights"])
+    (np.array([1.0, np.nan, 1.0, 1.0, 1.0]), np.ones((5, 2)), np.ones(5),
+     "y, X and weights must be finite"),
+    (np.ones(5), np.array([[1.0, 1.0]] * 4 + [[1.0, np.inf]]), np.ones(5),
+     "y, X and weights must be finite"),
+    (np.ones(5), np.ones((5, 2)), np.array([1.0, 1.0, np.nan, 1.0, 1.0]),
+     "y, X and weights must be finite"),
+], ids=["1d_X", "short_y", "short_weights", "zero_weights", "nan_y", "inf_X",
+        "nan_weight"])
 def test_select_by_bic_rejects_bad_arguments(y, X, w, msg):
     with pytest.raises(ValueError, match=f"^{re.escape(msg)}$"):
         select_by_bic(y, X, w)

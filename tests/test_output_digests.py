@@ -2,7 +2,8 @@
 
 The script's full listing runs every backtest and demo, which the test
 suite does elsewhere; here one forecast is digested, nudged by one ulp
-and digested again, and the generated panel is held to the benchmark's.
+and digested again, and the large panel's parsed series are held to the
+benchmark's generator and to their listed digests.
 """
 
 import copy
@@ -49,11 +50,16 @@ def test_one_ulp_in_one_forecast_changes_its_digest():
 
 
 def test_generated_panel_equals_the_large_panel_workload_s_panel():
+    from latecast import parse_jhu_wide, parse_long
     from perfbench.panelgen import generate_panel
 
-    series, late = output_digests.generate_panel(ROOT, 1)
     gen = generate_panel(ROOT / "fixtures", 1)
-    assert [s.name for s in series] == gen.names
-    assert late == gen.late
-    assert all(s.start == gen.dates[0] for s in series)
-    assert all(np.array_equal(s.counts, gen.counts[s.name]) for s in series)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        listed = dict(output_digests.large_panel_digests(ROOT, seeds=(1,)))
+    for layout, series in (("wide", parse_jhu_wide(gen.wide_text)),
+                           ("long", parse_long(gen.long_text))):
+        assert [s.name for s in series] == gen.names
+        assert all(s.start == gen.dates[0] for s in series)
+        assert all(np.array_equal(s.counts, gen.counts[s.name]) for s in series)
+        assert listed[f"large_panel/seed1/{layout}"] == output_digests.series_digest(series)
