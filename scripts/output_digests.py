@@ -17,8 +17,15 @@ and prints one ``<sha256>  <name>`` line per output:
   ``large_panel`` workload's generated panel, and the log forecasts and
   the lasso path of the latecomer the seed picks, fitted from the parsed
   wide layout as the workload fits it;
+- ``large_panel/seed<k>/wide_crlf``, ``.../long_crlf`` and
+  ``.../long_date_major``: the same for both layouts with CRLF line
+  ends, which only the ``csv`` row loops read, and for the long layout
+  with its rows sorted by date, which ``parse_long`` reorders;
 - ``command/<name>``: stdout, stderr and exit code of the four README
-  commands and of the four demos.
+  commands and of the four demos;
+- ``command/forecast-json``: the same for the README forecast command
+  run with ``--format json --output`` into a temporary directory, with
+  the bytes of the forecast file and of its diagnostics sidecar.
 
 Run it on two trees and ``diff`` the listings: an empty diff says that
 every one of these outputs is byte-identical.  The inputs, commands and
@@ -34,6 +41,7 @@ import os
 import pickle
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
@@ -95,6 +103,18 @@ def forecast_digests(tree: Path, seeds=SEEDS, names=None):
                 yield f"{key}/seed{seed}", digest(path)
 
 
+def crlf(text: str) -> str:
+    """``text`` with CRLF line ends."""
+    return text.replace("\n", "\r\n")
+
+
+def date_major(long_text: str) -> str:
+    """The rows of a long-layout text sorted by date, so that countries
+    alternate row by row."""
+    header, *rows = long_text.splitlines(keepends=True)
+    return header + "".join(sorted(rows, key=lambda r: r.rsplit(",", 2)[1]))
+
+
 def large_panel_digests(tree: Path, seeds=SEEDS):
     from latecast import parse_jhu_wide, parse_long
     from latecast.ecm import forecast_log
@@ -104,6 +124,11 @@ def large_panel_digests(tree: Path, seeds=SEEDS):
         wide = parse_jhu_wide(gen.wide_text)
         yield f"large_panel/seed{seed}/wide", series_digest(wide)
         yield f"large_panel/seed{seed}/long", series_digest(parse_long(gen.long_text))
+        for name, parse, text in (("wide_crlf", parse_jhu_wide, crlf(gen.wide_text)),
+                                  ("long_crlf", parse_long, crlf(gen.long_text)),
+                                  ("long_date_major", parse_long,
+                                   date_major(gen.long_text))):
+            yield f"large_panel/seed{seed}/{name}", series_digest(parse(text))
         name = gen.late[np.random.default_rng(seed).integers(len(gen.late))]
         panel, lasso, fit = fit_pipeline(*split(wide, name), 100)
         yield f"large_panel/seed{seed}/y_hat", digest(forecast_log(fit, panel, HORIZON))
@@ -122,6 +147,16 @@ def command_digests(tree: Path):
         proc = subprocess.run([sys.executable, *argv], cwd=tree, env=env,
                               capture_output=True, timeout=300)
         yield name, digest((proc.stdout, proc.stderr, proc.returncode))
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "forecast.json"
+        sidecar = Path(f"{out}.diagnostics.json")
+        proc = subprocess.run(
+            [sys.executable, "-m", "latecast", *README_COMMANDS["forecast"],
+             "--format", "json", "--output", str(out)],
+            cwd=tree, env=env, capture_output=True, timeout=300)
+        files = [p.read_bytes() if p.exists() else None for p in (out, sidecar)]
+        yield "command/forecast-json", digest(
+            (proc.stdout, proc.stderr, proc.returncode, *files))
 
 
 def main(argv: list[str]) -> int:

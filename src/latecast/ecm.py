@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -79,17 +79,7 @@ class ForecastPath:
     confidence: float
 
     def to_json(self) -> dict:
-        out = {
-            "horizons": [int(h) for h in self.horizons],
-            "n_sims": int(self.n_sims),
-            "seed": int(self.seed),
-            "confidence": float(self.confidence),
-        }
-        for name in ("y_hat", "level_hat", "lower", "upper", "level_median",
-                     "new_hat", "new_lower", "new_upper",
-                     "rate_hat", "rate_lower", "rate_upper"):
-            out[name] = [float(v) for v in getattr(self, name)]
-        return out
+        return {f.name: np.asarray(getattr(self, f.name)).tolist() for f in fields(self)}
 
 
 def weighted_least_squares(y, X, weights) -> tuple[np.ndarray, list[int]]:
@@ -279,15 +269,6 @@ def _peer_rows_through(fit: EcmFit, panel: AlignedPanel, last_row: int) -> np.nd
     return X
 
 
-def _row_dots(A: np.ndarray, v: np.ndarray) -> list[float]:
-    """``[float(row @ v) for row in A]``, rounded as that rounds each row.
-
-    ``np.vecdot`` runs the same per-row dot product as ``row @ v``, on
-    strided rows as on contiguous ones; ``A @ v`` is a matrix product
-    whose sums may round differently."""
-    return np.vecdot(A, v).tolist()
-
-
 def forecast_log(fit: EcmFit, panel: AlignedPanel, H: int) -> np.ndarray:
     """Recursive log-scale forecasts for horizons 1..H.
 
@@ -298,11 +279,12 @@ def forecast_log(fit: EcmFit, panel: AlignedPanel, H: int) -> np.ndarray:
         raise ValueError("H must be >= 1")
     T = panel.tau_len
     X = _peer_rows_through(fit, panel, T + H - 1)
-    # a row's dot product rounds by its layout: the difference rows are
-    # C-ordered, contiguous as a freshly subtracted row is, and the
-    # long-run terms dot the rows of X where they are
-    dx_pi = _row_dots(np.subtract(X[T:T + H], X[T - 1:T + H - 1], order="C"), fit.pi)
-    long_run = _row_dots(X[T - 1:T + H - 1], fit.beta)
+    # np.vecdot rounds each row as its own ``row @ v`` does, which a matrix
+    # product need not, and by the row's layout: the difference rows are
+    # C-ordered, as a fresh subtraction's are; the long-run rows are X's own
+    lagged = X[T - 1:T + H - 1]
+    dx_pi = np.vecdot(np.subtract(X[T:T + H], lagged, order="C"), fit.pi).tolist()
+    long_run = np.vecdot(lagged, fit.beta).tolist()
 
     gamma = fit.gamma
     out = np.empty(H)

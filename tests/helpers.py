@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from latecast.align import AlignedPanel
-from latecast.ecm import EcmFit, _fallback_peer, _row_dots
+from latecast.ecm import EcmFit, _fallback_peer
 from latecast.errors import DataFormatError, EstimationError, ForecastError
 from latecast.ingest import CountrySeries
 from latecast.lasso import _SPAN_TOL, LassoFit, _homotopy, _Prepared
@@ -401,8 +401,8 @@ def gen_ecm_panel(rng, n=60, p=3, beta=(0.7, 0.3), pi=(0.4, 0.2),
     # y[t] = y[t-1] + dx[t] @ pi + gamma * (y[t-1] - x[t-1] @ beta) + e[t],
     # with each row's dot product taken as ``row @ beta`` takes it, so
     # that the recursion alone runs step by step
-    x_beta = _row_dots(X[:, :k], beta)
-    dx_pi = _row_dots(np.diff(X[:, :k], axis=0), pi)
+    x_beta = np.vecdot(X[:, :k], beta).tolist()
+    dx_pi = np.vecdot(np.diff(X[:, :k], axis=0), pi).tolist()
     y = [x_beta[0] + z0_offset]
     for xb, dxp, e in zip(x_beta, dx_pi, shocks[1:].tolist()):
         y.append(y[-1] + dxp + gamma * (y[-1] - xb) + e)

@@ -27,7 +27,6 @@ from latecast.backtest import BacktestConfig, run_backtest
 from latecast.ecm import (
     DRAW_BLOCK,
     EcmFit,
-    _row_dots,
     _sorted_edge,
     fit_ecm,
     fit_origin,
@@ -391,7 +390,7 @@ def test_row_dots_round_as_each_row_at_v(order):
         A = np.asarray(rng.normal(size=(16, n)) * 10.0 ** rng.uniform(-3, 3, n), order=order)
         v = rng.normal(size=n)
         rows = A[1:15]
-        assert _row_dots(rows, v) == [float(row @ v) for row in rows]
+        assert np.vecdot(rows, v).tolist() == [float(row @ v) for row in rows]
 
 
 def test_row_dots_without_vecdot_equals_vecdot():
@@ -405,7 +404,7 @@ def test_row_dots_without_vecdot_equals_vecdot():
         if i % 3 == 0:
             A = A[:, ::-1]
         v = rng.normal(size=n)
-        assert np.array(_row_dots(A, v)).tobytes() == \
+        assert np.array(np.vecdot(A, v).tolist()).tobytes() == \
             np.array([float(row @ v) for row in A]).tobytes()
 
 

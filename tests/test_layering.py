@@ -3,8 +3,9 @@
 ``ingest`` reads CSV text and needs nothing of the package but its
 errors; ``align`` holds the model and takes from ``ingest`` only the
 series type and the two parsers, which it re-exports for perfbench.
-The JSON record of a fitted origin is laid out in ``ecm`` alone, and
-``cli`` alone writes a table or a document.
+The JSON record of a fitted origin is laid out in ``ecm`` alone,
+``cli`` alone writes a table or a document, and one function of
+``ingest`` writes the columns of both byte readers.
 """
 
 import ast
@@ -56,6 +57,23 @@ def test_only_ecm_lays_out_the_origin_record():
                for node in ast.walk(tree)):
             holders.add(path.name)
     assert holders == {"ecm.py"}
+
+
+def test_byte_reader_columns_are_written_in_one_place():
+    # both layouts' byte readers keep only their per-slab decoders: the
+    # columns are sized by _max_rows and filled from _byte_rows' slabs in
+    # _read_bytes alone
+    tree = ast.parse((SRC / "ingest.py").read_text(encoding="utf-8"))
+    sizing, filling = set(), set()
+    for top in tree.body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_max_rows":
+                sizing.add(getattr(top, "name", "<module>"))
+            if (isinstance(node, (ast.For, ast.comprehension))
+                    and isinstance(node.iter, ast.Call)
+                    and getattr(node.iter.func, "id", None) == "_byte_rows"):
+                filling.add(getattr(top, "name", "<module>"))
+    assert sizing == filling == {"_read_bytes"}
 
 
 def _calls(module: str, attr: str, keyword: str | None = None) -> dict[str, int]:

@@ -2,8 +2,9 @@
 
 The script's full listing runs every backtest and demo, which the test
 suite does elsewhere; here one forecast is digested, nudged by one ulp
-and digested again, and the large panel's parsed series are held to the
-benchmark's generator and to their listed digests.
+and digested again, and the large panel's parsed series, by every
+reader path, are held to the benchmark's generator and to their listed
+digests.
 """
 
 import copy
@@ -50,7 +51,7 @@ def test_one_ulp_in_one_forecast_changes_its_digest():
 
 
 def test_generated_panel_equals_the_large_panel_workload_s_panel():
-    from latecast import parse_jhu_wide, parse_long
+    from latecast import CountrySeries, parse_jhu_wide, parse_long
     from perfbench.panelgen import generate_panel
 
     gen = generate_panel(ROOT / "fixtures", 1)
@@ -63,3 +64,10 @@ def test_generated_panel_equals_the_large_panel_workload_s_panel():
         assert all(s.start == gen.dates[0] for s in series)
         assert all(np.array_equal(s.counts, gen.counts[s.name]) for s in series)
         assert listed[f"large_panel/seed1/{layout}"] == output_digests.series_digest(series)
+    # the CRLF texts take the csv row loops and the date-major text
+    # parse_long's reorder, each over many chunks; all read the
+    # generator's series
+    generated = output_digests.series_digest(
+        [CountrySeries(name, gen.dates[0], gen.counts[name]) for name in gen.names])
+    for layout in ("wide_crlf", "long_crlf", "long_date_major"):
+        assert listed[f"large_panel/seed1/{layout}"] == generated
