@@ -35,32 +35,33 @@ import numpy as np
 from latecast import backtest
 from latecast.align import to_tau
 from latecast.errors import DataFormatError, NotLatecomerError
-from latecast.ingest import parse_jhu_wide
 
 ROOT = Path(__file__).resolve().parent.parent
-SNAPSHOTS = {
-    "cases": ("fixtures/jhu_confirmed_snapshot_20200415.csv", 100),
-    "deaths": ("fixtures/jhu_deaths_snapshot_20200415.csv", 10),
-}
-WINDOW = 21
-HORIZON = 14
+sys.path.insert(0, str(ROOT))
+
+from perfbench.workloads import HORIZON, SNAPSHOTS, WINDOW, load_snapshots, split  # noqa: E402
 
 
 @contextmanager
 def realtime_peers():
     """Cut every aligned peer at the origin while ``run_backtest`` runs.
 
-    The origin is the date of the last entry of the target prefix ``y``;
-    a peer keeps its log counts dated on or before it, and a peer that
-    crosses the threshold after it is left out as below threshold.
+    The origin is the date of the last entry of the target prefix ``y``.
+    Each column from ``_align_peers`` keeps its values dated on or
+    before it, and a peer that crosses the threshold after it has none
+    and is dropped as below threshold.
     """
     assemble = backtest._assemble_panel
 
     def cut_at_origin(target_name, y, start_date, aligned, max_horizon, window):
         origin = start_date + timedelta(days=len(y) - 1)
-        cut = [(name, None if ptau is None or pstart > origin
-                else ptau[:(origin - pstart).days + 1], pstart)
-               for name, ptau, pstart in aligned]
+        cut = []
+        for name, values, start, reason in aligned:
+            if start is not None:
+                # a negative slice bound would keep values, not drop them
+                n = max((origin - start).days + 1, 0)
+                values, reason = values[:n], reason if n else "below_threshold"
+            cut.append((name, values, start, reason))
         return assemble(target_name, y, start_date, cut, max_horizon, window)
 
     backtest._assemble_panel = cut_at_origin
@@ -87,9 +88,8 @@ def sweep(series: list, threshold: int) -> tuple[list, dict]:
         except (NotLatecomerError, DataFormatError):
             continue
         counts["targets"] += 1
-        peers = [s for s in series if s.name != target.name]
         try:
-            report = backtest.run_backtest(target, peers, config)
+            report = backtest.run_backtest(*split(series, target.name), config)
         except DataFormatError:
             counts["failed_whole"].append(target.name)
             counts["skipped"] += len(origins)
@@ -134,9 +134,8 @@ def replay() -> dict:
     pooled_cells: list = []
     pooled = {"targets": 0, "fitted": 0, "skipped": 0, "calendar_future": 0,
               "failed_whole": []}
-    for snap, (path, threshold) in SNAPSHOTS.items():
-        series = parse_jhu_wide((ROOT / path).read_text(encoding="utf-8"))
-        cells, counts = sweep(series, threshold)
+    for snap, series in load_snapshots(ROOT).items():
+        cells, counts = sweep(series, SNAPSHOTS[snap][1])
         per_snapshot[snap] = summary(cells, counts)
         pooled_cells += cells
         for key in ("targets", "fitted", "skipped", "calendar_future"):

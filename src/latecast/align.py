@@ -150,12 +150,11 @@ def build_panel(
 ) -> AlignedPanel:
     """Align target and peers on epidemic age and assemble the panel.
 
-    Peers must have at least ``tau_len + max_horizon`` aligned
-    observations (they supply the "future" covariate values used in
-    forecasting); shorter ones are dropped and recorded in the panel's
-    drop log.  If the target has fewer than ``window`` aligned
-    observations the estimation window shrinks to what is available,
-    with a warning.
+    Peers enter in name order, each with its first ``tau_len +
+    max_horizon`` aligned observations, which supply the "future"
+    covariate values of a forecast; the drop log names the others.  If
+    the target has fewer than ``window`` aligned observations the
+    estimation window shrinks to what is available, with a warning.
     """
     if max_horizon < 1:
         raise ValueError("max_horizon must be >= 1")
@@ -164,7 +163,7 @@ def build_panel(
     y, start_date = to_tau(target, threshold)
     aligned = _align_peers(peers, threshold, target.name)
     panel = _assemble_panel(target.name, y, start_date, aligned,
-                            max_horizon, min(window, len(y)))
+                            max_horizon, window)
     if len(y) < window:
         warnings.warn(
             f"target {target.name!r} has only {len(y)} aligned observations; "
@@ -175,21 +174,23 @@ def build_panel(
 
 def _align_peers(peers: list[CountrySeries], threshold: int,
                  target_name: str) -> list[tuple]:
-    """Each peer on the epidemic-age scale, as ``(name, log counts, start)``.
+    """Every peer once, in name order, as ``(name, values, start, reason)``.
 
-    The peer named like the target is not aligned, and a peer that never
-    reaches ``threshold`` has ``None`` log counts.  A peer whose data
-    cannot be aligned raises its ``DataFormatError`` here.
+    ``values`` are the peer's log counts on the epidemic-age scale, and
+    ``reason`` is what a panel's drop log says if they are too few.  The
+    target itself (``"is_target"``) and a peer that never reaches
+    ``threshold`` (``"below_threshold"``) have no values.  A peer whose
+    data cannot be aligned raises its ``DataFormatError`` here.
     """
     aligned = []
-    for peer in peers:
-        ptau = pstart = None
-        if peer.name != target_name:
-            try:
-                ptau, pstart = to_tau(peer, threshold)
-            except NotLatecomerError:
-                pass
-        aligned.append((peer.name, ptau, pstart))
+    for peer in sorted(peers, key=lambda s: s.name):
+        if peer.name == target_name:
+            aligned.append((peer.name, np.empty(0), None, "is_target"))
+            continue
+        try:
+            aligned.append((peer.name, *to_tau(peer, threshold), "too_short"))
+        except NotLatecomerError:
+            aligned.append((peer.name, np.empty(0), None, "below_threshold"))
     return aligned
 
 
@@ -200,40 +201,32 @@ def _assemble_panel(target_name: str, y: np.ndarray, start_date: date,
     peers already aligned by ``_align_peers``.
 
     ``y`` may be any prefix of the target's alignment, so a backtest
-    aligns each series once and slices the target at every origin.
-    ``window`` must not exceed ``len(y)``.
+    aligns each series once and slices the target at every origin.  A
+    peer enters with its first ``len(y) + max_horizon`` values and the
+    others go to the drop log; a ``window`` over ``len(y)`` shrinks to it.
     """
-    tau_len = len(y)
-    required = tau_len + max_horizon
+    required = len(y) + max_horizon
 
     drop_log: list[dict] = []
     kept: list[tuple[str, np.ndarray, date]] = []
-    for name, ptau, pstart in aligned:
-        if name == target_name:
-            reason, n = "is_target", 0
-        elif ptau is None:
-            reason, n = "below_threshold", 0
-        elif len(ptau) < required:
-            reason, n = "too_short", len(ptau)
-        else:
+    for name, ptau, pstart, reason in aligned:
+        if len(ptau) >= required:
             kept.append((name, ptau[:required], pstart))
-            continue
-        drop_log.append(
-            {"peer": name, "reason": reason, "len": n, "required": required}
-        )
+        else:
+            drop_log.append({"peer": name, "reason": reason,
+                             "len": len(ptau), "required": required})
 
     if not kept:
         raise DataFormatError(
             f"no peer has {required} aligned observations for target "
-            f"{target_name!r} (tau_len={tau_len}, horizon={max_horizon})"
+            f"{target_name!r} (tau_len={len(y)}, horizon={max_horizon})"
         )
-    kept.sort(key=lambda item: item[0])
     return AlignedPanel(
         target_name=target_name,
         peer_names=[name for name, _, _ in kept],
         y=y,
         X=np.column_stack([col for _, col, _ in kept]),
-        window_weights=inflation_weights(window),
+        window_weights=inflation_weights(min(window, len(y))),
         start_date=start_date,
         peer_start_dates={name: pstart for name, _, pstart in kept},
         drop_log=drop_log,

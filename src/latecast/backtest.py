@@ -176,7 +176,7 @@ def run_backtest(target: CountrySeries, peers: list[CountrySeries],
     by_horizon[:n] = by_h[:n]
 
     return BacktestReport(
-        origins=sorted(matrix),
+        origins=list(matrix),
         matrix=matrix,
         observed=observed,
         mape_total=mape_total,

@@ -1414,6 +1414,22 @@ def test_panel_invariant_to_peer_order():
         np.testing.assert_array_equal(other.X, base.X)
 
 
+def test_panel_and_drop_log_follow_name_order_whatever_the_input_order():
+    # a kept peer, one too short, one below the threshold and one named
+    # like the target, given in name order and in reverse
+    target = _peer("T", date(2020, 3, 20), 21)
+    peers = [_peer("A", date(2020, 2, 1), 40), _peer("B", date(2020, 2, 1), 22),
+             make_series("C", date(2020, 2, 1), [5] * 40),
+             _peer("D", date(2020, 2, 3), 45), _peer("T", date(2020, 2, 1), 40)]
+    forward = build_panel(target, peers, threshold=100, max_horizon=14, window=21)
+    backward = build_panel(target, peers[::-1], threshold=100, max_horizon=14, window=21)
+    assert backward.peer_names == forward.peer_names == ["A", "D"]
+    assert backward.X.tobytes() == forward.X.tobytes()
+    assert backward.drop_log == forward.drop_log
+    assert [(d["peer"], d["reason"], d["len"]) for d in forward.drop_log] == [
+        ("B", "too_short", 22), ("C", "below_threshold", 0), ("T", "is_target", 0)]
+
+
 def test_truncate_series():
     s = make_series("A", date(2020, 3, 1), [1, 2, 3, 4])
     cut = truncate_series(s, date(2020, 3, 2))

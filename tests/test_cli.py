@@ -679,6 +679,14 @@ def test_report_single_file_needs_deaths_path(capsys):
     assert "deaths" in payloads[-1]["message"]
 
 
+def test_dropped_peers_are_written_in_name_order(capsys):
+    rc = main(["forecast", "--data-path", JHU_CASES, "--target", "Brazil",
+               "--seed", "1", "--peers", "Spain", "Peru", "Chile", "Italy"])
+    assert rc == 0
+    dropped = [p["peer"] for p in stderr_payloads(capsys) if p.get("info") == "peer_dropped"]
+    assert dropped == ["Chile", "Peru", "Spain"]
+
+
 def test_console_entrypoint_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "latecast", "ingest-check",

@@ -5,7 +5,8 @@ errors; ``align`` holds the model and takes from ``ingest`` only the
 series type and the two parsers, which it re-exports for perfbench.
 The JSON record of a fitted origin is laid out in ``ecm`` alone,
 ``cli`` alone writes a table or a document, and one function of
-``ingest`` writes the columns of both byte readers.
+``ingest`` writes the columns of both byte readers.  A peer's drop
+reason is decided once, where it is aligned.
 """
 
 import ast
@@ -123,3 +124,25 @@ def test_refit_solves_reach_lapack_through_one_module():
                 naming.add(path.name)
     assert naming == {"lasso.py"}
     assert wrappers == set()
+
+
+def test_drop_reasons_are_named_where_peers_are_aligned():
+    # _assemble_panel admits a column by its length alone, in the order
+    # _align_peers gives, and never sorts or names a reason itself
+    naming = set()
+    for path in SRC.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for top in tree.body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Constant) and node.value in (
+                        "is_target", "below_threshold", "too_short"):
+                    naming.add((path.name, getattr(top, "name", "<module>")))
+    assert naming == {("align.py", "_align_peers")}
+    tree = ast.parse((SRC / "align.py").read_text(encoding="utf-8"))
+    assemble = next(node for node in tree.body
+                    if getattr(node, "name", None) == "_assemble_panel")
+    sorting = [ast.unparse(node.func) for node in ast.walk(assemble)
+               if isinstance(node, ast.Call)
+               and getattr(node.func, "id", getattr(node.func, "attr", None))
+               in ("sort", "sorted")]
+    assert sorting == []
