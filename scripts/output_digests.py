@@ -23,6 +23,8 @@ and prints one ``<sha256>  <name>`` line per output:
   with its rows sorted by date, which ``parse_long`` reorders;
 - ``command/<name>``: stdout, stderr and exit code of the four README
   commands and of the four demos;
+- ``command/backtest-json`` and ``command/report-json``: the same for the
+  README backtest and report commands run with ``--format json``;
 - ``command/forecast-json``: the same for the README forecast command
   run with ``--format json --output`` into a temporary directory, with
   the bytes of the forecast file and of its diagnostics sidecar.
@@ -143,6 +145,9 @@ def command_digests(tree: Path):
             for name, argv in README_COMMANDS.items()}
     for demo in sorted((tree / "demos").glob("*.py")):
         runs[f"command/{demo.stem}"] = [str(demo.relative_to(tree))]
+    for name in ("backtest", "report"):
+        runs[f"command/{name}-json"] = ["-m", "latecast", *README_COMMANDS[name],
+                                        "--format", "json"]
     for name, argv in runs.items():
         proc = subprocess.run([sys.executable, *argv], cwd=tree, env=env,
                               capture_output=True, timeout=300)

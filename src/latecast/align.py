@@ -133,12 +133,7 @@ def inflation_weights(window_len: int) -> np.ndarray:
     """
     if window_len < 1:
         raise ValueError("window_len must be >= 1")
-    tail = np.array([2.0, 3.0, 4.0])
-    if window_len <= 3:
-        return tail[3 - window_len:].copy()
-    w = np.ones(window_len)
-    w[-3:] = tail
-    return w
+    return np.maximum(4.0 - np.arange(window_len)[::-1], 1.0)
 
 
 def build_panel(

@@ -3,8 +3,9 @@
 At each origin only the target is cut: the peers enter with their full
 series, and a selected peer that supplies values dated after the origin
 is listed in that origin's record under ``calendar_future_peers``.
-``ecm.fit_origin`` refits both steps as ``forecast`` does, and level
-forecasts one to H days out are stored.
+``ecm.fit_origin`` refits both steps as ``forecast`` does, and
+``ecm.forecast_log`` runs the recursion once for the level forecasts
+one to H days out that are stored.
 Cells with a realized observation are scored by absolute percentage
 error; aggregates are the mean over all scored cells, the worst single
 cell, and the mean per forecasting horizon.  The module returns a
@@ -27,7 +28,7 @@ from .align import (
     _assemble_panel,
     to_tau,
 )
-from .ecm import fit_origin, forecast_levels, origin_record
+from .ecm import fit_origin, forecast_levels, forecast_log, origin_record
 from .errors import DataFormatError, LatecastError
 from .ingest import CountrySeries
 
@@ -148,7 +149,8 @@ def run_backtest(target: CountrySeries, peers: list[CountrySeries],
                 target.name, y[:(origin - start_date).days + 1], start_date,
                 aligned, config.horizon, config.window,
             )
-            lasso, fit, y_hat = fit_origin(panel)
+            lasso, fit = fit_origin(panel)
+            y_hat = forecast_log(fit, panel, config.horizon)
             levels = forecast_levels(fit, y_hat)
         except LatecastError as exc:
             skipped.append({"origin": origin.isoformat(), "reason": str(exc)})

@@ -132,30 +132,27 @@ def _split_target_peers(
     return target, peers
 
 
-def _fit_once(args: argparse.Namespace, target: CountrySeries,
-              peers: list[CountrySeries], threshold: int):
-    """Panel, two estimation steps, and simulated bands for one origin."""
-    panel = build_panel(
-        target, peers,
-        threshold=threshold,
-        max_horizon=args.h,
-        window=args.k,
-    )
+def _forecast_section(args: argparse.Namespace, path: Path, threshold: int):
+    """Target, panel, both fits, bands and forecast rows of the series at
+    ``path``: what ``forecast`` writes and each ``report`` section holds.
+    Writes a ``peer_dropped`` line per dropped peer and the
+    ``selected_peers`` line; ``simulate_bands`` runs the recursion once."""
+    series = _load_series(path, args.data_format)
+    target, peers = _split_target_peers(series, args.target, args.peers)
+    panel = build_panel(target, peers, threshold=threshold,
+                        max_horizon=args.h, window=args.k)
     for entry in panel.drop_log:
         _info({"info": "peer_dropped", **entry})
-    lasso_fit, fit, _ = fit_origin(panel)
+    lasso_fit, fit = fit_origin(panel)
     _info({
         "info": "selected_peers",
         "peers": list(fit.peer_names),
         "fallback": fit.fallback,
         "lambda": lasso_fit.lambda_,
     })
-    path = simulate_bands(
-        fit, panel, args.h,
-        n_sims=args.n_sims, seed=args.seed,
-        confidence=args.confidence,
-    )
-    return panel, lasso_fit, fit, path
+    fpath = simulate_bands(fit, panel, args.h, n_sims=args.n_sims,
+                           seed=args.seed, confidence=args.confidence)
+    return target, panel, lasso_fit, fit, fpath, _forecast_rows(fpath, panel.end_date)
 
 
 def _forecast_rows(path: ForecastPath, last_observed: date) -> list[dict]:
@@ -170,6 +167,13 @@ def _forecast_rows(path: ForecastPath, last_observed: date) -> list[dict]:
             "upper": path.upper[i],
         })
     return rows
+
+
+def _point_cells(row: dict) -> list:
+    """The Total, New and GrowthRatePct cells of a forecast row, as the
+    ``forecast`` and ``report`` CSV tables write them."""
+    return [round(row["total"]), round(row["new"]),
+            f"{row['growth_rate_pct']:.2f}"]
 
 
 def _backtest_rows(report: BacktestReport) -> list[list]:
@@ -267,24 +271,15 @@ def cmd_ingest_check(args: argparse.Namespace) -> int:
 
 def cmd_forecast(args: argparse.Namespace) -> int:
     path = _resolve_data_path(args.data_path, args.metric)
-    series = _load_series(path, args.data_format)
-    target, peers = _split_target_peers(series, args.target, args.peers)
-    panel, lasso_fit, fit, fpath = _fit_once(
-        args, target, peers, _threshold(args, args.metric)
+    target, panel, lasso_fit, fit, fpath, rows = _forecast_section(
+        args, path, _threshold(args, args.metric)
     )
-    rows = _forecast_rows(fpath, panel.end_date)
 
     if args.format == "csv":
         table = [["Date", "Total", "New", "GrowthRatePct", "Lower", "Upper"]]
         for r in rows:
-            table.append([
-                r["date"],
-                round(r["total"]),
-                round(r["new"]),
-                f"{r['growth_rate_pct']:.2f}",
-                round(r["lower"]),
-                round(r["upper"]),
-            ])
+            table.append([r["date"], *_point_cells(r),
+                          round(r["lower"]), round(r["upper"])])
         _write_csv(table, args.output)
     else:
         payload = {
@@ -337,10 +332,7 @@ def cmd_backtest(args: argparse.Namespace) -> int:
 
 def _report_section(args: argparse.Namespace, metric: str, path: Path,
                     threshold: int) -> dict:
-    series = _load_series(path, args.data_format)
-    target, peers = _split_target_peers(series, args.target, args.peers)
-    panel, _, fit, fpath = _fit_once(args, target, peers, threshold)
-    rows = _forecast_rows(fpath, panel.end_date)
+    target, _, _, fit, fpath, rows = _forecast_section(args, path, threshold)
     history = []
     counts = target.counts.tolist()
     n_hist = min(args.history, len(counts))
@@ -390,10 +382,7 @@ def cmd_report(args: argparse.Namespace) -> int:
                     else f"{h['growth_rate_pct']:.2f}",
                 ])
             for r in section["forecast"]:
-                rows.append([
-                    name, r["date"], "", round(r["total"]), round(r["new"]),
-                    f"{r['growth_rate_pct']:.2f}",
-                ])
+                rows.append([name, r["date"], "", *_point_cells(r)])
             pct = section["confidence"] * 100
             rows.append([
                 name,

@@ -295,12 +295,13 @@ def forecast_log(fit: EcmFit, panel: AlignedPanel, H: int) -> np.ndarray:
     return out
 
 
-def fit_origin(panel: AlignedPanel) -> tuple[LassoFit, EcmFit, np.ndarray]:
-    """Both estimation steps and the log forecasts over ``panel.horizon``:
-    the one step that ``forecast``, ``report`` and each backtest origin run."""
+def fit_origin(panel: AlignedPanel) -> tuple[LassoFit, EcmFit]:
+    """Both estimation steps, the BIC-selected lasso on the panel's window
+    and then the error-correction fit: the one estimation that ``forecast``,
+    ``report`` and each backtest origin run.  Each caller runs the
+    recursion itself, once: ``simulate_bands`` or ``forecast_log``."""
     lasso = select_by_bic(panel.window_y, panel.window_X, panel.window_weights)
-    fit = fit_ecm(panel, lasso)
-    return lasso, fit, forecast_log(fit, panel, panel.horizon)
+    return lasso, fit_ecm(panel, lasso)
 
 
 def origin_record(panel: AlignedPanel, lasso: LassoFit, fit: EcmFit) -> dict:

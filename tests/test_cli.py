@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from helpers import FIXTURES, src_env
-from latecast import ingest
+from latecast import backtest, ecm, ingest
 from latecast.ingest import parse_long
 from latecast.backtest import BacktestConfig, run_backtest
 from latecast.cli import JHU_FILENAMES, main
@@ -730,3 +730,33 @@ def test_import_does_not_load_scipy():
     )
     assert proc.returncode == 0
     assert proc.stdout.split() == ["False", "False"]
+
+
+README_BRAZIL = ["--data-path", JHU_CASES, "--target", "Brazil", "--seed", "11"]
+
+
+@pytest.mark.parametrize("argv, calls", [
+    (["forecast", *README_BRAZIL, "--h", "7"], 1),
+    (["report", *README_BRAZIL, "--deaths-path", JHU_DEATHS, "--h", "7"], 2),
+    (["backtest", *README_BRAZIL, "--h", "14", "--origin-start", "2020-04-04",
+      "--origin-end", "2020-04-14"], 11),
+], ids=["forecast", "report", "backtest"])
+def test_each_forecast_runs_the_recursion_once(argv, calls, monkeypatch, capsys):
+    # forecast and each report section run it inside simulate_bands, a
+    # backtest once per fitted origin
+    original = ecm.forecast_log
+    seen = []
+
+    def counted(*args, **kwargs):
+        seen.append(args)
+        return original(*args, **kwargs)
+
+    for module in (ecm, backtest):
+        if hasattr(module, "forecast_log"):
+            monkeypatch.setattr(module, "forecast_log", counted)
+    assert main(argv) == 0
+    assert len(seen) == calls
+    if argv[0] == "backtest":
+        summary = [p for p in stderr_payloads(capsys)
+                   if p.get("info") == "backtest_summary"]
+        assert summary[0]["origins"] == calls

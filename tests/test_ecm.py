@@ -834,7 +834,7 @@ def _check_record_layout(record, panel):
 
 def test_origin_record_names_each_fact_once():
     panel, _ = gen_ecm_panel(np.random.default_rng(41017), n=30, p=3, sigma=0.02)
-    lasso, fit, _ = fit_origin(panel)
+    lasso, fit = fit_origin(panel)
     record = origin_record(panel, lasso, fit)
     _check_record_layout(record, panel)
     assert record["origin"] == panel.end_date.isoformat()
